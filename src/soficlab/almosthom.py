@@ -12,6 +12,7 @@ advisory and always recomputed on verification.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -19,12 +20,7 @@ from .backends import backend_from_descriptor
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
 from .errors import MalformedCertificateError
-from .metrics import (
-    Permutation,
-    UnitaryMatrix,
-    hamming,
-    hs_distance,
-)
+from .metrics import Permutation, UnitaryMatrix, hs_distance
 from .words import word_from_str, word_to_str
 
 CERT_SCHEMA = "sofic-cert/v1"
@@ -32,6 +28,10 @@ CERT_SCHEMA = "sofic-cert/v1"
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_MALFORMED = 2
+
+# Elements per temporary array in the Hamming kernels (1 MiB at int32), so
+# their working memory stays a few MB whatever the degree n.
+_KERNEL_CHUNK = 1 << 18
 
 
 @dataclass(eq=False)
@@ -62,19 +62,62 @@ class AlmostHom:
             if np.max(np.abs(e.entries - np.eye(self.target_n))) > 1e-9:
                 raise ValueError("ball identity must map to the identity matrix")
 
-    def distance(self, a, b):
-        if self.target_kind == "sym":
-            return hamming(a, b)
-        return hs_distance(a, b)
+
+def _stacked(hom: AlmostHom) -> np.ndarray:
+    """The permutation images as one int32 (|B|, n) array; row k is the
+    image of ball element k."""
+    return np.array([p.images for p in hom.images], dtype=np.int32)
+
+
+def _sym_defect_witness(hom: AlmostHom):
+    """Exact Hamming defect: for product pairs (i, j) -> k, count the points
+    x with (s*t)(x) = t(s(x)) != u(x), where s, t, u are the images of
+    elements i, j, k; chunks of pairs keep the temporaries small."""
+    products = hom.domain.products
+    if not products:
+        return Fraction(0), None
+    perms = _stacked(hom)
+    n = hom.target_n
+    pairs = np.array(list(products), dtype=np.intp).reshape(-1, 2)
+    targets = np.fromiter(products.values(), dtype=np.intp, count=len(products))
+    step = max(1, _KERNEL_CHUNK // n)
+    worst, witness = -1, None
+    for lo in range(0, len(targets), step):
+        i, j = pairs[lo:lo + step, 0], pairs[lo:lo + step, 1]
+        product = np.take_along_axis(perms[j], perms[i], axis=1)
+        moved = np.count_nonzero(product != perms[targets[lo:lo + step]], axis=1)
+        a = int(moved.argmax())
+        if moved[a] > worst:
+            worst, witness = int(moved[a]), (int(i[a]), int(j[a]))
+    return Fraction(worst, n), witness
+
+
+def _sym_separation_witness(hom: AlmostHom):
+    """Exact Hamming separation: mismatch counts of each image against every
+    later one, in blocks of rows."""
+    perms = _stacked(hom)
+    m, n = perms.shape
+    rows = max(1, _KERNEL_CHUNK // n)
+    best, witness = n + 1, None
+    for i in range(m - 1):
+        for lo in range(i + 1, m, rows):
+            moved = np.count_nonzero(perms[lo:lo + rows] != perms[i], axis=1)
+            a = int(moved.argmin())
+            if moved[a] < best:
+                best, witness = int(moved[a]), (i, lo + a)
+    return Fraction(best, n), witness
 
 
 def defect_witness(hom: AlmostHom):
-    """(defect, (g_index, h_index)) for the worst-violated product pair;
-    the witness is None when the ball records no products (singleton ball)."""
-    worst = Fraction(0) if hom.target_kind == "sym" else 0.0
+    """(defect, (g_index, h_index)) for the first worst-violated product pair
+    in the ball's product order; the witness is None only when the ball
+    records no products, which a ball from `ball()` never does."""
+    if hom.target_kind == "sym":
+        return _sym_defect_witness(hom)
+    worst = 0.0
     witness = None
     for (i, j), k in hom.domain.products.items():
-        d = hom.distance(hom.images[i] * hom.images[j], hom.images[k])
+        d = hs_distance(hom.images[i] * hom.images[j], hom.images[k])
         if witness is None or d > worst:
             worst, witness = d, (i, j)
     return worst, witness
@@ -85,14 +128,17 @@ def defect(hom: AlmostHom):
 
 
 def separation_witness(hom: AlmostHom):
-    """(separation, (g_index, h_index)) for the closest pair of images."""
+    """(separation, (g_index, h_index)) for the first closest pair of images,
+    scanning pairs i < j in row-major order."""
     if len(hom.domain) < 2:
         raise ValueError("separation requires a ball with at least 2 elements")
+    if hom.target_kind == "sym":
+        return _sym_separation_witness(hom)
     best = None
     witness = None
     for i in range(len(hom.images)):
         for j in range(i + 1, len(hom.images)):
-            d = hom.distance(hom.images[i], hom.images[j])
+            d = hs_distance(hom.images[i], hom.images[j])
             if best is None or d < best:
                 best, witness = d, (i, j)
     return best, witness
@@ -184,39 +230,118 @@ def _image_to_json(hom: AlmostHom, img) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def certificate_to_json(cert: Certificate) -> dict:
+def _head_json(cert: Certificate) -> dict:
     hom = cert.hom
-    alphabet = hom.domain.backend.alphabet
-    mapping = {}
-    for idx, word in enumerate(hom.domain.words):
-        mapping[word_to_str(alphabet, word)] = _image_to_json(hom, hom.images[idx])
     return {
         "schema": CERT_SCHEMA,
         "group": hom.domain.backend.descriptor(),
         "ball_radius": hom.domain.radius,
         "target": {"kind": hom.target_kind, "n": hom.target_n},
-        "map": mapping,
+    }
+
+
+def _tail_json(cert: Certificate) -> dict:
+    return {
         "claimed_defect": cert.claimed_defect,
         "claimed_separation": cert.claimed_separation,
         "provenance": cert.provenance,
     }
 
 
+def certificate_to_json(cert: Certificate) -> dict:
+    """The certificate document; `save_certificate` writes exactly
+    ``json.dumps(certificate_to_json(cert), indent=1) + "\n"``."""
+    hom = cert.hom
+    alphabet = hom.domain.backend.alphabet
+    mapping = {}
+    for idx, word in enumerate(hom.domain.words):
+        mapping[word_to_str(alphabet, word)] = _image_to_json(hom, hom.images[idx])
+    return {**_head_json(cert), "map": mapping, **_tail_json(cert)}
+
+
+# The streaming writer reproduces the json.dump(..., indent=1) layout: the
+# map sits at depth 1, its keys at depth 2, image entries at depth 3 and the
+# [re, im] parts of a unitary entry at depth 4.
+def _sym_image_text(p: Permutation) -> str:
+    return "[\n   " + json.dumps(p.images, separators=(",\n   ", ": "))[1:-1] + "\n  ]"
+
+
+def _unitary_image_text(u: UnitaryMatrix) -> str:
+    # One C-encoder call spells every number exactly as json.dump does
+    # (repr, NaN, Infinity, -0.0); the parts alternate re, im.
+    parts = np.ascontiguousarray(u.entries).view(np.float64).ravel().tolist()
+    tokens = json.dumps(parts)[1:-1].split(", ")
+    entries = map(",\n    ".join, zip(tokens[0::2], tokens[1::2]))
+    return "[\n   [\n    " + "\n   ],\n   [\n    ".join(entries) + "\n   ]\n  ]"
+
+
+def save_certificate(cert: Certificate, path) -> None:
+    """Write the certificate one image at a time, byte-identical to
+    ``json.dump(certificate_to_json(cert), fh, indent=1)`` plus a newline,
+    without building that document or running the pure-Python encoder."""
+    hom = cert.hom
+    alphabet = hom.domain.backend.alphabet
+    image_text = _sym_image_text if hom.target_kind == "sym" else _unitary_image_text
+    head = json.dumps(_head_json(cert), indent=1)
+    tail = json.dumps(_tail_json(cert), indent=1)
+    with open(path, "w") as fh:
+        fh.write(head[:-2] + ',\n "map": {')
+        sep = "\n  "
+        for word, img in zip(hom.domain.words, hom.images):
+            fh.write(sep + json.dumps(word_to_str(alphabet, word)) + ": " + image_text(img))
+            sep = ",\n  "
+        fh.write("\n }," + tail[1:] + "\n")
+
+
 def _image_from_json(kind: str, n: int, raw) -> Permutation | UnitaryMatrix:
     if kind == "sym":
         if not isinstance(raw, list) or len(raw) != n:
             raise MalformedCertificateError(f"permutation image must list {n} points")
+        # type() rather than isinstance(): bool is an int subclass
+        if not set(map(type, raw)) <= {int}:
+            raise MalformedCertificateError("permutation entries must be JSON integers")
         try:
-            return Permutation(tuple(int(x) for x in raw))
-        except (TypeError, ValueError) as exc:
+            return Permutation(tuple(raw))
+        except ValueError as exc:
             raise MalformedCertificateError(f"bad permutation image: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != n * n:
         raise MalformedCertificateError(f"matrix image must list {n * n} entries")
+    # a str or dict entry of length 2 fails the type test through its
+    # characters or keys; one flat list converts far faster than nested ones
     try:
-        flat = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-        return UnitaryMatrix(flat.reshape(n, n))
-    except (TypeError, ValueError) as exc:
+        is_pairs = set(map(len, raw)) == {2}
+    except TypeError:  # an entry without a length, such as a bare number
+        is_pairs = False
+    flat = list(chain.from_iterable(raw)) if is_pairs else []
+    if not is_pairs or not set(map(type, flat)) <= {int, float}:
+        raise MalformedCertificateError("unitary entries must be [re, im] pairs of JSON numbers")
+    try:
+        parts = np.fromiter(flat, dtype=np.float64, count=len(flat))
+    except OverflowError as exc:  # an integer beyond the float range
         raise MalformedCertificateError(f"bad unitary image: {exc}") from exc
+    if not np.isfinite(parts).all():
+        raise MalformedCertificateError("unitary entries must be finite")
+    try:
+        return UnitaryMatrix(parts.view(np.complex128).reshape(n, n))
+    except ValueError as exc:
+        raise MalformedCertificateError(f"bad unitary image: {exc}") from exc
+
+
+def _json_int(value, what: str, minimum: int) -> int:
+    if type(value) is not int or value < minimum:
+        raise MalformedCertificateError(
+            f"{what} must be a JSON integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _claim(doc: dict, key: str) -> float:
+    value = doc.get(key, 0.0)
+    if type(value) not in (int, float):
+        raise MalformedCertificateError(f"{key} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise MalformedCertificateError(f"{key} out of range: {exc}") from exc
 
 
 def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Certificate:
@@ -230,14 +355,17 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
         if doc.get("schema") != CERT_SCHEMA:
             raise MalformedCertificateError(f"unknown schema {doc.get('schema')!r}")
         backend = backend_from_descriptor(doc["group"])
-        radius = int(doc["ball_radius"])
+        radius = _json_int(doc["ball_radius"], "ball_radius", 0)
         target = doc["target"]
-        kind, n = target["kind"], int(target["n"])
+        kind, n = target["kind"], _json_int(target["n"], "target n", 1)
         mapping = doc["map"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"bad certificate structure: {exc}") from exc
+    if not isinstance(mapping, dict):
+        raise MalformedCertificateError("map must be a JSON object keyed by words")
     domain = ball(backend, radius, limits)
     images: list = [None] * len(domain)
+    keys: list = [None] * len(domain)
     alphabet = backend.alphabet
     for key, raw in mapping.items():
         try:
@@ -247,6 +375,10 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
         idx = domain.index.get(elem)
         if idx is None:
             raise MalformedCertificateError(f"map key {key!r} lies outside the ball")
+        if keys[idx] is not None:
+            raise MalformedCertificateError(
+                f"map keys {keys[idx]!r} and {key!r} name the same element")
+        keys[idx] = key
         images[idx] = _image_from_json(kind, n, raw)
     if any(img is None for img in images):
         raise MalformedCertificateError("map does not cover the whole ball")
@@ -256,22 +388,25 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
         raise MalformedCertificateError(str(exc)) from exc
     return Certificate(
         hom=hom,
-        claimed_defect=float(doc.get("claimed_defect", 0.0)),
-        claimed_separation=float(doc.get("claimed_separation", 0.0)),
+        claimed_defect=_claim(doc, "claimed_defect"),
+        claimed_separation=_claim(doc, "claimed_separation"),
         provenance=str(doc.get("provenance", "")),
     )
 
 
-def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=1)
-        fh.write("\n")
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
 
 
 def load_certificate(path, limits: ResourceLimits | None = None) -> Certificate:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -76,7 +76,7 @@ class UnitaryMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("entries must be a nonempty square matrix")
         defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if defect > self.unitarity_tolerance:
+        if not defect <= self.unitarity_tolerance:  # also rejects NaN entries
             raise ValueError(
                 f"matrix is not unitary within tolerance {self.unitarity_tolerance:g} "
                 f"(defect {defect:.3e})"
@@ -138,13 +138,6 @@ def phase_aligned_hs(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
         raise ValueError("rank mismatch")
     t = abs(np.trace(u.entries.conj().T @ v.entries) / u.n)
     return float(np.sqrt(max(2.0 - 2.0 * t, 0.0)))
-
-
-def uniform_distance(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
-    """Operator-norm distance; convenience only."""
-    if u.n != v.n:
-        raise ValueError("rank mismatch")
-    return float(np.linalg.norm(u.entries - v.entries, ord=2))
 
 
 def perm_matrix(s: Permutation) -> UnitaryMatrix:

@@ -1,0 +1,184 @@
+"""Certificate JSON: the streaming writer against the reference document, and
+strict ingest of image entries and map structure."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from soficlab.almosthom import (
+    AlmostHom,
+    Certificate,
+    certificate_from_json,
+    certificate_to_json,
+    load_certificate,
+    measured_certificate,
+    save_certificate,
+)
+from soficlab.backends import FiniteBackend, free_backend, heisenberg_backend, zpower_backend
+from soficlab.balls import ball
+from soficlab.constructions import lef_to_sofic, sofic_to_hyperlinear
+from soficlab.errors import MalformedCertificateError
+from soficlab.metrics import Permutation, UnitaryMatrix, random_unitary
+
+BACKENDS = {
+    "z": lambda: zpower_backend(1),
+    "z2": lambda: zpower_backend(2),
+    "free": lambda: free_backend(2),
+    "heisenberg": heisenberg_backend,
+}
+
+claims = st.floats(allow_nan=True, allow_infinity=True)
+provenances = st.text(max_size=20)
+
+
+def reference_text(cert: Certificate) -> str:
+    return json.dumps(certificate_to_json(cert), indent=1) + "\n"
+
+
+def saved_text(cert: Certificate, tmp_path) -> str:
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    return path.read_text()
+
+
+@st.composite
+def sym_certificates(draw):
+    backend = BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))]()
+    domain = ball(backend, draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 12))
+    perm = st.permutations(range(n)).map(lambda p: Permutation(tuple(p)))
+    images = [Permutation.identity(n)] + [draw(perm) for _ in range(len(domain) - 1)]
+    hom = AlmostHom(domain=domain, target_kind="sym", target_n=n, images=tuple(images))
+    return Certificate(hom, draw(claims), draw(claims), draw(provenances))
+
+
+@st.composite
+def unitary_certificates(draw):
+    domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](), draw(st.integers(0, 1)))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # global phases put -0.0 and exact zeros among the parts
+    phases = st.sampled_from([1, -1, 1j, -1j])
+    images = [UnitaryMatrix.identity(n)] + [
+        UnitaryMatrix(draw(phases) * random_unitary(n, rng).entries)
+        for _ in range(len(domain) - 1)
+    ]
+    hom = AlmostHom(domain=domain, target_kind="unitary", target_n=n, images=tuple(images))
+    return Certificate(hom, draw(claims), draw(claims), draw(provenances))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sym_certificates())
+def test_writer_matches_reference_sym(tmp_path_factory, cert):
+    assert saved_text(cert, tmp_path_factory.mktemp("c")) == reference_text(cert)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unitary_certificates())
+def test_writer_matches_reference_unitary(tmp_path_factory, cert):
+    assert saved_text(cert, tmp_path_factory.mktemp("c")) == reference_text(cert)
+
+
+def test_writer_spells_signed_zeros_and_non_finite_parts(tmp_path):
+    # AlmostHom checks unitarity only through UnitaryMatrix, so build the
+    # image around the check to reach the non-finite spellings
+    domain = ball(zpower_backend(1), 1)
+    odd = object.__new__(UnitaryMatrix)
+    object.__setattr__(odd, "entries", np.array(
+        [[complex(-0.0, 0.0), complex(math.nan, -math.inf)], [math.inf, complex(0.0, -0.0)]]))
+    object.__setattr__(odd, "unitarity_tolerance", 1e-9)
+    swap = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex).conj())
+    hom = AlmostHom(domain, "unitary", 2, (UnitaryMatrix.identity(2), odd, swap))
+    cert = Certificate(hom, math.nan, -math.inf, "")
+    text = saved_text(cert, tmp_path)
+    assert text == reference_text(cert)
+    assert "-0.0" in text and "NaN" in text and "-Infinity" in text
+
+
+def test_writer_matches_reference_for_finite_names_needing_escapes(tmp_path):
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    backend = FiniteBackend(table, 0, generators=[1], names=('"\\é☃',))
+    domain = ball(backend, 2)
+    hom = lef_to_sofic(domain, backend, {i: g for i, g in enumerate(domain.elements)})
+    cert = measured_certificate(hom, provenance="Z_3 → S_3, \"quoted\"\té")
+    text = saved_text(cert, tmp_path)
+    assert text == reference_text(cert)
+    assert "\\u2603" in text  # ensure_ascii escaping, as json.dump does
+    unitary = measured_certificate(sofic_to_hyperlinear(hom), provenance="é")
+    assert saved_text(unitary, tmp_path) == reference_text(unitary)
+
+
+def shift_doc(kind: str = "sym") -> dict:
+    domain = ball(zpower_backend(1), 1)
+    m = 4
+    images = tuple(Permutation(tuple((i + k) % m for i in range(m))) for (k,) in domain.elements)
+    hom = AlmostHom(domain, "sym", m, images)
+    if kind == "unitary":
+        hom = sofic_to_hyperlinear(hom)
+    return json.loads(json.dumps(certificate_to_json(measured_certificate(hom))))
+
+
+def expect_malformed(doc: dict, match: str) -> None:
+    with pytest.raises(MalformedCertificateError, match=match):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("entry", [1.3, 1.0, True, "1", None])
+def test_permutation_entries_must_be_json_integers(entry):
+    doc = shift_doc()
+    doc["map"]["a"][0] = entry
+    expect_malformed(doc, "JSON integers")
+
+
+@pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
+def test_unitary_entries_must_be_finite(part):
+    doc = shift_doc("unitary")
+    doc["map"]["a"][5][1] = part
+    expect_malformed(doc, "finite")
+
+
+@pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, None, "10", ["1", 0.0],
+                                   [True, 0.0], [[1.0], 0.0], {"re": 1.0, "im": 0.0},
+                                   [10**400, 0.0]])
+def test_unitary_entries_must_be_number_pairs(entry):
+    doc = shift_doc("unitary")
+    doc["map"]["a"][0] = entry
+    expect_malformed(doc, "unitary")
+
+
+def test_unitary_matrix_rejects_nan():
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryMatrix(np.array([[math.nan]]))
+
+
+def test_map_structure_errors():
+    doc = shift_doc()
+    doc["map"] = list(doc["map"].values())
+    expect_malformed(doc, "map must be a JSON object")
+    doc = shift_doc()
+    doc["map"]["a a'"] = doc["map"][""]
+    expect_malformed(doc, "name the same element")
+    for key in ("claimed_defect", "claimed_separation"):
+        for value in ("0.5", None, [0.5], True, 10**400):
+            doc = shift_doc()
+            doc[key] = value
+            expect_malformed(doc, key)
+
+
+@pytest.mark.parametrize("field,value", [("ball_radius", 1.0), ("ball_radius", -1),
+                                         ("ball_radius", True), ("n", 4.0), ("n", 0)])
+def test_integer_header_fields_are_strict(field, value):
+    doc = shift_doc()
+    (doc["target"] if field == "n" else doc)[field] = value
+    expect_malformed(doc, field)
+
+
+def test_duplicate_json_keys_are_malformed(tmp_path):
+    path = tmp_path / "dup.json"
+    text = json.dumps(shift_doc(), indent=1)
+    path.write_text(text.replace('"map": {', '"map": {\n  "a": [0, 1, 2, 3],', 1))
+    with pytest.raises(MalformedCertificateError, match="duplicate key 'a'"):
+        load_certificate(path)

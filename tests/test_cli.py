@@ -150,3 +150,53 @@ def test_certify_finite_family(tmp_path, capsys):
     assert run(["certify", "--family", "finite", "--table", table,
                 "--radius", "2", "-o", cert]) == 0
     assert run(["verify", cert, "--eps", "1e-9", "--delta", "0.1"]) == 0
+
+
+def _z_certificate(tmp_path, unitary=False):
+    cert = tmp_path / "z.json"
+    run(["certify", "--family", "z", "--folner", "10", "--radius", "2", "-o", cert])
+    if unitary:
+        run(["to-unitary", cert, "-o", cert])
+    return cert, json.loads(cert.read_text())
+
+
+def _assert_verify_malformed(cert, doc, capsys):
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", cert, "--eps", "1e-9", "--delta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed:")
+    assert captured.out == ""
+
+
+def test_verify_float_permutation_entry_is_malformed(tmp_path, capsys):
+    cert, doc = _z_certificate(tmp_path)
+    doc["map"]["a"][0] = doc["map"]["a"][0] + 0.3  # int() would round it back
+    _assert_verify_malformed(cert, doc, capsys)
+
+
+def test_verify_nan_unitary_entry_is_malformed(tmp_path, capsys):
+    cert, doc = _z_certificate(tmp_path, unitary=True)
+    doc["map"]["a"][0][0] = float("nan")
+    _assert_verify_malformed(cert, doc, capsys)
+
+
+def test_verify_map_given_as_a_list_is_malformed(tmp_path, capsys):
+    cert, doc = _z_certificate(tmp_path)
+    doc["map"] = list(doc["map"].values())
+    _assert_verify_malformed(cert, doc, capsys)
+
+
+def test_verify_aliased_map_keys_are_malformed(tmp_path, capsys):
+    cert, doc = _z_certificate(tmp_path)
+    doc["map"]["a a'"] = doc["map"][""]  # another spelling of the identity
+    _assert_verify_malformed(cert, doc, capsys)
+
+
+def test_verify_non_numeric_claim_is_malformed(tmp_path, capsys):
+    cert, doc = _z_certificate(tmp_path)
+    doc["claimed_defect"] = "small"
+    _assert_verify_malformed(cert, doc, capsys)
+    doc["claimed_defect"] = 0.0
+    doc["claimed_separation"] = {"value": 1}
+    _assert_verify_malformed(cert, doc, capsys)

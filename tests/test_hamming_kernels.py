@@ -1,0 +1,115 @@
+"""The stacked Hamming kernels against the per-pair reference loop.
+
+The reference is the scan `defect_witness` / `separation_witness` ran before
+the kernels: exact `hamming` of each pair in the ball's product order (defect)
+or in row-major i < j order (separation), keeping the first extremal pair.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from soficlab import almosthom
+from soficlab.almosthom import AlmostHom, defect_witness, separation_witness
+from soficlab.amenability import folner_box
+from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
+from soficlab.balls import ball
+from soficlab.constructions import folner_to_sofic
+from soficlab.metrics import Permutation, hamming
+
+
+def reference_defect_witness(hom: AlmostHom):
+    worst, witness = Fraction(0), None
+    for (i, j), k in hom.domain.products.items():
+        d = hamming(hom.images[i] * hom.images[j], hom.images[k])
+        if witness is None or d > worst:
+            worst, witness = d, (i, j)
+    return worst, witness
+
+
+def reference_separation_witness(hom: AlmostHom):
+    best, witness = None, None
+    for i in range(len(hom.images)):
+        for j in range(i + 1, len(hom.images)):
+            d = hamming(hom.images[i], hom.images[j])
+            if best is None or d < best:
+                best, witness = d, (i, j)
+    return best, witness
+
+
+BACKENDS = {
+    "z": lambda: zpower_backend(1),
+    "z2": lambda: zpower_backend(2),
+    "free": lambda: free_backend(2),
+    "heisenberg": heisenberg_backend,
+}
+
+
+@st.composite
+def sym_homs(draw):
+    """Random assignments on small balls; small degrees make ties common."""
+    backend = BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))]()
+    domain = ball(backend, draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 5))
+    perm = st.permutations(range(n)).map(lambda p: Permutation(tuple(p)))
+    images = [Permutation.identity(n)] + [draw(perm) for _ in range(len(domain) - 1)]
+    return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=tuple(images))
+
+
+def assert_matches_reference(hom: AlmostHom) -> None:
+    got = defect_witness(hom)
+    assert got == reference_defect_witness(hom)
+    assert isinstance(got[0], Fraction)
+    if len(hom.domain) < 2:
+        with pytest.raises(ValueError):
+            separation_witness(hom)
+    else:
+        got = separation_witness(hom)
+        assert got == reference_separation_witness(hom)
+        assert isinstance(got[0], Fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sym_homs(), st.sampled_from([1, 3, 1 << 18]))
+def test_kernels_match_reference_loop(hom, chunk):
+    # chunk 1 and 3 force one pair / one row per block and ragged last blocks
+    with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
+        assert_matches_reference(hom)
+
+
+def test_kernels_match_reference_on_a_folner_certificate():
+    backend = heisenberg_backend()
+    hom = folner_to_sofic(ball(backend, 2), folner_box(backend, 4))
+    assert_matches_reference(hom)
+    assert defect_witness(hom)[0] > 0
+
+
+def test_ties_report_the_first_extremal_pair():
+    # Z ball of radius 1: elements e, a, a'.  Sending both a and a' to the
+    # same 3-cycle c gives defect 1 at (a, a') and (a', a), and separation 0
+    # only at (a, a'); the scan order picks (a, a') both times.
+    domain = ball(zpower_backend(1), 1)
+    c = Permutation((1, 2, 0))
+    hom = AlmostHom(domain, "sym", 3, (Permutation.identity(3), c, c))
+    assert defect_witness(hom) == (Fraction(1), (1, 2))
+    assert separation_witness(hom) == (Fraction(0), (1, 2))
+    assert_matches_reference(hom)
+    # all images equal: every pair ties at separation 0 and defect 0
+    flat = AlmostHom(domain, "sym", 3, (Permutation.identity(3),) * 3)
+    assert defect_witness(flat) == (Fraction(0), (0, 0))
+    assert separation_witness(flat) == (Fraction(0), (0, 1))
+
+
+def test_singleton_ball():
+    # identity * identity is always defined, so the defect witness is (0, 0);
+    # separation needs two elements
+    hom = AlmostHom(ball(zpower_backend(1), 0), "sym", 4, (Permutation.identity(4),))
+    assert defect_witness(hom) == (Fraction(0), (0, 0))
+    with pytest.raises(ValueError, match="at least 2 elements"):
+        separation_witness(hom)
+    assert_matches_reference(hom)
+    # a hand-built table recording no products has no defect witness at all
+    hom.domain.products = {}
+    assert defect_witness(hom) == (Fraction(0), None) == reference_defect_witness(hom)
