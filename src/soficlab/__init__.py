@@ -88,8 +88,6 @@ from .matching import (
     BipartiteGraph,
     DeficiencyWitness,
     TwoOneMatching,
-    hall_condition_holds,
-    matching_exists_bruteforce,
     paradox_from_matching,
     two_one_matching,
 )

@@ -15,10 +15,12 @@ All backends are immutable and all operations pure.
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
+from .errors import MalformedCertificateError, json_fields, json_int, json_ints
 from .words import GeneratorAlphabet, Word, reduce_word, word_concat, word_inverse
 
 Canon = Any  # backend-specific canonical form; always hashable
@@ -244,19 +246,30 @@ def heisenberg_backend() -> HeisenbergBackend:
 
 def finite_backend_from_json(doc: dict) -> FiniteBackend:
     """Load a finite group table from its JSON document:
-    {"order": m, "table": m x m indices, "identity": index}."""
-    table = doc["table"]
-    if "order" in doc and len(table) != doc["order"]:
-        raise ValueError("declared order does not match table size")
-    return FiniteBackend(table, doc["identity"], doc.get("generators"))
+    {"table": m x m indices, "identity": index}, optionally with "order": m
+    and "generators": [indices].  Counts, indices and entries must be JSON
+    integers; every rejection raises MalformedCertificateError."""
+    table, identity = json_fields(doc, "group table document", "table", "identity")
+    if type(table) is not list or not all(type(row) is list for row in table):
+        raise MalformedCertificateError("table must be a JSON array of rows")
+    json_ints(list(chain.from_iterable(table)), "table entries")
+    if "order" in doc and json_int(doc["order"], "order") != len(table):
+        raise MalformedCertificateError("declared order does not match table size")
+    generators = doc.get("generators")
+    if generators is not None:
+        json_ints(generators, "generators")
+    try:
+        return FiniteBackend(table, json_int(identity, "identity"), generators)
+    except (ValueError, OverflowError) as exc:  # not a group table, or entries beyond int64
+        raise MalformedCertificateError(f"bad group table: {exc}") from exc
 
 
 def backend_from_descriptor(desc: dict) -> GroupBackend:
     kind = desc["kind"]
     if kind == "free":
-        return free_backend(desc["rank"])
+        return free_backend(json_int(desc["rank"], "rank", 1))
     if kind == "zpower":
-        return zpower_backend(desc["dim"])
+        return zpower_backend(json_int(desc["dim"], "dim", 1))
     if kind == "heisenberg":
         return heisenberg_backend()
     if kind == "finite":

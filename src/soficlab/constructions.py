@@ -7,13 +7,13 @@ amplification, and finite-stage approximation sequences.
 from dataclasses import dataclass
 
 from .almosthom import AlmostHom, Certificate, defect, measured_certificate, separation
-from .amplify import amplified_distance, tensor_square
+from .amplify import tensor_square
 from .backends import FiniteBackend, free_backend
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
 from .errors import BackendMismatchError, ResourceCapError
 from .amenability import FolnerSet
-from .metrics import Permutation, perm_matrix
+from .metrics import Permutation, canonical_fill, perm_matrix
 from .sl2 import lef_witness_free, mat_mul_mod, sl2_word_image
 from .words import word_to_str
 
@@ -45,21 +45,11 @@ def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
     backend = phi.backend
     n = len(phi.elements)
     position = {x: i for i, x in enumerate(phi.elements)}
-    images = []
-    for g in domain.elements:
-        assignment: list[int | None] = [None] * n
-        taken = [False] * n
-        for i, x in enumerate(phi.elements):
-            j = position.get(backend.multiply(x, g))
-            if j is not None:
-                assignment[i] = j
-                taken[j] = True
-        free_targets = iter(j for j in range(n) if not taken[j])
-        for i in range(n):
-            if assignment[i] is None:
-                assignment[i] = next(free_targets)
-        images.append(Permutation(tuple(assignment)))
-    return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=tuple(images))
+    images = tuple(
+        canonical_fill([position.get(backend.multiply(x, g)) for x in phi.elements])
+        for g in domain.elements
+    )
+    return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=images)
 
 
 def folner_certificate(domain: BallTable, phi: FolnerSet) -> Certificate:
@@ -196,12 +186,6 @@ def amplify_certificate(cert: Certificate, times: int,
     return measured_certificate(
         out, provenance=cert.provenance + f" | amplified x{times}"
     )
-
-
-def predicted_amplified(d: float, times: int) -> float:
-    for _ in range(times):
-        d = amplified_distance(d)
-    return d
 
 
 @dataclass(eq=False)

@@ -20,8 +20,14 @@ from .almosthom import AlmostHom
 from .balls import BallTable, ball
 from .backends import free_backend
 from .config import ResourceLimits
-from .errors import BackendMismatchError
-from .metrics import Permutation
+from .errors import (
+    BackendMismatchError,
+    MalformedCertificateError,
+    json_fields,
+    json_int,
+    json_ints,
+)
+from .metrics import Permutation, canonical_fill
 from .words import Word
 
 
@@ -72,14 +78,23 @@ class ColoredGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ColoredGraph":
-        return cls(
-            vertex_count=doc["vertexCount"],
-            colors=tuple(doc["colors"]),
-            successors={
-                c: tuple(v if v is not None else None for v in succ)
-                for c, succ in doc["successors"].items()
-            },
-        )
+        """Parse `to_json` output; successor entries are JSON integers or
+        null, and every rejection raises MalformedCertificateError."""
+        count, colors, successors = json_fields(
+            doc, "coloured graph", "vertexCount", "colors", "successors")
+        json_int(count, "vertexCount", 1)
+        if type(colors) is not list or not all(type(c) is str for c in colors):
+            raise MalformedCertificateError("colors must be a JSON array of names")
+        if not isinstance(successors, dict):
+            raise MalformedCertificateError("successors must be a JSON object keyed by colour")
+        for color, succ in successors.items():
+            if type(succ) is not list:
+                raise MalformedCertificateError(f"colour {color!r} successors must be a JSON array")
+            json_ints([v for v in succ if v is not None], f"colour {color!r} successors")
+        try:
+            return cls(count, tuple(colors), {c: tuple(succ) for c, succ in successors.items()})
+        except ValueError as exc:
+            raise MalformedCertificateError(str(exc)) from exc
 
     def to_dot(self) -> str:
         palette = ["red", "blue", "green", "orange", "purple", "brown"]
@@ -217,16 +232,10 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> AlmostHom:
     n = graph.vertex_count
     color_perm: dict[str, Permutation] = {}
     for color in graph.colors:
-        succ = graph.successors[color]
-        assignment: list[int | None] = list(succ)
-        taken = set(v for v in succ if v is not None)
-        if len(taken) != sum(1 for v in succ if v is not None):
-            raise ValueError(f"colour {color!r} successor map is not injective")
-        fill = iter(v for v in range(n) if v not in taken)
-        for m in range(n):
-            if assignment[m] is None:
-                assignment[m] = next(fill)
-        color_perm[color] = Permutation(tuple(assignment))
+        try:
+            color_perm[color] = canonical_fill(graph.successors[color])
+        except ValueError as exc:
+            raise ValueError(f"colour {color!r} successor map is not injective") from exc
     inv_perm = {c: p.inverse() for c, p in color_perm.items()}
     images = []
     for word in reference.words:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .backends import GroupBackend, free_backend
 from .balls import ball
 from .config import ResourceLimits
+from .errors import MalformedCertificateError, json_fields, json_int, json_ints
 from .words import word_to_str
 
 
@@ -53,8 +54,17 @@ class BipartiteGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BipartiteGraph":
-        return cls(doc["left_count"], doc["right_count"],
-                   tuple(tuple(n) for n in doc["adjacency"]))
+        """Parse `to_json` output; counts and neighbours are JSON integers,
+        and every rejection raises MalformedCertificateError."""
+        left, right, adjacency = json_fields(
+            doc, "bipartite graph", "left_count", "right_count", "adjacency")
+        if type(adjacency) is not list:
+            raise MalformedCertificateError("adjacency must be a JSON array of neighbour lists")
+        rows = tuple(tuple(json_ints(nbrs, "adjacency")) for nbrs in adjacency)
+        try:
+            return cls(json_int(left, "left_count"), json_int(right, "right_count"), rows)
+        except ValueError as exc:
+            raise MalformedCertificateError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -158,37 +168,6 @@ def two_one_matching(graph: BipartiteGraph):
         left_subset=witness,
         neighbourhood_size=len(graph.neighbourhood(witness)),
     )
-
-
-def hall_condition_holds(graph: BipartiteGraph) -> bool:
-    """Enumerate all left subsets; exponential, for oracle use on small graphs."""
-    n = graph.left_count
-    for mask in range(1, 1 << n):
-        xs = [a for a in range(n) if mask >> a & 1]
-        if len(graph.neighbourhood(xs)) < 2 * len(xs):
-            return False
-    return True
-
-
-def matching_exists_bruteforce(graph: BipartiteGraph) -> bool:
-    """Backtracking search for a (2,1)-matching; oracle for small graphs."""
-    n = graph.left_count
-
-    def place(a: int, used: set[int]) -> bool:
-        if a == n:
-            return True
-        nbrs = [b for b in graph.adjacency[a] if b not in used]
-        for x in range(len(nbrs)):
-            for y in range(x + 1, len(nbrs)):
-                used.add(nbrs[x])
-                used.add(nbrs[y])
-                if place(a + 1, used):
-                    return True
-                used.discard(nbrs[x])
-                used.discard(nbrs[y])
-        return False
-
-    return place(0, set())
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,19 @@ class Permutation:
         return all(self.images[i] != i for i in range(self.n))
 
 
+def canonical_fill(partial) -> Permutation:
+    """Extend a partial injection of {0, ..., n-1}, given as a length-n
+    sequence with None where it is undefined, to a permutation: the
+    undefined points, in increasing order, take the unused values in
+    increasing order."""
+    defined = [v for v in partial if v is not None]
+    used = set(defined)
+    if len(used) != len(defined):
+        raise ValueError("partial map is not injective")
+    free = iter(v for v in range(len(partial)) if v not in used)
+    return Permutation(tuple(next(free) if v is None else v for v in partial))
+
+
 def hamming(s: Permutation, t: Permutation) -> Fraction:
     """Normalized Hamming distance: the fraction of moved points, exact."""
     if s.n != t.n:
@@ -112,9 +125,8 @@ def hs_distance(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     sqrt(2 - tr~(u*v) - tr~(v*u)); values lie in [0, 2]."""
     if u.n != v.n:
         raise ValueError("rank mismatch")
-    cross = normalized_trace(UnitaryMatrix(u.entries.conj().T @ v.entries, 1e-6))
-    val = 2.0 - 2.0 * cross.real
-    return float(np.sqrt(max(val, 0.0)))
+    cross = np.vdot(u.entries, v.entries).real / u.n  # Re tr~(u*v)
+    return float(np.sqrt(max(2.0 - 2.0 * cross, 0.0)))
 
 
 def hs_distance_direct(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
@@ -149,31 +161,28 @@ def perm_matrix(s: Permutation) -> UnitaryMatrix:
     return UnitaryMatrix(m)
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Random unitary: complex Gaussian matrix orthonormalized column by
-    column (modified Gram-Schmidt)."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of z in order (modified Gram-Schmidt)."""
     q = np.zeros_like(z)
-    for k in range(n):
+    for k in range(z.shape[1]):
         v = z[:, k].copy()
         for j in range(k):
             v -= (q[:, j].conj() @ v) * q[:, j]
         q[:, k] = v / np.linalg.norm(v)
-    return UnitaryMatrix(q)
+    return q
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
+    """Random unitary: complex Gaussian matrix orthonormalized column by
+    column (modified Gram-Schmidt)."""
+    return UnitaryMatrix(_gram_schmidt(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> UnitaryMatrix:
     """Random real orthogonal matrix; a unitary whose relative traces with
     other real matrices are real, so the amplification recurrence applies to
     the plain Hilbert-Schmidt distance."""
-    z = rng.normal(size=(n, n))
-    q = np.zeros_like(z)
-    for k in range(n):
-        v = z[:, k].copy()
-        for j in range(k):
-            v -= (q[:, j] @ v) * q[:, j]
-        q[:, k] = v / np.linalg.norm(v)
-    return UnitaryMatrix(q.astype(np.complex128))
+    return UnitaryMatrix(_gram_schmidt(rng.normal(size=(n, n))).astype(np.complex128))
 
 
 def sinfty_transposition_distance(a: dict[int, int], b: dict[int, int]) -> Fraction:

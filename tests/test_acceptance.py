@@ -27,8 +27,6 @@ from soficlab.graphs import ColoredGraph, cert_to_graph, graph_to_almosthom, loc
 from soficlab.matching import (
     BipartiteGraph,
     TwoOneMatching,
-    hall_condition_holds,
-    matching_exists_bruteforce,
     two_one_matching,
 )
 from soficlab.metrics import (
@@ -42,6 +40,8 @@ from soficlab.metrics import (
     sinfty_demo,
 )
 from soficlab.sl2 import is_prime, lef_witness_free, sl2_images_injective, sl2_word_image
+
+from oracles import hall_condition_holds, matching_exists_bruteforce
 
 
 def report(n: int, text: str) -> None:

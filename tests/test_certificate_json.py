@@ -176,6 +176,13 @@ def test_integer_header_fields_are_strict(field, value):
     expect_malformed(doc, field)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1", 0])
+def test_group_descriptor_dimension_is_strict(value):
+    doc = shift_doc()
+    doc["group"]["dim"] = value  # true would be read as Z^1 and pass
+    expect_malformed(doc, "dim")
+
+
 def test_duplicate_json_keys_are_malformed(tmp_path):
     path = tmp_path / "dup.json"
     text = json.dumps(shift_doc(), indent=1)

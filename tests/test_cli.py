@@ -200,3 +200,94 @@ def test_verify_non_numeric_claim_is_malformed(tmp_path, capsys):
     doc["claimed_defect"] = 0.0
     doc["claimed_separation"] = {"value": 1}
     _assert_verify_malformed(cert, doc, capsys)
+
+
+C3_TABLE = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0,
+            "generators": [1]}
+CYCLE_GRAPH = {"vertexCount": 3, "colors": ["a"], "successors": {"a": [1, 2, 0]}}
+HALL_GRAPH = {"left_count": 1, "right_count": 2, "adjacency": [[0, 1]]}
+
+
+def _assert_malformed_input(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed:")
+    assert captured.out == ""
+
+
+def test_finite_table_float_entry_is_malformed(tmp_path, capsys):
+    table = tmp_path / "c3.json"
+    cert = tmp_path / "c3cert.json"
+    table.write_text(json.dumps(C3_TABLE))
+    assert run(["certify", "--family", "finite", "--table", table, "--radius", "1",
+                "-o", cert]) == 0
+    doc = json.loads(table.read_text())
+    doc["table"][2][2] = 1.7  # int() would truncate it to a valid entry
+    table.write_text(json.dumps(doc))
+    _assert_malformed_input(["certify", "--family", "finite", "--table", table,
+                             "--radius", "1", "-o", tmp_path / "x.json"], capsys)
+    # the same table read back as a certificate's group descriptor
+    doc = json.loads(cert.read_text())
+    doc["group"]["table"][2][2] = 1.7
+    cert.write_text(json.dumps(doc))
+    _assert_malformed_input(["verify", cert, "--eps", "1e-9", "--delta", "1"], capsys)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.pop("identity"),
+    lambda d: d.update(identity="0"),
+    lambda d: d.update(order=3.0),
+    lambda d: d.update(generators=[True]),
+    lambda d: d.update(table=[[0, 1, 2], [1, 2, 0], [2, 0]]),  # ragged
+    lambda d: d.update(table=[[0, 1, 2], [1, 2, 0], [2, 1, 0]]),  # not a group
+], ids=["missing-identity", "string-identity", "float-order", "bool-generator",
+        "ragged", "not-a-group"])
+def test_finite_table_structure_is_malformed(tmp_path, capsys, mutate):
+    doc = json.loads(json.dumps(C3_TABLE))
+    mutate(doc)
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(doc))
+    _assert_malformed_input(["certify", "--family", "finite", "--table", table,
+                             "--radius", "1", "-o", tmp_path / "x.json"], capsys)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["successors"]["a"].__setitem__(0, True),  # would be used as 1
+    lambda d: d["successors"]["a"].__setitem__(0, 1.0),
+    lambda d: d.pop("successors"),
+    lambda d: d.update(vertexCount="3"),
+    lambda d: d.update(colors="a"),
+    lambda d: d["successors"]["a"].__setitem__(0, 7),  # out of range
+], ids=["bool-successor", "float-successor", "missing-successors", "string-count",
+        "string-colors", "out-of-range"])
+def test_match_fraction_graph_structure_is_malformed(tmp_path, capsys, mutate):
+    doc = json.loads(json.dumps(CYCLE_GRAPH))
+    mutate(doc)
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    _assert_malformed_input(["match-fraction", graph, "--family", "z", "--radius", "1"],
+                            capsys)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["adjacency"][0].__setitem__(1, 1.0),
+    lambda d: d.pop("adjacency"),
+    lambda d: d.update(left_count=True),
+    lambda d: d["adjacency"][0].__setitem__(1, 5),  # out of range
+], ids=["float-neighbour", "missing-adjacency", "bool-count", "out-of-range"])
+def test_hall_graph_structure_is_malformed(tmp_path, capsys, mutate):
+    doc = json.loads(json.dumps(HALL_GRAPH))
+    mutate(doc)
+    graph = tmp_path / "h.json"
+    graph.write_text(json.dumps(doc))
+    _assert_malformed_input(["hall", graph], capsys)
+
+
+def test_list_documents_are_malformed(tmp_path, capsys):
+    doc = tmp_path / "list.json"
+    doc.write_text("[1, 2]")
+    _assert_malformed_input(["certify", "--family", "finite", "--table", doc,
+                             "--radius", "1", "-o", tmp_path / "x.json"], capsys)
+    _assert_malformed_input(["match-fraction", doc, "--family", "z", "--radius", "1"], capsys)
+    _assert_malformed_input(["hall", doc], capsys)

@@ -15,7 +15,6 @@ from soficlab.constructions import (
     free_sofic_certificate,
     hyperlinear_certificate,
     lef_to_sofic,
-    predicted_amplified,
     regular_representation,
     sl2_elements,
     sl2_finite_backend,
@@ -23,6 +22,8 @@ from soficlab.constructions import (
 )
 from soficlab.errors import BackendMismatchError, ResourceCapError
 from soficlab.metrics import hamming, hs_distance
+
+from oracles import predicted_amplified
 
 
 def test_regular_representation_is_injective_homomorphism():

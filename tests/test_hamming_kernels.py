@@ -1,13 +1,17 @@
-"""The stacked Hamming kernels against the per-pair reference loop.
+"""The stacked defect/separation kernels against the per-pair reference loops.
 
-The reference is the scan `defect_witness` / `separation_witness` ran before
-the kernels: exact `hamming` of each pair in the ball's product order (defect)
-or in row-major i < j order (separation), keeping the first extremal pair.
+The references are the scans `defect_witness` / `separation_witness` ran
+before the kernels: the distance of each pair in the ball's product order
+(defect) or in row-major i < j order (separation), keeping the first extremal
+pair.  For symmetric-group targets that distance is the exact `hamming`; for
+unitary targets it is `hs_distance`, with products formed by
+`UnitaryMatrix.__mul__`.
 """
 
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +20,9 @@ from soficlab.almosthom import AlmostHom, defect_witness, separation_witness
 from soficlab.amenability import folner_box
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
-from soficlab.constructions import folner_to_sofic
-from soficlab.metrics import Permutation, hamming
+from soficlab.cli import main
+from soficlab.constructions import folner_to_sofic, sofic_to_hyperlinear
+from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance, random_unitary
 
 
 def reference_defect_witness(hom: AlmostHom):
@@ -34,6 +39,25 @@ def reference_separation_witness(hom: AlmostHom):
     for i in range(len(hom.images)):
         for j in range(i + 1, len(hom.images)):
             d = hamming(hom.images[i], hom.images[j])
+            if best is None or d < best:
+                best, witness = d, (i, j)
+    return best, witness
+
+
+def reference_unitary_defect_witness(hom: AlmostHom):
+    worst, witness = 0.0, None
+    for (i, j), k in hom.domain.products.items():
+        d = hs_distance(hom.images[i] * hom.images[j], hom.images[k])
+        if witness is None or d > worst:
+            worst, witness = d, (i, j)
+    return worst, witness
+
+
+def reference_unitary_separation_witness(hom: AlmostHom):
+    best, witness = None, None
+    for i in range(len(hom.images)):
+        for j in range(i + 1, len(hom.images)):
+            d = hs_distance(hom.images[i], hom.images[j])
             if best is None or d < best:
                 best, witness = d, (i, j)
     return best, witness
@@ -113,3 +137,78 @@ def test_singleton_ball():
     # a hand-built table recording no products has no defect witness at all
     hom.domain.products = {}
     assert defect_witness(hom) == (Fraction(0), None) == reference_defect_witness(hom)
+
+
+@st.composite
+def unitary_homs(draw):
+    """Random unitary images (identity first) on small balls."""
+    backend = BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))]()
+    domain = ball(backend, draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = [UnitaryMatrix.identity(n)] + [random_unitary(n, rng) for _ in range(len(domain) - 1)]
+    return AlmostHom(domain=domain, target_kind="unitary", target_n=n, images=tuple(images))
+
+
+def assert_close_to_reference(got, want, distance_of) -> None:
+    """Values within 1e-12 and the same witness pair, except where two pairs
+    are equally extremal in exact arithmetic (tr(uv) = tr(vu) makes the
+    defects of (a, a') and (a', a) equal) and rounding orders them the other
+    way; the reported pair must then still be extremal within 1e-12."""
+    assert isinstance(got[0], float)
+    assert abs(got[0] - want[0]) <= 1e-12
+    if got[1] != want[1]:
+        assert abs(distance_of(got[1]) - want[0]) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(unitary_homs(), st.sampled_from([1, 3, 1 << 18]))
+def test_unitary_kernels_match_reference_loop(hom, chunk):
+    images, products = hom.images, hom.domain.products
+    with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
+        assert_close_to_reference(
+            defect_witness(hom), reference_unitary_defect_witness(hom),
+            lambda p: hs_distance(images[p[0]] * images[p[1]], images[products[p]]))
+        if len(hom.domain) < 2:
+            with pytest.raises(ValueError):
+                separation_witness(hom)
+        else:
+            assert_close_to_reference(
+                separation_witness(hom), reference_unitary_separation_witness(hom),
+                lambda p: hs_distance(images[p[0]], images[p[1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sym_homs(), st.sampled_from([1, 3, 1 << 18]))
+def test_unitary_kernels_exact_on_permutation_matrices(hom, chunk):
+    # 0/1 matrices make every trace an exact integer, so values and witness
+    # pairs equal the reference loop's exactly, and hs = sqrt(2 hamming)
+    # picks the same first extremal pairs as the sym kernels
+    unitary = sofic_to_hyperlinear(hom)
+    with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
+        got = defect_witness(unitary)
+        assert got == reference_unitary_defect_witness(unitary)
+        assert got[1] == defect_witness(hom)[1]
+        if len(hom.domain) >= 2:
+            got = separation_witness(unitary)
+            assert got == reference_unitary_separation_witness(unitary)
+            sym_value, sym_pair = separation_witness(hom)
+            assert got[1] == sym_pair
+            assert abs(got[0] - np.sqrt(2 * float(sym_value))) <= 1e-12
+
+
+def test_verify_checks_unitarity_once_per_image(tmp_path, capsys):
+    cert = tmp_path / "z.json"
+    assert main(["certify", "--family", "z", "--folner", "10", "--radius", "2",
+                 "-o", str(cert)]) == 0
+    assert main(["to-unitary", str(cert), "-o", str(cert)]) == 0
+    checks = []
+    post_init = UnitaryMatrix.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    with mock.patch.object(UnitaryMatrix, "__post_init__", counted):
+        assert main(["verify", str(cert), "--eps", "1e-6", "--delta", "1"]) == 0
+    assert len(checks) == len(ball(zpower_backend(1), 2)) == 5

@@ -1,0 +1,84 @@
+"""Fuzz of the group-table and graph loaders.
+
+Whatever JSON document they are given, `finite_backend_from_json`,
+`ColoredGraph.from_json` and `BipartiteGraph.from_json` either return a value
+or raise MalformedCertificateError; any other exception is a defect (the CLI
+would turn it into a traceback or an "error:" line instead of "malformed:").
+Documents are valid ones with one entry replaced or removed, plus arbitrary
+JSON values.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from soficlab.backends import finite_backend_from_json
+from soficlab.errors import MalformedCertificateError
+from soficlab.graphs import ColoredGraph
+from soficlab.matching import BipartiteGraph
+
+C3_TABLE = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0,
+            "generators": [1]}
+PARTIAL_GRAPH = {"vertexCount": 3, "colors": ["a", "b"],
+                 "successors": {"a": [1, 2, 0], "b": [None, 0, None]}}
+HALL_GRAPH = {"left_count": 2, "right_count": 4, "adjacency": [[0, 1], [1, 2, 3]]}
+
+scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.just(2**70)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated(draw, base: dict):
+    """`base` with one entry, at a random depth, replaced or removed."""
+    doc = json.loads(json.dumps(base))
+    node = doc
+    for _ in range(draw(st.integers(0, 3))):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        child = node[draw(st.sampled_from(keys))] if keys else None
+        if not isinstance(child, (dict, list)) or not child:
+            break
+        node = child
+    keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+    key = draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(json_values)
+    return doc
+
+
+def assert_value_or_malformed(load, doc) -> None:
+    try:
+        load(doc)
+    except MalformedCertificateError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(C3_TABLE) | json_values)
+def test_group_table_loader_fuzz(doc):
+    assert_value_or_malformed(finite_backend_from_json, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(PARTIAL_GRAPH) | json_values)
+def test_coloured_graph_loader_fuzz(doc):
+    assert_value_or_malformed(ColoredGraph.from_json, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(HALL_GRAPH) | json_values)
+def test_bipartite_graph_loader_fuzz(doc):
+    assert_value_or_malformed(BipartiteGraph.from_json, doc)
+
+
+def test_valid_documents_load():
+    assert finite_backend_from_json(C3_TABLE).order == 3
+    assert ColoredGraph.from_json(PARTIAL_GRAPH).successors["b"] == (None, 0, None)
+    assert BipartiteGraph.from_json(HALL_GRAPH).adjacency == ((0, 1), (1, 2, 3))

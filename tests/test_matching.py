@@ -6,11 +6,11 @@ from soficlab.matching import (
     BipartiteGraph,
     DeficiencyWitness,
     TwoOneMatching,
-    hall_condition_holds,
-    matching_exists_bruteforce,
     paradox_from_matching,
     two_one_matching,
 )
+
+from oracles import hall_condition_holds, matching_exists_bruteforce
 
 
 def random_graph(rng, max_left=6, max_right=12, density=0.5):
