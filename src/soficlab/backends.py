@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import MalformedCertificateError, json_fields, json_int, json_ints
-from .words import GeneratorAlphabet, Word, reduce_word, word_concat, word_inverse
+from .words import GeneratorAlphabet, Word, reduce_word, word_inverse
 
 Canon = Any  # backend-specific canonical form; always hashable
 
@@ -81,7 +81,16 @@ class FreeBackend(GroupBackend):
         return (s,)
 
     def multiply(self, g: Word, h: Word) -> Word:
-        return word_concat(g, h)
+        """Product of two canonical (freely reduced) words: only letters at
+        the junction can cancel.  Unreduced or untrusted spellings go through
+        normal_form first."""
+        if not (g and h) or g[-1] != -h[0]:
+            return g + h
+        k = 1
+        n = min(len(g), len(h))
+        while k < n and g[-1 - k] == -h[k]:
+            k += 1
+        return g[:len(g) - k] + h[k:]
 
     def inverse(self, g: Word) -> Word:
         return word_inverse(g)

@@ -65,7 +65,7 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
         raise ValueError("radius must be >= 0")
     limits = limits or default_limits()
     cap = limits.ball_cap
-    letters = backend.alphabet.signed_letters()
+    letters = [(s, backend.letter(s)) for s in backend.alphabet.signed_letters()]
     identity = backend.identity()
     elements: list[Canon] = [identity]
     spellings: list[Word] = [()]
@@ -77,17 +77,20 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
         for i in frontier:
             g = elements[i]
             w = spellings[i]
-            for s in letters:
-                h = backend.multiply(g, backend.letter(s))
+            for s, letter in letters:
+                h = backend.multiply(g, letter)
                 if h in seen:
                     continue
                 if len(elements) >= cap:
                     raise ResourceCapError(
                         f"ball at radius {depth} exceeds cap of {cap} elements"
                     )
+                spelling = w + (s,)
+                if spelling == h:  # always so for free groups: store the word once
+                    spelling = h
                 seen[h] = len(elements)
                 elements.append(h)
-                spellings.append(w + (s,))
+                spellings.append(spelling)
                 lengths.append(depth)
                 next_frontier.append(seen[h])
         if not next_frontier:

@@ -4,11 +4,22 @@ truncated matching-based paradox construction on group balls.
 The matching exists iff every left subset X satisfies |N(X)| >= 2|X|.  The
 decision is made by max flow (source->a capacity 2, a->b capacity 1,
 b->sink capacity 1; feasible iff max flow = 2|A|), with a deficiency witness
-extracted from the min cut on failure.  Augmenting paths are found by
-lowest-index BFS, which makes the returned matching deterministic.
+extracted from the min cut on failure.
+
+Determinism rests on one invariant of the augmentation order.  Each
+augmenting path is the first one found by a BFS whose queue holds the live
+sources (left vertices with residual source capacity) in ascending index
+order, followed by the left vertices reached back through matched right
+vertices, in the order they are discovered; each left vertex scans its
+neighbours in ascending order, and the search stops at the first free right
+vertex.  Any implementation that keeps this order yields the same sequence
+of paths, hence the same flow, matching, deficiency witness and paradox
+pieces.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .backends import GroupBackend, free_backend
 from .balls import ball
@@ -100,54 +111,62 @@ def _max_flow_two_one(graph: BipartiteGraph):
 
     Returns (flow_value, left_to_right flow as per-left set, reachable set of
     the final residual graph split into (left, right) parts).
+
+    Each search replays the lowest-index BFS described in the module
+    docstring at the cost of the vertices it actually visits: the live
+    sources are kept as an ascending list, scanned lazily, and visits are
+    marked with the search's epoch instead of fresh parent arrays.
     """
     na, nb = graph.left_count, graph.right_count
+    adjacency = graph.adjacency
     source_residual = [2] * na  # remaining capacity source -> a
-    flow = [set() for _ in range(na)]  # saturated a -> b edges
+    live = list(range(na))  # ascending: the a with source_residual[a] > 0
     matched_to = [-1] * nb  # which a feeds b (b -> sink saturated iff != -1)
+    seen_a = [0] * na  # epoch in which a was reached through a matched b
+    via_b = [0] * na  # that b, valid while seen_a[a] == epoch
+    seen_b = [0] * nb  # epoch in which b was reached
+    parent_b = [0] * nb  # the a that reached b, valid while seen_b[b] == epoch
+    epoch = 0
     value = 0
     while True:
-        # lowest-index BFS over the residual graph
-        parent_a = [None] * na
-        parent_b = [None] * nb
-        queue = [a for a in range(na) if source_residual[a] > 0]
-        for a in queue:
-            parent_a[a] = ("s",)
-        reached_b_free = None
-        qi = 0
-        while qi < len(queue) and reached_b_free is None:
-            a = queue[qi]
-            qi += 1
-            for b in graph.adjacency[a]:
-                if parent_b[b] is not None or b in flow[a]:
-                    continue
+        epoch += 1
+        reached: list[int] = []  # left vertices reached through matched b
+        free_b = -1
+        for a in chain(live, reached):  # the BFS queue; reached grows as it runs
+            for b in adjacency[a]:
+                if seen_b[b] == epoch or matched_to[b] == a:
+                    continue  # visited, or the edge a -> b is saturated
+                seen_b[b] = epoch
                 parent_b[b] = a
-                if matched_to[b] == -1:
-                    reached_b_free = b
-                    break
                 a2 = matched_to[b]
-                if parent_a[a2] is None:
-                    parent_a[a2] = ("b", b)
-                    queue.append(a2)
-        if reached_b_free is None:
-            # compute residual reachability for the min-cut witness
-            left_reached = {a for a in range(na) if parent_a[a] is not None}
-            right_reached = {b for b in range(nb) if parent_b[b] is not None}
-            return value, flow, (left_reached, right_reached)
-        # augment along the BFS tree
-        b = reached_b_free
+                if a2 < 0:
+                    free_b = b
+                    break
+                if source_residual[a2] == 0 and seen_a[a2] != epoch:
+                    seen_a[a2] = epoch
+                    via_b[a2] = b
+                    reached.append(a2)
+            if free_b >= 0:
+                break
+        if free_b < 0:
+            flow = [set() for _ in range(na)]
+            for b, a in enumerate(matched_to):
+                if a >= 0:
+                    flow[a].add(b)
+            right_reached = {b for b in range(nb) if seen_b[b] == epoch}
+            return value, flow, (set(live) | set(reached), right_reached)
+        # augment along the BFS tree back to its live source
+        b = free_b
         while True:
             a = parent_b[b]
-            flow[a].add(b)
             matched_to[b] = a
-            tag = parent_a[a]
-            if tag == ("s",):
+            if source_residual[a] > 0:
                 source_residual[a] -= 1
+                if source_residual[a] == 0:
+                    del live[bisect_left(live, a)]
                 break
-            prev_b = tag[1]
-            flow[a].discard(prev_b)
-            b = prev_b
-            # prev_b now needs a new feeder, found one step up the tree
+            # a gave up its flow to via_b[a], which now needs a new feeder
+            b = via_b[a]
         value += 1
 
 

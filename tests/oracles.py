@@ -45,3 +45,62 @@ def matching_exists_bruteforce(graph: BipartiteGraph) -> bool:
         return False
 
     return place(0, set())
+
+
+# The library's earlier max flow: one full lowest-index BFS per augmenting
+# path, with the source queue and parent arrays rebuilt every time.  The
+# per-path version in soficlab.matching must replay it exactly.
+def max_flow_two_one(graph: BipartiteGraph):
+    """Unit-capacity flow specialised to the (2,1) reduction.
+
+    Returns (flow_value, left_to_right flow as per-left set, reachable set of
+    the final residual graph split into (left, right) parts).
+    """
+    na, nb = graph.left_count, graph.right_count
+    source_residual = [2] * na  # remaining capacity source -> a
+    flow = [set() for _ in range(na)]  # saturated a -> b edges
+    matched_to = [-1] * nb  # which a feeds b (b -> sink saturated iff != -1)
+    value = 0
+    while True:
+        # lowest-index BFS over the residual graph
+        parent_a = [None] * na
+        parent_b = [None] * nb
+        queue = [a for a in range(na) if source_residual[a] > 0]
+        for a in queue:
+            parent_a[a] = ("s",)
+        reached_b_free = None
+        qi = 0
+        while qi < len(queue) and reached_b_free is None:
+            a = queue[qi]
+            qi += 1
+            for b in graph.adjacency[a]:
+                if parent_b[b] is not None or b in flow[a]:
+                    continue
+                parent_b[b] = a
+                if matched_to[b] == -1:
+                    reached_b_free = b
+                    break
+                a2 = matched_to[b]
+                if parent_a[a2] is None:
+                    parent_a[a2] = ("b", b)
+                    queue.append(a2)
+        if reached_b_free is None:
+            # compute residual reachability for the min-cut witness
+            left_reached = {a for a in range(na) if parent_a[a] is not None}
+            right_reached = {b for b in range(nb) if parent_b[b] is not None}
+            return value, flow, (left_reached, right_reached)
+        # augment along the BFS tree
+        b = reached_b_free
+        while True:
+            a = parent_b[b]
+            flow[a].add(b)
+            matched_to[b] = a
+            tag = parent_a[a]
+            if tag == ("s",):
+                source_residual[a] -= 1
+                break
+            prev_b = tag[1]
+            flow[a].discard(prev_b)
+            b = prev_b
+            # prev_b now needs a new feeder, found one step up the tree
+        value += 1

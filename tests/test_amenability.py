@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from soficlab.amenability import (
     reiter_norm,
 )
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
-from soficlab.balls import free_ball_size
+from soficlab.balls import ball, free_ball_size
 
 
 def test_folner_set_canonicalizes():
@@ -76,6 +77,21 @@ def test_reiter_equals_folner_random_instances():
         assert reiter_norm(phi, g) == folner_defect(phi, [g])
 
 
+@pytest.mark.parametrize("backend,side", [
+    (zpower_backend(2), 1), (zpower_backend(2), 6),
+    (heisenberg_backend(), 1), (heisenberg_backend(), 4),
+])
+def test_reiter_equals_folner_on_boxes(backend, side):
+    phi = folner_box(backend, side)
+    rng = random.Random(side)
+    letters = backend.alphabet.signed_letters()
+    shifts = [backend.identity()] + [backend.letter(s) for s in letters]
+    shifts += [backend.normal_form(tuple(rng.choice(letters) for _ in range(5)))
+               for _ in range(6)]
+    for g in shifts:
+        assert reiter_norm(phi, g) == folner_defect(phi, [g])
+
+
 def test_reiter_simple_value():
     phi = folner_box(zpower_backend(1), 4)
     assert reiter_norm(phi, (1,)) == Fraction(1, 2)
@@ -103,6 +119,12 @@ def test_paradox_verify_small_radius():
     assert len({report.piece_sizes[p] for p in PARADOX_PIECES if p != "E"}) == 1
     with pytest.raises(ValueError):
         paradox_verify(0)
+
+
+def test_paradox_verify_pieces_match_classify():
+    words = ball(free_backend(2), 4).elements
+    sizes = Counter(paradox_classify(w) for w in words)
+    assert paradox_verify(4).piece_sizes == {p: sizes[p] for p in PARADOX_PIECES}
 
 
 def test_ball_expansion_contrast():

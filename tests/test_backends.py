@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from soficlab.backends import (
     FiniteBackend,
@@ -11,7 +11,7 @@ from soficlab.backends import (
     heisenberg_backend,
     zpower_backend,
 )
-from soficlab.words import reduce_word
+from soficlab.words import reduce_word, word_inverse
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=12).map(tuple)
@@ -127,3 +127,27 @@ def test_normal_form_respects_multiplication(w1, w2, w3):
         g = b.normal_form(tuple(w1))
         h = b.normal_form(tuple(w2))
         assert b.normal_form(reduce_word(tuple(w1) + tuple(w2))) == b.multiply(g, h)
+
+
+@st.composite
+def free_products(draw):
+    """A rank 1-3 and two reduced words over it, the second often starting
+    with a prefix of the first's inverse so that the junction cancels."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    letter = st.integers(min_value=-rank, max_value=rank).filter(lambda s: s != 0)
+    g = reduce_word(draw(st.lists(letter, max_size=12)))
+    tail = draw(st.lists(letter, max_size=12))
+    k = draw(st.integers(min_value=0, max_value=len(g)))
+    h = reduce_word(word_inverse(g)[:k] + tuple(tail))
+    return rank, g, h
+
+
+@settings(max_examples=300)
+@given(free_products())
+def test_free_multiply_is_reduced_concatenation(case):
+    rank, g, h = case
+    b = free_backend(rank)
+    assert b.multiply(g, h) == reduce_word(g + h)
+    assert b.multiply(g, word_inverse(g)) == ()
+    assert b.multiply(word_inverse(g), g) == ()
+

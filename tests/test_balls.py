@@ -78,3 +78,10 @@ def test_ball_cap_enforced():
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         ball(free_backend(2), -1)
+
+
+def test_free_ball_stores_each_word_once():
+    """A free group's canonical form is its shortlex spelling, so the ball
+    keeps one tuple for both."""
+    t = ball(free_backend(2), 4)
+    assert all(w is g for w, g in zip(t.words, t.elements))

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from soficlab import matching
+from soficlab.backends import free_backend, zpower_backend
 from soficlab.matching import (
     BipartiteGraph,
     DeficiencyWitness,
@@ -10,7 +13,7 @@ from soficlab.matching import (
     two_one_matching,
 )
 
-from oracles import hall_condition_holds, matching_exists_bruteforce
+from oracles import hall_condition_holds, matching_exists_bruteforce, max_flow_two_one
 
 
 def random_graph(rng, max_left=6, max_right=12, density=0.5):
@@ -121,3 +124,57 @@ def test_paradox_from_matching_validation():
         paradox_from_matching(0, 1)
     with pytest.raises(ValueError):
         paradox_from_matching(1, 0)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    na = draw(st.integers(min_value=0, max_value=10))
+    nb = draw(st.integers(min_value=0, max_value=24))
+    density = draw(st.sampled_from([0.0, 0.15, 0.3, 0.6, 1.0]))
+    rows = []
+    for _ in range(na):
+        if nb == 0 or draw(st.integers(0, 9)) == 0:
+            rows.append(())  # an isolated left vertex
+        else:
+            rows.append(tuple(b for b in range(nb)
+                              if draw(st.floats(0, 1)) < density))
+    return BipartiteGraph(na, nb, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_graphs())
+@example(BipartiteGraph(0, 0, ()))
+@example(BipartiteGraph(0, 3, ()))
+@example(BipartiteGraph(2, 0, ((), ())))
+@example(BipartiteGraph(3, 6, ((0, 1, 2), (1, 2, 3), (2, 3, 4))))
+@example(BipartiteGraph(3, 7, ((0, 1, 4), (1, 2, 5), (2, 3, 6))))
+def test_flow_replays_lowest_index_bfs(graph):
+    """Same value, per-left flow sets and final reached sets as the oracle,
+    so matchings and deficiency witnesses are unchanged too."""
+    assert matching._max_flow_two_one(graph) == max_flow_two_one(graph)
+
+
+def test_flow_oracle_sweep_covers_both_outcomes():
+    rng = random.Random(400)
+    outcomes = set()
+    for _ in range(400):
+        g = random_graph(rng, max_left=12, max_right=30, density=rng.random())
+        value, flow, reached = matching._max_flow_two_one(g)
+        assert (value, flow, reached) == max_flow_two_one(g)
+        outcomes.add(value == 2 * g.left_count)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("backend,radius,spread", [
+    (free_backend(2), 1, 1), (free_backend(2), 2, 1), (free_backend(2), 2, 2),
+    (free_backend(2), 3, 1), (free_backend(2), 3, 2), (free_backend(3), 2, 1),
+    (zpower_backend(1), 4, 1),  # amenable: infeasible, with a witness
+])
+def test_paradox_from_matching_matches_oracle_flow(monkeypatch, backend, radius, spread):
+    report = paradox_from_matching(radius, spread, backend)
+    monkeypatch.setattr(matching, "_max_flow_two_one", max_flow_two_one)
+    expected = paradox_from_matching(radius, spread, backend)
+    assert report == expected
+    assert report.feasible == (backend.kind == "free")
+    assert list(report.pieces.items()) == list(expected.pieces.items())
+
