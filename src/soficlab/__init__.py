@@ -96,7 +96,6 @@ from .metrics import (
     UnitaryMatrix,
     hamming,
     hs_distance,
-    hs_distance_direct,
     normalized_trace,
     perm_matrix,
     phase_aligned_hs,

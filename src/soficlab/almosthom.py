@@ -19,8 +19,8 @@ import numpy as np
 from .backends import backend_from_descriptor
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
-from .errors import MalformedCertificateError, json_int, json_ints
-from .metrics import Permutation, UnitaryMatrix
+from .errors import MalformedCertificateError, ResourceCapError, json_int, json_ints
+from .metrics import check_unitary
 from .words import word_from_str, word_to_str
 
 CERT_SCHEMA = "sofic-cert/v1"
@@ -36,42 +36,52 @@ _KERNEL_CHUNK = 1 << 18
 
 @dataclass(eq=False)
 class AlmostHom:
-    """A total assignment of target elements to the elements of a ball."""
+    """A total assignment of target elements to the elements of a ball: row k
+    of the read-only images array is the image of ball element k, int32
+    (|B|, n) permutation rows for "sym" and complex128 (|B|, n, n) matrices
+    for "unitary".  Validated once, here; float entries are never truncated."""
 
     domain: BallTable
     target_kind: str  # "sym" | "unitary"
     target_n: int
-    images: tuple
+    images: np.ndarray
 
     def __post_init__(self) -> None:
+        n, sym = self.target_n, self.target_kind == "sym"
         if self.target_kind not in ("sym", "unitary"):
             raise ValueError(f"unknown target kind {self.target_kind!r}")
-        if len(self.images) != len(self.domain):
+        images = np.asarray(self.images)
+        if images.dtype.kind not in ("iu" if sym else "iufc"):
+            raise ValueError(f"{images.dtype} images do not fit a {self.target_kind!r} target")
+        if images.shape[:1] != (len(self.domain),):
             raise ValueError("assignment must be total on the ball")
-        for img in self.images:
-            expected = Permutation if self.target_kind == "sym" else UnitaryMatrix
-            if not isinstance(img, expected):
-                raise ValueError(f"image {img!r} has wrong target type")
-            if img.n != self.target_n:
-                raise ValueError("image degree/rank mismatch")
-        e = self.images[0]
-        if self.target_kind == "sym":
-            if e != Permutation.identity(self.target_n):
-                raise ValueError("ball identity must map to the identity permutation")
-        else:
-            if np.max(np.abs(e.entries - np.eye(self.target_n))) > 1e-9:
-                raise ValueError("ball identity must map to the identity matrix")
+        if images.shape[1:] != ((n,) if sym else (n, n)):
+            raise ValueError("image degree/rank mismatch")
+        identity = np.arange(n) if sym else np.eye(n)
+        if sym:  # before the int32 cast, which would wrap large entries
+            bad = np.flatnonzero((np.sort(images, axis=1) != identity).any(axis=1))
+            if bad.size:
+                raise ValueError(f"image {bad[0]} is not a bijection of {{0,...,{n - 1}}}")
+        images = np.ascontiguousarray(images, dtype=np.int32 if sym else np.complex128).view()
+        if not sym:
+            for image in images:
+                check_unitary(image)
+        if np.max(np.abs(images[0] - identity)) > 1e-9:
+            raise ValueError("ball identity must map to the identity")
+        images.setflags(write=False)
+        self.images = images
 
 
 def _kernels(hom: AlmostHom):
     """(images, compose, distance, value) for the defect/separation scans:
-    the images as rows of one (|B|, w) array; compose(a, b), the row-wise
+    the images as rows of one (|B|, w) view; compose(a, b), the row-wise
     products a*b; distance(a, b), per row the moved-point count (sym) or
-    sqrt(2 - 2 Re tr(a^H b) / n) (unitary); and value, which turns a row
+    sqrt(sum |a - b|^2 / n) (unitary); and value, which turns a row
     distance into an exact Fraction (sym) or a float (unitary).  Products
     are never stored or returned, so unlike images they are not checked
     for unitarity."""
     n = hom.target_n
+    images = hom.images.reshape(len(hom.images), -1)
     if hom.target_kind == "sym":
         def compose(a, b):  # (s * t)(x) = t(s(x))
             return np.take_along_axis(b, a, axis=1)
@@ -79,18 +89,16 @@ def _kernels(hom: AlmostHom):
         def distance(a, b):
             return np.count_nonzero(a != b, axis=-1)
 
-        stack = np.array([p.images for p in hom.images], dtype=np.int32)
-        return stack, compose, distance, lambda k: Fraction(int(k), n)
+        return images, compose, distance, lambda k: Fraction(int(k), n)
 
     def compose(a, b):
         return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)
 
     def distance(a, b):
-        cross = np.einsum("...k,...k->...", a.conj(), b).real / n
-        return np.sqrt(np.maximum(2.0 - 2.0 * cross, 0.0))
+        parts = (a - b).view(np.float64)  # re, im of every entry
+        return np.sqrt(np.einsum("...k,...k->...", parts, parts) / n)
 
-    stack = np.stack([u.entries for u in hom.images]).reshape(len(hom.images), -1)
-    return stack, compose, distance, float
+    return images, compose, distance, float
 
 
 def defect_witness(hom: AlmostHom):
@@ -218,13 +226,6 @@ def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
     )
 
 
-def _image_to_json(hom: AlmostHom, img) -> list:
-    if hom.target_kind == "sym":
-        return list(img.images)
-    flat = img.entries.reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
 def _head_json(cert: Certificate) -> dict:
     hom = cert.hom
     return {
@@ -248,24 +249,25 @@ def certificate_to_json(cert: Certificate) -> dict:
     ``json.dumps(certificate_to_json(cert), indent=1) + "\n"``."""
     hom = cert.hom
     alphabet = hom.domain.backend.alphabet
-    mapping = {}
-    for idx, word in enumerate(hom.domain.words):
-        mapping[word_to_str(alphabet, word)] = _image_to_json(hom, hom.images[idx])
+    images = hom.images
+    if hom.target_kind == "unitary":  # one [re, im] pair per entry
+        images = images.view(np.float64).reshape(len(images), -1, 2)
+    mapping = {word_to_str(alphabet, word): image
+               for word, image in zip(hom.domain.words, images.tolist())}
     return {**_head_json(cert), "map": mapping, **_tail_json(cert)}
 
 
 # The streaming writer reproduces the json.dump(..., indent=1) layout: the
 # map sits at depth 1, its keys at depth 2, image entries at depth 3 and the
 # [re, im] parts of a unitary entry at depth 4.
-def _sym_image_text(p: Permutation) -> str:
-    return "[\n   " + json.dumps(p.images, separators=(",\n   ", ": "))[1:-1] + "\n  ]"
+def _sym_image_text(row: np.ndarray) -> str:
+    return "[\n   " + json.dumps(row.tolist(), separators=(",\n   ", ": "))[1:-1] + "\n  ]"
 
 
-def _unitary_image_text(u: UnitaryMatrix) -> str:
+def _unitary_image_text(u: np.ndarray) -> str:
     # One C-encoder call spells every number exactly as json.dump does
     # (repr, NaN, Infinity, -0.0); the parts alternate re, im.
-    parts = np.ascontiguousarray(u.entries).view(np.float64).ravel().tolist()
-    tokens = json.dumps(parts)[1:-1].split(", ")
+    tokens = json.dumps(u.view(np.float64).ravel().tolist())[1:-1].split(", ")
     entries = map(",\n    ".join, zip(tokens[0::2], tokens[1::2]))
     return "[\n   [\n    " + "\n   ],\n   [\n    ".join(entries) + "\n   ]\n  ]"
 
@@ -288,36 +290,29 @@ def save_certificate(cert: Certificate, path) -> None:
         fh.write("\n }," + tail[1:] + "\n")
 
 
-def _image_from_json(kind: str, n: int, raw) -> Permutation | UnitaryMatrix:
+def _read_image(kind: str, raw: list, out: np.ndarray) -> None:
+    """Check the entries of one JSON image and write them into `out`, its
+    row of the certificate's images array."""
     if kind == "sym":
-        if not isinstance(raw, list) or len(raw) != n:
-            raise MalformedCertificateError(f"permutation image must list {n} points")
-        json_ints(raw, "permutation entries")
+        flat, dest = json_ints(raw, "permutation entries"), out
+    else:
+        # a str or dict entry of length 2 fails the type test through its
+        # characters or keys; one flat list converts far faster than nested ones
         try:
-            return Permutation(tuple(raw))
-        except ValueError as exc:
-            raise MalformedCertificateError(f"bad permutation image: {exc}") from exc
-    if not isinstance(raw, list) or len(raw) != n * n:
-        raise MalformedCertificateError(f"matrix image must list {n * n} entries")
-    # a str or dict entry of length 2 fails the type test through its
-    # characters or keys; one flat list converts far faster than nested ones
+            is_pairs = set(map(len, raw)) == {2}
+        except TypeError:  # an entry without a length, such as a bare number
+            is_pairs = False
+        flat = list(chain.from_iterable(raw)) if is_pairs else []
+        if not is_pairs or not set(map(type, flat)) <= {int, float}:
+            raise MalformedCertificateError(
+                "unitary entries must be [re, im] pairs of JSON numbers")
+        dest = out.reshape(-1).view(np.float64)  # re, im of every entry
     try:
-        is_pairs = set(map(len, raw)) == {2}
-    except TypeError:  # an entry without a length, such as a bare number
-        is_pairs = False
-    flat = list(chain.from_iterable(raw)) if is_pairs else []
-    if not is_pairs or not set(map(type, flat)) <= {int, float}:
-        raise MalformedCertificateError("unitary entries must be [re, im] pairs of JSON numbers")
-    try:
-        parts = np.fromiter(flat, dtype=np.float64, count=len(flat))
-    except OverflowError as exc:  # an integer beyond the float range
-        raise MalformedCertificateError(f"bad unitary image: {exc}") from exc
-    if not np.isfinite(parts).all():
+        dest[:] = flat
+    except OverflowError as exc:  # an integer beyond int32 or beyond the float range
+        raise MalformedCertificateError(f"bad {kind} image: {exc}") from exc
+    if not np.isfinite(dest).all():
         raise MalformedCertificateError("unitary entries must be finite")
-    try:
-        return UnitaryMatrix(parts.view(np.complex128).reshape(n, n))
-    except ValueError as exc:
-        raise MalformedCertificateError(f"bad unitary image: {exc}") from exc
 
 
 def _claim(doc: dict, key: str) -> float:
@@ -334,7 +329,8 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
     """Parse and structurally validate a certificate document.
 
     Raises MalformedCertificateError on any structural violation; this is a
-    different failure mode than verification failure.
+    different failure mode than verification failure.  A unitary rank above
+    limits.rank_cap raises ResourceCapError before any image is read.
     """
     limits = limits or default_limits()
     try:
@@ -347,10 +343,22 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
         mapping = doc["map"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"bad certificate structure: {exc}") from exc
+    if kind not in ("sym", "unitary"):
+        raise MalformedCertificateError(f"unknown target kind {kind!r}")
+    if kind == "unitary" and n > limits.rank_cap:
+        raise ResourceCapError(f"unitary rank {n} exceeds cap {limits.rank_cap}")
     if not isinstance(mapping, dict):
         raise MalformedCertificateError("map must be a JSON object keyed by words")
+    shape = (n,) if kind == "sym" else (n, n)
+    width = n if kind == "sym" else n * n
+    if not all(type(raw) is list and len(raw) == width for raw in mapping.values()):
+        raise MalformedCertificateError(f"every image must list {width} entries")
     domain = ball(backend, radius, limits)
-    images: list = [None] * len(domain)
+    # Every key names a distinct ball element or is rejected below, so a map
+    # with at least |B| keys that passes covers the ball.
+    if len(mapping) < len(domain):
+        raise MalformedCertificateError("map does not cover the whole ball")
+    images = np.empty((len(domain), *shape), np.int32 if kind == "sym" else np.complex128)
     keys: list = [None] * len(domain)
     alphabet = backend.alphabet
     for key, raw in mapping.items():
@@ -365,11 +373,9 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
             raise MalformedCertificateError(
                 f"map keys {keys[idx]!r} and {key!r} name the same element")
         keys[idx] = key
-        images[idx] = _image_from_json(kind, n, raw)
-    if any(img is None for img in images):
-        raise MalformedCertificateError("map does not cover the whole ball")
+        _read_image(kind, raw, images[idx])
     try:
-        hom = AlmostHom(domain=domain, target_kind=kind, target_n=n, images=tuple(images))
+        hom = AlmostHom(domain=domain, target_kind=kind, target_n=n, images=images)
     except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
     return Certificate(

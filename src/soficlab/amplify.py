@@ -24,10 +24,17 @@ from .metrics import UnitaryMatrix, hs_distance, phase_aligned_hs
 SQRT2 = math.sqrt(2.0)
 
 
+def conj_kron(u: np.ndarray) -> np.ndarray:
+    """conj(u) (x) u, entry [i*n + k, j*n + l] = conj(u[i, j]) * u[k, l], for
+    one (n, n) matrix or for each matrix of an (..., n, n) stack."""
+    n = u.shape[-1]
+    out = u.conj()[..., :, None, :, None] * u[..., None, :, None, :]
+    return out.reshape(*u.shape[:-2], n * n, n * n)
+
+
 def tensor_square(u: UnitaryMatrix) -> UnitaryMatrix:
     """Amplify one step: rank n -> n^2, normalized trace -> |trace|^2."""
-    out = np.kron(u.entries.conj(), u.entries)
-    return UnitaryMatrix(out, 10 * u.unitarity_tolerance)
+    return UnitaryMatrix(conj_kron(u.entries), 10 * u.unitarity_tolerance)
 
 
 def amplified_distance(d: float) -> float:

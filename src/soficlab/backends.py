@@ -195,12 +195,18 @@ class FiniteBackend(GroupBackend):
         e = identity_index
         if not (np.array_equal(tbl[e], np.arange(m)) and np.array_equal(tbl[:, e], np.arange(m))):
             raise ValueError("identity index does not act neutrally")
+        # entries lie in range: a row or column is a bijection iff it sorts to 0..m-1
+        span = np.arange(m)
+        bad = (np.sort(tbl, axis=1) != span).any(axis=1)
+        bad |= (np.sort(tbl, axis=0).T != span).any(axis=1)
+        if bad.any():
+            raise ValueError(f"row/column {bad.argmax()} is not a bijection")
+        # associativity, (x_i x_j) x_k == x_i (x_j x_k), row i at a time
+        left, right = np.empty_like(tbl), np.empty_like(tbl)
         for i in range(m):
-            if len(set(tbl[i].tolist())) != m or len(set(tbl[:, i].tolist())) != m:
-                raise ValueError(f"row/column {i} is not a bijection")
-        # associativity, row by row to bound memory
-        for i in range(m):
-            if not np.array_equal(tbl[tbl[i], :], tbl[i, tbl]):
+            np.take(tbl, tbl[i], axis=0, out=left)
+            np.take(tbl[i], tbl, out=right)
+            if not np.array_equal(left, right):
                 raise ValueError(f"table not associative at row {i}")
         self.table = tbl
         self.table.setflags(write=False)
@@ -212,7 +218,7 @@ class FiniteBackend(GroupBackend):
             if not (0 <= g < m) or g == e:
                 raise ValueError(f"invalid generator index {g}")
         self.generators = tuple(generators)
-        self._inverses = tuple(int(np.where(tbl[i] == e)[0][0]) for i in range(m))
+        self._inverses = tuple(np.nonzero(tbl == e)[1].tolist())  # row i holds e at inv(i)
         if names is None:
             names = tuple(f"g{i}" for i in self.generators)
         self.alphabet = GeneratorAlphabet(len(self.generators), tuple(names))

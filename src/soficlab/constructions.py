@@ -6,28 +6,26 @@ amplification, and finite-stage approximation sequences.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .almosthom import AlmostHom, Certificate, defect, measured_certificate, separation
-from .amplify import tensor_square
+from .amplify import conj_kron
 from .backends import FiniteBackend, free_backend
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
 from .errors import BackendMismatchError, ResourceCapError
 from .amenability import FolnerSet
-from .metrics import Permutation, canonical_fill, perm_matrix
+from .metrics import canonical_fill
 from .sl2 import lef_witness_free, mat_mul_mod, sl2_word_image
 from .words import word_to_str
 
 
-def regular_representation(backend: FiniteBackend) -> list[Permutation]:
-    """Right-translation action of a finite group on itself: element g acts
-    as i -> index(element_i * g).  An injective homomorphism under the
-    left-to-right permutation product, with every non-identity image
-    fixed-point-free."""
-    m = backend.order
-    return [
-        Permutation(tuple(int(backend.table[i, g]) for i in range(m)))
-        for g in range(m)
-    ]
+def regular_representation(backend: FiniteBackend) -> np.ndarray:
+    """Right-translation action of a finite group on itself, as an (m, m)
+    array whose row g is the permutation i -> index(element_i * g).  An
+    injective homomorphism under the left-to-right permutation product,
+    with every non-identity image fixed-point-free."""
+    return np.ascontiguousarray(backend.table.T, dtype=np.int32)
 
 
 def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
@@ -45,10 +43,9 @@ def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
     backend = phi.backend
     n = len(phi.elements)
     position = {x: i for i, x in enumerate(phi.elements)}
-    images = tuple(
-        canonical_fill([position.get(backend.multiply(x, g)) for x in phi.elements])
-        for g in domain.elements
-    )
+    images = np.empty((len(domain), n), dtype=np.int32)
+    for k, g in enumerate(domain.elements):
+        images[k] = canonical_fill([position.get(backend.multiply(x, g)) for x in phi.elements])
     return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=images)
 
 
@@ -74,14 +71,10 @@ def lef_to_sofic(domain: BallTable, target: FiniteBackend,
     if set(local_mono) != set(range(n)):
         raise ValueError("local monomorphism must be total on the ball")
     values = [local_mono[i] for i in range(n)]
-    if len(set(values)) != n:
-        seen: dict[int, int] = {}
-        for i, v in enumerate(values):
-            if v in seen:
-                raise ValueError(
-                    f"not injective: ball elements {seen[v]} and {i} share image {v}"
-                )
-            seen[v] = i
+    first: dict[int, int] = {}
+    for i, v in enumerate(values):
+        if first.setdefault(v, i) != i:
+            raise ValueError(f"not injective: ball elements {first[v]} and {i} share image {v}")
     if values[0] != target.identity_index:
         raise ValueError("ball identity must map to the target identity")
     for (i, j), k in domain.products.items():
@@ -92,10 +85,8 @@ def lef_to_sofic(domain: BallTable, target: FiniteBackend,
                 f"({word_to_str(alphabet, domain.words[i])!r}, "
                 f"{word_to_str(alphabet, domain.words[j])!r})"
             )
-    rep = regular_representation(target)
-    images = tuple(rep[v] for v in values)
     return AlmostHom(domain=domain, target_kind="sym", target_n=target.order,
-                     images=images)
+                     images=regular_representation(target)[values])
 
 
 def sl2_elements(p: int) -> list:
@@ -144,15 +135,15 @@ def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) ->
 def sofic_to_hyperlinear(hom: AlmostHom) -> AlmostHom:
     """Push a symmetric-group certificate through the permutation-matrix
     embedding.  Pairwise distances obey hamming = (1/2) hs^2, so a
-    separation s becomes sqrt(2 s) and a defect d becomes at most sqrt(2 d)."""
+    separation s becomes sqrt(2 s) and a defect d becomes at most sqrt(2 d).
+    A degree above the rank cap raises ResourceCapError before allocating."""
     if hom.target_kind != "sym":
         raise ValueError("sym target required")
-    return AlmostHom(
-        domain=hom.domain,
-        target_kind="unitary",
-        target_n=hom.target_n,
-        images=tuple(perm_matrix(p) for p in hom.images),
-    )
+    n, rank_cap = hom.target_n, default_limits().rank_cap
+    if n > rank_cap:
+        raise ResourceCapError(f"unitary rank {n} exceeds cap {rank_cap}")
+    return AlmostHom(domain=hom.domain, target_kind="unitary", target_n=n,
+                     images=np.eye(n, dtype=np.complex128)[hom.images])
 
 
 def hyperlinear_certificate(cert: Certificate) -> Certificate:
@@ -178,11 +169,11 @@ def amplify_certificate(cert: Certificate, times: int,
         raise ResourceCapError(
             f"amplified rank {final_rank} exceeds cap {limits.rank_cap}"
         )
-    images = list(hom.images)
+    images = hom.images
     for _ in range(times):
-        images = [tensor_square(u) for u in images]
+        images = conj_kron(images)
     out = AlmostHom(domain=hom.domain, target_kind="unitary",
-                    target_n=final_rank, images=tuple(images))
+                    target_n=final_rank, images=images)
     return measured_certificate(
         out, provenance=cert.provenance + f" | amplified x{times}"
     )

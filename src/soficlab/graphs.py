@@ -15,6 +15,9 @@ precisely as the reference group elements do.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+
+import numpy as np
 
 from .almosthom import AlmostHom
 from .balls import BallTable, ball
@@ -27,7 +30,7 @@ from .errors import (
     json_int,
     json_ints,
 )
-from .metrics import Permutation, canonical_fill
+from .metrics import canonical_fill
 from .words import Word
 
 
@@ -150,7 +153,7 @@ def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
     successors = {}
     for s in range(1, backend.rank + 1):
         idx = hom.domain.index[backend.letter(s)]
-        successors[colors[s - 1]] = tuple(hom.images[idx].images)
+        successors[colors[s - 1]] = tuple(hom.images[idx].tolist())
     return ColoredGraph(vertex_count=hom.target_n, colors=colors, successors=successors)
 
 
@@ -229,20 +232,15 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> AlmostHom:
     backend = reference.backend
     if tuple(backend.alphabet.names) != tuple(graph.colors):
         raise BackendMismatchError("graph colours do not match the reference alphabet")
-    n = graph.vertex_count
-    color_perm: dict[str, Permutation] = {}
-    for color in graph.colors:
+    steps = {}  # signed letter -> permutation row
+    for v, color in enumerate(graph.colors, 1):
         try:
-            color_perm[color] = canonical_fill(graph.successors[color])
+            steps[v] = canonical_fill(graph.successors[color])
         except ValueError as exc:
             raise ValueError(f"colour {color!r} successor map is not injective") from exc
-    inv_perm = {c: p.inverse() for c, p in color_perm.items()}
-    images = []
-    for word in reference.words:
-        perm = Permutation.identity(n)
-        for s in word:
-            color = graph.colors[abs(s) - 1]
-            perm = perm * (color_perm[color] if s > 0 else inv_perm[color])
-        images.append(perm)
-    return AlmostHom(domain=reference, target_kind="sym", target_n=n,
-                     images=tuple(images))
+        steps[-v] = np.argsort(steps[v])
+    # perm * step applies perm, then step: the row step[perm]
+    images = [reduce(lambda perm, s: steps[s][perm], word, np.arange(graph.vertex_count))
+              for word in reference.words]
+    return AlmostHom(domain=reference, target_kind="sym", target_n=graph.vertex_count,
+                     images=np.array(images))

@@ -17,7 +17,7 @@ of paths, hence the same flow, matching, deficiency witness and paradox
 pieces.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
@@ -215,14 +215,16 @@ def paradox_from_matching(radius: int, spread: int,
     if radius < 1 or spread < 1:
         raise ValueError("radius and spread must be >= 1")
     backend = backend or free_backend(2)
-    inner = ball(backend, radius, limits)
+    # BFS order makes B_N and B_k prefixes of B_{N+k}: an element lies in
+    # B_r exactly when its index is below |B_r|
     outer = ball(backend, radius + spread, limits)
-    translators = ball(backend, spread, limits)
+    inner_size = bisect_right(outer.lengths, radius)
+    translators = outer.elements[:bisect_right(outer.lengths, spread)]
     adjacency = []
-    for g in inner.elements:
-        nbrs = {outer.index[backend.multiply(x, g)] for x in translators.elements}
+    for g in outer.elements[:inner_size]:
+        nbrs = {outer.index[backend.multiply(x, g)] for x in translators}
         adjacency.append(tuple(sorted(nbrs)))
-    graph = BipartiteGraph(len(inner), len(outer), tuple(adjacency))
+    graph = BipartiteGraph(inner_size, len(outer), tuple(adjacency))
     outcome = two_one_matching(graph)
     alphabet = backend.alphabet
     if isinstance(outcome, DeficiencyWitness):
@@ -232,17 +234,17 @@ def paradox_from_matching(radius: int, spread: int,
         )
     pieces: dict[tuple[str, str], list[int]] = {}
     leakage = 0
-    for a, g in enumerate(inner.elements):
+    for a, g in enumerate(outer.elements[:inner_size]):
         ig = outer.elements[outcome.i[a]]
         jg = outer.elements[outcome.j[a]]
         s = backend.multiply(ig, backend.inverse(g))
         t = backend.multiply(jg, backend.inverse(g))
         key = (
-            word_to_str(alphabet, translators.words[translators.index[s]]),
-            word_to_str(alphabet, translators.words[translators.index[t]]),
+            word_to_str(alphabet, outer.words[outer.index[s]]),
+            word_to_str(alphabet, outer.words[outer.index[t]]),
         )
         pieces.setdefault(key, []).append(a)
-        leakage += sum(1 for h in (ig, jg) if h not in inner.index)
+        leakage += (outcome.i[a] >= inner_size) + (outcome.j[a] >= inner_size)
     # translated pieces s*Omega_{s,t} are exactly the i-images grouped by key,
     # and t*Omega_{s,t} the j-images; verify global disjointness by counting
     translated: list[int] = []

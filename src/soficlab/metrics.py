@@ -52,9 +52,9 @@ class Permutation:
         return all(self.images[i] != i for i in range(self.n))
 
 
-def canonical_fill(partial) -> Permutation:
+def canonical_fill(partial) -> np.ndarray:
     """Extend a partial injection of {0, ..., n-1}, given as a length-n
-    sequence with None where it is undefined, to a permutation: the
+    sequence with None where it is undefined, to a permutation row: the
     undefined points, in increasing order, take the unused values in
     increasing order."""
     defined = [v for v in partial if v is not None]
@@ -62,7 +62,7 @@ def canonical_fill(partial) -> Permutation:
     if len(used) != len(defined):
         raise ValueError("partial map is not injective")
     free = iter(v for v in range(len(partial)) if v not in used)
-    return Permutation(tuple(next(free) if v is None else v for v in partial))
+    return np.array([next(free) if v is None else v for v in partial])
 
 
 def hamming(s: Permutation, t: Permutation) -> Fraction:
@@ -71,6 +71,17 @@ def hamming(s: Permutation, t: Permutation) -> Fraction:
         raise ValueError("degree mismatch")
     moved = sum(1 for a, b in zip(s.images, t.images) if a != b)
     return Fraction(moved, s.n)
+
+
+def check_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> None:
+    """Raise ValueError unless m is a nonempty square matrix with
+    max |m*m - I| <= tol; the one unitarity check of single matrices and of
+    certificate images."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError("entries must be a nonempty square matrix")
+    defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    if not defect <= tol:  # also rejects NaN entries
+        raise ValueError(f"matrix is not unitary within tolerance {tol:g} (defect {defect:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +97,7 @@ class UnitaryMatrix:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("entries must be a nonempty square matrix")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if not defect <= self.unitarity_tolerance:  # also rejects NaN entries
-            raise ValueError(
-                f"matrix is not unitary within tolerance {self.unitarity_tolerance:g} "
-                f"(defect {defect:.3e})"
-            )
+        check_unitary(m, self.unitarity_tolerance)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -111,9 +115,6 @@ class UnitaryMatrix:
         tol = max(self.unitarity_tolerance, other.unitarity_tolerance)
         return UnitaryMatrix(self.entries @ other.entries, 10 * tol)
 
-    def adjoint(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.entries.conj().T, self.unitarity_tolerance)
-
 
 def normalized_trace(u: UnitaryMatrix) -> complex:
     """(1/n) * trace; modulus at most 1 for unitary input."""
@@ -121,20 +122,12 @@ def normalized_trace(u: UnitaryMatrix) -> complex:
 
 
 def hs_distance(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
-    """Normalized Hilbert-Schmidt distance via the trace formula
-    sqrt(2 - tr~(u*v) - tr~(v*u)); values lie in [0, 2]."""
-    if u.n != v.n:
-        raise ValueError("rank mismatch")
-    cross = np.vdot(u.entries, v.entries).real / u.n  # Re tr~(u*v)
-    return float(np.sqrt(max(2.0 - 2.0 * cross, 0.0)))
-
-
-def hs_distance_direct(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
-    """Independent computation path: sqrt((1/n) tr((u-v)*(u-v)))."""
+    """Normalized Hilbert-Schmidt distance sqrt((1/n) sum |u - v|^2) in
+    [0, 2]; exactly 0 for equal matrices, exact for 0/1 matrices."""
     if u.n != v.n:
         raise ValueError("rank mismatch")
     diff = u.entries - v.entries
-    return float(np.sqrt(max(np.trace(diff.conj().T @ diff).real / u.n, 0.0)))
+    return float(np.sqrt(np.vdot(diff, diff).real / u.n))
 
 
 def phase_aligned_hs(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
@@ -155,10 +148,7 @@ def phase_aligned_hs(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
 def perm_matrix(s: Permutation) -> UnitaryMatrix:
     """0/1 unitary with a[i, s(i)] = 1; a group monomorphism satisfying
     hamming(s, t) = (1/2) * hs(perm_matrix(s), perm_matrix(t))^2."""
-    m = np.zeros((s.n, s.n), dtype=np.complex128)
-    for i, j in enumerate(s.images):
-        m[i, j] = 1.0
-    return UnitaryMatrix(m)
+    return UnitaryMatrix(np.eye(s.n, dtype=np.complex128)[list(s.images)])
 
 
 def _gram_schmidt(z: np.ndarray) -> np.ndarray:

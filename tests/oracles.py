@@ -4,8 +4,11 @@ They are exhaustive or closed-form and only meant for small inputs, so they
 live with the tests rather than in the package.
 """
 
+import numpy as np
+
 from soficlab.amplify import amplified_distance
 from soficlab.matching import BipartiteGraph
+from soficlab.metrics import UnitaryMatrix
 
 
 def predicted_amplified(d: float, times: int) -> float:
@@ -14,6 +17,14 @@ def predicted_amplified(d: float, times: int) -> float:
     for _ in range(times):
         d = amplified_distance(d)
     return d
+
+
+def hs_distance_trace(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
+    """Normalized Hilbert-Schmidt distance by the trace formula
+    sqrt(2 - 2 Re tr~(u*v)); an independent path, but its absolute error
+    near 0 is ~1e-8."""
+    cross = np.vdot(u.entries, v.entries).real / u.n  # Re tr~(u*v)
+    return float(np.sqrt(max(2.0 - 2.0 * cross, 0.0)))
 
 
 def hall_condition_holds(graph: BipartiteGraph) -> bool:

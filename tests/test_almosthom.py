@@ -31,24 +31,40 @@ from soficlab.metrics import Permutation
 def cyclic_shift_hom(m: int, radius: int) -> AlmostHom:
     """Exact homomorphism Z -> Z_m by translation; defect 0."""
     domain = ball(zpower_backend(1), radius)
-    images = []
-    for (k,) in domain.elements:
-        images.append(Permutation(tuple((i + k) % m for i in range(m))))
-    return AlmostHom(domain=domain, target_kind="sym", target_n=m, images=tuple(images))
+    images = np.array([[(i + k) % m for i in range(m)] for (k,) in domain.elements])
+    return AlmostHom(domain=domain, target_kind="sym", target_n=m, images=images)
 
 
 def test_almosthom_validation():
     domain = ball(zpower_backend(1), 1)
-    ident = Permutation.identity(3)
-    swap = Permutation((1, 0, 2))
+    ident = [0, 1, 2]
+    swap = [1, 0, 2]
     with pytest.raises(ValueError):
-        AlmostHom(domain, "sym", 3, (ident, swap))  # not total
+        AlmostHom(domain, "sym", 3, np.array([ident, swap]))  # not total
     with pytest.raises(ValueError):
-        AlmostHom(domain, "sym", 3, (swap, ident, ident))  # identity image wrong
+        AlmostHom(domain, "sym", 3, np.array([swap, ident, ident]))  # identity image wrong
     with pytest.raises(ValueError):
-        AlmostHom(domain, "perm", 3, (ident, swap, swap))  # unknown kind
+        AlmostHom(domain, "perm", 3, np.array([ident, swap, swap]))  # unknown kind
     with pytest.raises(ValueError):
-        AlmostHom(domain, "unitary", 3, (ident, swap, swap))  # wrong image type
+        AlmostHom(domain, "unitary", 3, np.array([ident, swap, swap]))  # wrong image type
+    with pytest.raises(ValueError, match="float64"):
+        AlmostHom(domain, "sym", 3, np.array([ident, swap, [1.7, 0, 2]]))  # not truncated
+    with pytest.raises(ValueError, match="degree"):
+        AlmostHom(domain, "sym", 4, np.array([ident, swap, swap]))
+    with pytest.raises(ValueError, match="image 2 is not a bijection"):
+        AlmostHom(domain, "sym", 3, np.array([ident, swap, [0, 0, 2]]))
+    with pytest.raises(ValueError):  # per-element objects are not images
+        AlmostHom(domain, "sym", 3, (Permutation.identity(3),) * 3)
+    hom = AlmostHom(domain, "sym", 3, np.array([ident, swap, swap]))
+    assert hom.images.dtype == np.int32 and not hom.images.flags.writeable
+    # complex128 input is kept, not copied, and the caller's array stays writable
+    unitary = np.array([np.eye(2)] * 3, dtype=np.complex128)
+    hom = AlmostHom(domain, "unitary", 2, unitary)
+    assert np.shares_memory(hom.images, unitary) and unitary.flags.writeable
+    with pytest.raises(ValueError, match="not unitary"):
+        AlmostHom(domain, "unitary", 2, np.array([np.eye(2), 1.001 * np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="identity"):
+        AlmostHom(domain, "unitary", 2, np.array([-np.eye(2), np.eye(2), np.eye(2)]))
 
 
 def test_defect_and_separation_exact_on_shift():
@@ -60,12 +76,10 @@ def test_defect_and_separation_exact_on_shift():
 
 def test_defect_witness_on_a_corrupted_shift():
     hom = cyclic_shift_hom(7, 2)
-    images = list(hom.images)
+    images = hom.images.copy()
     # corrupt the image of the element at index 1 on a single point pair
-    p = list(images[1].images)
-    p[0], p[1] = p[1], p[0]
-    images[1] = Permutation(tuple(p))
-    bad = AlmostHom(hom.domain, "sym", 7, tuple(images))
+    images[1, [0, 1]] = images[1, [1, 0]]
+    bad = AlmostHom(hom.domain, "sym", 7, images)
     d, pair = defect_witness(bad)
     assert d > 0
     assert 1 in pair
@@ -95,7 +109,7 @@ def test_certificate_json_round_trip_sym_byte_identical():
     assert json.dumps(certificate_to_json(back), sort_keys=True) == json.dumps(
         doc, sort_keys=True
     )
-    assert back.hom.images == cert.hom.images
+    assert np.array_equal(back.hom.images, cert.hom.images)
 
 
 def test_certificate_json_round_trip_unitary():
@@ -105,7 +119,7 @@ def test_certificate_json_round_trip_unitary():
     back = certificate_from_json(certificate_to_json(cert))
     assert back.hom.target_kind == "unitary"
     for a, b in zip(back.hom.images, cert.hom.images):
-        assert np.max(np.abs(a.entries - b.entries)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_save_load_round_trip(tmp_path):
@@ -113,7 +127,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
     back = load_certificate(path)
-    assert back.hom.images == cert.hom.images
+    assert np.array_equal(back.hom.images, cert.hom.images)
     assert back.claimed_separation == 1.0
 
 

@@ -107,6 +107,48 @@ def test_finite_table_validation():
         FiniteBackend(loop, 0)
 
 
+def reference_first_non_bijection(table) -> int | None:
+    """The per-row/column set scan the Latin check replaced."""
+    tbl = np.asarray(table)
+    m = len(tbl)
+    for i in range(m):
+        if len(set(tbl[i].tolist())) != m or len(set(tbl[:, i].tolist())) != m:
+            return i
+    return None
+
+
+def test_finite_table_names_the_first_bad_column():
+    # Klein four-group with row 1 replaced by another bijection: every row
+    # is still a bijection, but columns 2 and 3 repeat entries
+    table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]]
+    assert reference_first_non_bijection(table) == 2
+    with pytest.raises(ValueError, match=r"^row/column 2 is not a bijection$"):
+        FiniteBackend(table, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_latin_check_names_the_reference_index(m, data):
+    # Z_m with entries swapped inside rows: rows stay bijections, columns
+    # break; or a row entry overwritten, which breaks a row and a column
+    table = [[(i + j) % m for j in range(m)] for i in range(m)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, k = (data.draw(st.integers(1, m - 1)) for _ in range(3))
+        if data.draw(st.booleans()):
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+        else:
+            table[i][j] = data.draw(st.integers(0, m - 1))
+    want = reference_first_non_bijection(table)
+    if want is None:  # a Latin square again, which may or may not associate
+        try:
+            FiniteBackend(table, 0)
+        except ValueError as exc:
+            assert "associative" in str(exc)
+    else:
+        with pytest.raises(ValueError, match=rf"^row/column {want} is not a bijection$"):
+            FiniteBackend(table, 0)
+
+
 def test_finite_backend_from_json_and_descriptor_round_trip():
     b = cyclic_backend(6)
     b2 = backend_from_descriptor(b.descriptor())

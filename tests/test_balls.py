@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficlab.backends import (
     cyclic_backend,
@@ -8,7 +9,29 @@ from soficlab.backends import (
 )
 from soficlab.balls import ball, free_ball_size
 from soficlab.config import ResourceLimits
+from soficlab.constructions import sl2_finite_backend
 from soficlab.errors import ResourceCapError
+
+PREFIX_BACKENDS = {
+    "free": lambda: free_backend(2),
+    "zpower": lambda: zpower_backend(2),
+    "heisenberg": heisenberg_backend,
+    "finite": lambda: sl2_finite_backend(3),  # SL(2, Z_3), order 24, saturates at radius 4
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PREFIX_BACKENDS)), st.integers(0, 3), st.integers(1, 3))
+def test_smaller_ball_is_a_prefix(kind, radius, k):
+    # BFS order: B_r is the first |B_r| elements of B_{r+k}, with the same
+    # spellings, so membership in B_r is an index test
+    backend = PREFIX_BACKENDS[kind]()
+    small, big = ball(backend, radius), ball(backend, radius + k)
+    size = len(small)
+    assert big.elements[:size] == small.elements
+    assert big.words[:size] == small.words
+    assert big.lengths[:size] == small.lengths
+    assert all(length > radius for length in big.lengths[size:])
 
 
 def test_free_ball_sizes_match_closed_form():

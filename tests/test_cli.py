@@ -1,8 +1,16 @@
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from soficlab import almosthom
+from soficlab.backends import zpower_backend
+from soficlab.balls import ball
 from soficlab.cli import main
+from soficlab.config import ResourceLimits
+from soficlab.errors import MalformedCertificateError, ResourceCapError
+from soficlab.metrics import Permutation, UnitaryMatrix
 
 
 def run(argv):
@@ -175,6 +183,14 @@ def test_verify_float_permutation_entry_is_malformed(tmp_path, capsys):
     _assert_verify_malformed(cert, doc, capsys)
 
 
+@pytest.mark.parametrize("entry", [2**40, -1, 10])
+def test_verify_out_of_range_permutation_entry_is_malformed(tmp_path, capsys, entry):
+    # 2**40 does not fit the int32 image rows; -1 and 10 break the bijection
+    cert, doc = _z_certificate(tmp_path)
+    doc["map"]["a"][0] = entry
+    _assert_verify_malformed(cert, doc, capsys)
+
+
 def test_verify_nan_unitary_entry_is_malformed(tmp_path, capsys):
     cert, doc = _z_certificate(tmp_path, unitary=True)
     doc["map"]["a"][0][0] = float("nan")
@@ -291,3 +307,69 @@ def test_list_documents_are_malformed(tmp_path, capsys):
                              "--radius", "1", "-o", tmp_path / "x.json"], capsys)
     _assert_malformed_input(["match-fraction", doc, "--family", "z", "--radius", "1"], capsys)
     _assert_malformed_input(["hall", doc], capsys)
+
+
+def test_to_unitary_over_the_rank_cap_exits_2(tmp_path, capsys):
+    cert = tmp_path / "z.json"
+    assert run(["certify", "--family", "z", "--folner", "300", "--radius", "1",
+                "-o", cert]) == 0
+    capsys.readouterr()
+    assert run(["to-unitary", cert, "-o", tmp_path / "zu.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rank 300 exceeds cap 256" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "zu.json").exists()
+
+
+def test_unitary_rank_over_the_cap_is_rejected_before_the_images(tmp_path, capsys):
+    cert, doc = _z_certificate(tmp_path, unitary=True)
+    doc["target"]["n"] = 257
+    with pytest.raises(ResourceCapError, match="rank 257"):
+        almosthom.certificate_from_json(doc)
+    with pytest.raises(MalformedCertificateError, match="66049 entries"):  # 257^2
+        almosthom.certificate_from_json(doc, ResourceLimits(rank_cap=257))
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", cert, "--eps", "1e-9", "--delta", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_certificate_pipeline_builds_no_per_element_objects(tmp_path, capsys):
+    built = {"Permutation": 0, "UnitaryMatrix": 0}
+
+    def counting(cls):
+        original = cls.__post_init__
+
+        def post_init(self):
+            built[cls.__name__] += 1
+            original(self)
+        return mock.patch.object(cls, "__post_init__", post_init)
+
+    cert, unitary, amplified = (tmp_path / f"{name}.json" for name in ("z", "zu", "za"))
+    with counting(Permutation), counting(UnitaryMatrix):
+        assert run(["certify", "--family", "z", "--folner", "8", "--radius", "2",
+                    "-o", cert]) == 0
+        assert run(["verify", cert, "--eps", "1e-9", "--delta", "1"]) == 0
+        assert run(["to-unitary", cert, "-o", unitary]) == 0
+        assert run(["verify", unitary, "--eps", "1e-9", "--delta", "1.4"]) == 0
+        assert run(["amplify", unitary, "--times", "1", "-o", amplified]) == 0
+        assert run(["verify", amplified, "--eps", "1e-9", "--delta", "1.4"]) == 0
+        assert run(["graph", cert, "-o", tmp_path / "g.json"]) == 0
+    assert built == {"Permutation": 0, "UnitaryMatrix": 0}
+    assert isinstance(almosthom.load_certificate(amplified).hom.images, np.ndarray)
+
+
+def test_rotation_certificate_is_exact_to_rounding(tmp_path, capsys):
+    # Z -> U(2), k -> rotation by 0.7 k: a homomorphism, so the defect is
+    # rounding only, which the trace formula's sqrt would blow up to ~1e-8
+    domain = ball(zpower_backend(1), 3)
+    angles = [0.7 * k for (k,) in domain.elements]
+    images = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in angles])
+    cert = almosthom.measured_certificate(almosthom.AlmostHom(domain, "unitary", 2, images))
+    assert cert.claimed_defect <= 1e-12
+    path = tmp_path / "rotation.json"
+    almosthom.save_certificate(cert, path)
+    capsys.readouterr()
+    assert run(["verify", path, "--eps", "1e-9", "--delta", "0.1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["defect"] <= 1e-12

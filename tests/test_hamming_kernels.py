@@ -1,4 +1,4 @@
-"""The stacked defect/separation kernels against the per-pair reference loops.
+"""The array defect/separation kernels against the per-pair reference loops.
 
 The references are the scans `defect_witness` / `separation_witness` ran
 before the kernels: the distance of each pair in the ball's product order
@@ -25,39 +25,51 @@ from soficlab.constructions import folner_to_sofic, sofic_to_hyperlinear
 from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance, random_unitary
 
 
+def as_permutations(hom: AlmostHom) -> list:
+    return [Permutation(tuple(row)) for row in hom.images.tolist()]
+
+
+def as_unitaries(hom: AlmostHom) -> list:
+    return [UnitaryMatrix(u) for u in hom.images]
+
+
 def reference_defect_witness(hom: AlmostHom):
+    images = as_permutations(hom)
     worst, witness = Fraction(0), None
     for (i, j), k in hom.domain.products.items():
-        d = hamming(hom.images[i] * hom.images[j], hom.images[k])
+        d = hamming(images[i] * images[j], images[k])
         if witness is None or d > worst:
             worst, witness = d, (i, j)
     return worst, witness
 
 
 def reference_separation_witness(hom: AlmostHom):
+    images = as_permutations(hom)
     best, witness = None, None
-    for i in range(len(hom.images)):
-        for j in range(i + 1, len(hom.images)):
-            d = hamming(hom.images[i], hom.images[j])
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            d = hamming(images[i], images[j])
             if best is None or d < best:
                 best, witness = d, (i, j)
     return best, witness
 
 
 def reference_unitary_defect_witness(hom: AlmostHom):
+    images = as_unitaries(hom)
     worst, witness = 0.0, None
     for (i, j), k in hom.domain.products.items():
-        d = hs_distance(hom.images[i] * hom.images[j], hom.images[k])
+        d = hs_distance(images[i] * images[j], images[k])
         if witness is None or d > worst:
             worst, witness = d, (i, j)
     return worst, witness
 
 
 def reference_unitary_separation_witness(hom: AlmostHom):
+    images = as_unitaries(hom)
     best, witness = None, None
-    for i in range(len(hom.images)):
-        for j in range(i + 1, len(hom.images)):
-            d = hs_distance(hom.images[i], hom.images[j])
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            d = hs_distance(images[i], images[j])
             if best is None or d < best:
                 best, witness = d, (i, j)
     return best, witness
@@ -77,9 +89,9 @@ def sym_homs(draw):
     backend = BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))]()
     domain = ball(backend, draw(st.integers(0, 2)))
     n = draw(st.integers(1, 5))
-    perm = st.permutations(range(n)).map(lambda p: Permutation(tuple(p)))
-    images = [Permutation.identity(n)] + [draw(perm) for _ in range(len(domain) - 1)]
-    return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=tuple(images))
+    perm = st.permutations(range(n))
+    images = [list(range(n))] + [draw(perm) for _ in range(len(domain) - 1)]
+    return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=np.array(images))
 
 
 def assert_matches_reference(hom: AlmostHom) -> None:
@@ -115,13 +127,13 @@ def test_ties_report_the_first_extremal_pair():
     # same 3-cycle c gives defect 1 at (a, a') and (a', a), and separation 0
     # only at (a, a'); the scan order picks (a, a') both times.
     domain = ball(zpower_backend(1), 1)
-    c = Permutation((1, 2, 0))
-    hom = AlmostHom(domain, "sym", 3, (Permutation.identity(3), c, c))
+    c = [1, 2, 0]
+    hom = AlmostHom(domain, "sym", 3, np.array([[0, 1, 2], c, c]))
     assert defect_witness(hom) == (Fraction(1), (1, 2))
     assert separation_witness(hom) == (Fraction(0), (1, 2))
     assert_matches_reference(hom)
     # all images equal: every pair ties at separation 0 and defect 0
-    flat = AlmostHom(domain, "sym", 3, (Permutation.identity(3),) * 3)
+    flat = AlmostHom(domain, "sym", 3, np.array([[0, 1, 2]] * 3))
     assert defect_witness(flat) == (Fraction(0), (0, 0))
     assert separation_witness(flat) == (Fraction(0), (0, 1))
 
@@ -129,7 +141,7 @@ def test_ties_report_the_first_extremal_pair():
 def test_singleton_ball():
     # identity * identity is always defined, so the defect witness is (0, 0);
     # separation needs two elements
-    hom = AlmostHom(ball(zpower_backend(1), 0), "sym", 4, (Permutation.identity(4),))
+    hom = AlmostHom(ball(zpower_backend(1), 0), "sym", 4, np.array([[0, 1, 2, 3]]))
     assert defect_witness(hom) == (Fraction(0), (0, 0))
     with pytest.raises(ValueError, match="at least 2 elements"):
         separation_witness(hom)
@@ -146,8 +158,8 @@ def unitary_homs(draw):
     domain = ball(backend, draw(st.integers(0, 2)))
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    images = [UnitaryMatrix.identity(n)] + [random_unitary(n, rng) for _ in range(len(domain) - 1)]
-    return AlmostHom(domain=domain, target_kind="unitary", target_n=n, images=tuple(images))
+    images = [np.eye(n)] + [random_unitary(n, rng).entries for _ in range(len(domain) - 1)]
+    return AlmostHom(domain=domain, target_kind="unitary", target_n=n, images=np.array(images))
 
 
 def assert_close_to_reference(got, want, distance_of) -> None:
@@ -164,7 +176,7 @@ def assert_close_to_reference(got, want, distance_of) -> None:
 @settings(max_examples=60, deadline=None)
 @given(unitary_homs(), st.sampled_from([1, 3, 1 << 18]))
 def test_unitary_kernels_match_reference_loop(hom, chunk):
-    images, products = hom.images, hom.domain.products
+    images, products = as_unitaries(hom), hom.domain.products
     with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
         assert_close_to_reference(
             defect_witness(hom), reference_unitary_defect_witness(hom),
@@ -203,12 +215,12 @@ def test_verify_checks_unitarity_once_per_image(tmp_path, capsys):
                  "-o", str(cert)]) == 0
     assert main(["to-unitary", str(cert), "-o", str(cert)]) == 0
     checks = []
-    post_init = UnitaryMatrix.__post_init__
+    check_unitary = almosthom.check_unitary
 
-    def counted(self):
-        checks.append(self)
-        post_init(self)
+    def counted(m, *args):
+        checks.append(m)
+        check_unitary(m, *args)
 
-    with mock.patch.object(UnitaryMatrix, "__post_init__", counted):
+    with mock.patch.object(almosthom, "check_unitary", counted):
         assert main(["verify", str(cert), "--eps", "1e-6", "--delta", "1"]) == 0
     assert len(checks) == len(ball(zpower_backend(1), 2)) == 5

@@ -11,7 +11,6 @@ from soficlab.metrics import (
     UnitaryMatrix,
     hamming,
     hs_distance,
-    hs_distance_direct,
     normalized_trace,
     perm_matrix,
     phase_aligned_hs,
@@ -20,6 +19,8 @@ from soficlab.metrics import (
     sinfty_demo,
     sinfty_transposition_distance,
 )
+
+from oracles import hs_distance_trace
 
 
 def perms(n):
@@ -116,7 +117,17 @@ def test_random_unitary_and_orthogonal():
 def test_hs_two_paths_agree(seed, n):
     rng = np.random.default_rng(seed)
     u, v = random_unitary(n, rng), random_unitary(n, rng)
-    assert abs(hs_distance(u, v) - hs_distance_direct(u, v)) < 1e-9
+    assert abs(hs_distance(u, v) - hs_distance_trace(u, v)) < 1e-9
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10_000), st.integers(1, 16))
+def test_hs_distance_of_equal_matrices_is_zero(seed, n):
+    # the trace formula's sqrt turns rounding of 2 - 2 Re tr~(u*u) ~ 1e-16
+    # into distances ~1e-8; the entrywise sum does not
+    u = random_unitary(n, np.random.default_rng(seed))
+    assert hs_distance(u, u) == 0.0
+    assert hs_distance(u, UnitaryMatrix(u.entries.copy())) == 0.0
 
 
 @settings(max_examples=25)
@@ -166,7 +177,7 @@ def test_normalized_trace_bounded():
 
 def test_rank_mismatch_rejected():
     u, v = UnitaryMatrix.identity(2), UnitaryMatrix.identity(3)
-    for f in (hs_distance, hs_distance_direct, phase_aligned_hs):
+    for f in (hs_distance, phase_aligned_hs):
         with pytest.raises(ValueError):
             f(u, v)
     with pytest.raises(ValueError):
