@@ -49,7 +49,6 @@ from .backends import (
     HeisenbergBackend,
     ZPowerBackend,
     backend_from_descriptor,
-    cyclic_backend,
     finite_backend_from_json,
     free_backend,
     heisenberg_backend,
@@ -67,7 +66,6 @@ from .constructions import (
     hyperlinear_certificate,
     lef_to_sofic,
     regular_representation,
-    sl2_finite_backend,
     sofic_to_hyperlinear,
 )
 from .errors import (

@@ -290,9 +290,3 @@ def backend_from_descriptor(desc: dict) -> GroupBackend:
     if kind == "finite":
         return finite_backend_from_json(desc)
     raise ValueError(f"unknown backend kind {kind!r}")
-
-
-def cyclic_backend(m: int) -> FiniteBackend:
-    """Z_m as an explicit table, generated by the class of 1."""
-    table = [[(i + j) % m for j in range(m)] for i in range(m)]
-    return FiniteBackend(table, 0, generators=[1] if m > 1 else None)

@@ -44,15 +44,6 @@ class BallTable:
                     table[(i, j)] = k
         return table
 
-    @cached_property
-    def inverses(self) -> tuple[int, ...]:
-        """Index of each element's inverse; balls are closed under inversion
-        since a word and its formal inverse have equal length."""
-        return tuple(self.index[self.backend.inverse(g)] for g in self.elements)
-
-    def contains(self, g: Canon) -> bool:
-        return g in self.index
-
 
 def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = None) -> BallTable:
     """Enumerate the radius-N ball around the identity.

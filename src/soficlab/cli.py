@@ -65,7 +65,7 @@ def _backend_for(args) -> GroupBackend:
     if family == "heisenberg":
         return heisenberg_backend()
     if family == "free":
-        return free_backend(getattr(args, "rank", 2) or 2)
+        return free_backend(args.rank)
     if family == "finite":
         if not getattr(args, "table", None):
             raise SoficlabError("--table required for the finite family")
@@ -105,6 +105,8 @@ def cmd_ball(args) -> int:
 def cmd_certify(args) -> int:
     limits = default_limits()
     if args.family == "free":
+        if args.rank != 2:
+            raise SoficlabError(f"--family free certifies rank 2 only, not --rank {args.rank}")
         cert = free_sofic_certificate(args.radius, limits)
     elif args.family == "finite":
         backend = _backend_for(args)
@@ -222,7 +224,7 @@ def cmd_hall(args) -> int:
 
 
 def cmd_paradox(args) -> int:
-    if args.spread:
+    if args.spread is not None:
         report = paradox_from_matching(args.radius, args.spread)
         _emit(
             {

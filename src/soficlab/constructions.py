@@ -16,7 +16,7 @@ from .config import ResourceLimits, default_limits
 from .errors import BackendMismatchError, ResourceCapError
 from .amenability import FolnerSet
 from .metrics import canonical_fill
-from .sl2 import lef_witness_free, mat_mul_mod, sl2_word_image
+from .sl2 import lef_witness_free, sl2_right_translations
 from .words import word_to_str
 
 
@@ -89,47 +89,28 @@ def lef_to_sofic(domain: BallTable, target: FiniteBackend,
                      images=regular_representation(target)[values])
 
 
-def sl2_elements(p: int) -> list:
-    """All of SL(2, Z_p) in lexicographic entry order; p(p^2 - 1) matrices."""
-    return [
-        ((a, b), (c, d))
-        for a in range(p) for b in range(p) for c in range(p) for d in range(p)
-        if (a * d - b * c) % p == 1
-    ]
-
-
-def sl2_finite_backend(p: int) -> FiniteBackend:
-    """SL(2, Z_p) as an explicit table of order p(p^2 - 1), with the mod-p
-    word-evaluation generators marked."""
-    elements = sl2_elements(p)
-    index = {m: i for i, m in enumerate(elements)}
-    m = len(elements)
-    table = [[index[mat_mul_mod(x, y, p)] for y in elements] for x in elements]
-    gen_a = index[sl2_word_image((1,), p)]
-    gen_b = index[sl2_word_image((2,), p)]
-    return FiniteBackend(table, index[((1 % p, 0), (0, 1 % p))],
-                         generators=[gen_a, gen_b], names=("A", "B"))
-
-
 def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) -> Certificate:
     """Exact sofic certificate for the rank-2 free group: evaluate ball words
     into SL(2, Z_p) for the least injective prime p, then act by right
-    translations.  Defect 0, separation 1."""
+    translations.  Raises ValueError unless the measured defect is 0 and the
+    separation 1, i.e. unless the images form a local monomorphism."""
     limits = limits or default_limits()
     p = lef_witness_free(radius, limits)
     order = p * (p * p - 1)
     if order > limits.ball_cap:
         raise ResourceCapError(f"|SL(2,Z_{p})| = {order} exceeds the cap")
     domain = ball(free_backend(2), radius, limits)
-    target = sl2_finite_backend(p)
-    matrix_index = {m: i for i, m in enumerate(sl2_elements(p))}
-    local_mono = {
-        i: matrix_index[sl2_word_image(w, p)] for i, w in enumerate(domain.words)
-    }
-    hom = lef_to_sofic(domain, target, local_mono)
-    return measured_certificate(
+    hom = AlmostHom(domain=domain, target_kind="sym", target_n=order,
+                    images=sl2_right_translations(p, domain.words))
+    cert = measured_certificate(
         hom, provenance=f"free_sofic: p={p} order={order} radius={radius}"
     )
+    if cert.claimed_defect != 0 or cert.claimed_separation != 1:
+        raise ValueError(
+            f"mod-{p} images are not a local monomorphism: defect "
+            f"{cert.claimed_defect:g}, separation {cert.claimed_separation:g}"
+        )
+    return cert
 
 
 def sofic_to_hyperlinear(hom: AlmostHom) -> AlmostHom:

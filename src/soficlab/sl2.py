@@ -5,6 +5,8 @@ these matrices generate a free subgroup of SL(2, Z), and reduction mod p
 yields injective local monomorphisms on word-metric balls for suitable p.
 """
 
+import numpy as np
+
 from .balls import ball
 from .backends import free_backend
 from .config import ResourceLimits, default_limits
@@ -64,6 +66,35 @@ def sl2_word_image(word: Word, p: int) -> Mat2:
 def sl2_images_injective(words: list[Word], p: int) -> bool:
     images = [sl2_word_image(w, p) for w in words]
     return len(set(images)) == len(images)
+
+
+def _sl2_codes(p: int) -> np.ndarray:
+    """Base-p codes ((a p + b) p + c) p + d of the matrices [[a, b], [c, d]]
+    of SL(2, Z_p), ascending, i.e. in lexicographic entry order."""
+    abc = np.arange(p**3)  # the code of (a, b, c)
+    a, b, c = np.unravel_index(abc, (p, p, p))
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    d = (1 + b * c) * inverse[a] % p  # the one solution of ad - bc = 1 when a != 0
+    free = (a == 0) & (b * c % p == p - 1)  # a = 0 needs bc = -1, and then any d
+    zero_a = (abc[free] * p)[:, None] + np.arange(p)
+    return np.concatenate([zero_a, abc[a != 0] * p + d[a != 0]], axis=None)  # both ascending
+
+
+def sl2_right_translations(p: int, words: list[Word]) -> np.ndarray:
+    """Right translations of SL(2, Z_p) by the mod-p images of rank-2 words:
+    an int32 (len(words), p(p^2 - 1)) array whose row k is the permutation
+    x -> index(x M_k), M_k the image of words[k], with the group indexed in
+    lexicographic entry order.  Positions are found by binary search on the
+    ascending codes, so no p^4 lookup array is built."""
+    codes = _sl2_codes(p)
+    top, bottom = np.divmod(codes, p * p)  # codes a p + b and c p + d of the two rows
+    a, b = np.divmod(np.arange(p * p), p)  # every row vector (a, b)
+    rows = np.empty((len(words), len(codes)), dtype=np.int32)
+    for k, word in enumerate(words):
+        (e, f), (g, h) = sl2_word_image(word, p)
+        moved = (a * e + b * g) % p * p + (a * f + b * h) % p  # code of (a, b) M_k
+        rows[k] = np.searchsorted(codes, moved[top] * p * p + moved[bottom])
+    return rows
 
 
 def lef_witness_free(radius: int, limits: ResourceLimits | None = None) -> int:

@@ -7,8 +7,11 @@ live with the tests rather than in the package.
 import numpy as np
 
 from soficlab.amplify import amplified_distance
+from soficlab.backends import FiniteBackend
+from soficlab.balls import BallTable
 from soficlab.matching import BipartiteGraph
 from soficlab.metrics import UnitaryMatrix
+from soficlab.sl2 import mat_mul_mod, sl2_word_image
 
 
 def predicted_amplified(d: float, times: int) -> float:
@@ -115,3 +118,43 @@ def max_flow_two_one(graph: BipartiteGraph):
             b = prev_b
             # prev_b now needs a new feeder, found one step up the tree
         value += 1
+
+
+def cyclic_backend(m: int) -> FiniteBackend:
+    """Z_m as an explicit table, generated by the class of 1."""
+    table = [[(i + j) % m for j in range(m)] for i in range(m)]
+    return FiniteBackend(table, 0, generators=[1] if m > 1 else None)
+
+
+def sl2_elements(p: int) -> list:
+    """All of SL(2, Z_p) in lexicographic entry order; p(p^2 - 1) matrices."""
+    return [
+        ((a, b), (c, d))
+        for a in range(p) for b in range(p) for c in range(p) for d in range(p)
+        if (a * d - b * c) % p == 1
+    ]
+
+
+# The library's earlier free-group target: SL(2, Z_p) as a full, validated
+# multiplication table, whose regular representation free_sofic_certificate
+# indexed before it computed right translations directly.
+def sl2_finite_backend(p: int) -> FiniteBackend:
+    """SL(2, Z_p) as an explicit table of order p(p^2 - 1), with the mod-p
+    word-evaluation generators marked."""
+    elements = sl2_elements(p)
+    index = {m: i for i, m in enumerate(elements)}
+    table = [[index[mat_mul_mod(x, y, p)] for y in elements] for x in elements]
+    gen_a = index[sl2_word_image((1,), p)]
+    gen_b = index[sl2_word_image((2,), p)]
+    return FiniteBackend(table, index[((1 % p, 0), (0, 1 % p))],
+                         generators=[gen_a, gen_b], names=("A", "B"))
+
+
+def ball_inverses(table: BallTable) -> tuple[int, ...]:
+    """Index of each element's inverse; balls are closed under inversion
+    since a word and its formal inverse have equal length."""
+    return tuple(table.index[table.backend.inverse(g)] for g in table.elements)
+
+
+def ball_contains(table: BallTable, g) -> bool:
+    return g in table.index

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from soficlab.backends import (
     FiniteBackend,
     backend_from_descriptor,
-    cyclic_backend,
     finite_backend_from_json,
     free_backend,
     heisenberg_backend,
     zpower_backend,
 )
 from soficlab.words import reduce_word, word_inverse
+
+from oracles import cyclic_backend
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=12).map(tuple)

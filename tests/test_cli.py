@@ -373,3 +373,22 @@ def test_rotation_certificate_is_exact_to_rounding(tmp_path, capsys):
     assert run(["verify", path, "--eps", "1e-9", "--delta", "0.1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_certify_free_refuses_other_ranks(tmp_path, capsys, rank):
+    cert = tmp_path / "free.json"
+    assert run(["certify", "--family", "free", "--rank", rank, "--radius", "1", "-o", cert]) == 2
+    assert "rank 2" in capsys.readouterr().err
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_ball_free_rank_below_one_exits_2(capsys, rank):
+    assert run(["ball", "--family", "free", "--rank", rank, "--radius", "2"]) == 2
+    assert "rank must be >= 1" in capsys.readouterr().err
+
+
+def test_paradox_spread_zero_exits_2(capsys):
+    assert run(["paradox", "--radius", "3", "--spread", "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err

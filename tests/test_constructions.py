@@ -1,11 +1,15 @@
+import hashlib
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from soficlab.almosthom import defect, separation, verify
+from soficlab.almosthom import defect, save_certificate, separation, verify
 from soficlab.amenability import folner_box
-from soficlab.backends import cyclic_backend, heisenberg_backend, zpower_backend
+from soficlab.backends import heisenberg_backend, zpower_backend
 from soficlab.balls import ball
+from soficlab.cli import main
 from soficlab.constructions import (
     ApproximationSequence,
     amplify_certificate,
@@ -16,14 +20,13 @@ from soficlab.constructions import (
     hyperlinear_certificate,
     lef_to_sofic,
     regular_representation,
-    sl2_elements,
-    sl2_finite_backend,
     sofic_to_hyperlinear,
 )
 from soficlab.errors import BackendMismatchError, ResourceCapError
 from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance
+from soficlab.sl2 import sl2_word_image
 
-from oracles import predicted_amplified
+from oracles import cyclic_backend, predicted_amplified, sl2_elements, sl2_finite_backend
 
 
 def test_regular_representation_is_injective_homomorphism():
@@ -118,6 +121,46 @@ def test_free_sofic_certificate_radius_2():
     assert cert.hom.target_n == 120  # |SL(2, Z_5)|
     assert defect(cert.hom) == 0
     assert separation(cert.hom) == 1
+
+
+# sha256 of save_certificate(free_sofic_certificate(r)), as written when the
+# certificate indexed the regular representation of a full SL(2, Z_p) table
+FREE_CERTIFICATE_SHA256 = {
+    1: "6837f0170a32650792578dc22b883b04652582d3c14d0e89d8fc6b73b3ca5bb1",
+    2: "d3fff13c17316b92373d6622bea5b1e95536fb7f8af3079212255333547041b7",
+    3: "078a8a21000432091c0722a31b046d351c87ed899ee41656d922afda14b1889e",
+    4: "973e80c41c7d73394741d1285d211334b0e4a9f4974e9cc9d64a02bb9374368d",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(FREE_CERTIFICATE_SHA256))
+def test_free_sofic_certificate_bytes_are_stable(tmp_path, radius):
+    path = tmp_path / "free.json"
+    save_certificate(free_sofic_certificate(radius), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FREE_CERTIFICATE_SHA256[radius]
+
+
+@pytest.mark.parametrize("radius, p", [(1, 3), (2, 5)])
+def test_free_sofic_certificate_equals_the_table_route(radius, p):
+    cert = free_sofic_certificate(radius)
+    domain = cert.hom.domain
+    index = {m: i for i, m in enumerate(sl2_elements(p))}
+    local_mono = {i: index[sl2_word_image(w, p)] for i, w in enumerate(domain.words)}
+    reference = lef_to_sofic(domain, sl2_finite_backend(p), local_mono)
+    assert np.array_equal(cert.hom.images, reference.images)
+
+
+def test_free_sofic_certificate_refuses_a_non_injective_prime():
+    # mod 3 identifies two words of the radius-2 ball: defect 0, separation 0
+    with mock.patch("soficlab.constructions.lef_witness_free", return_value=3):
+        with pytest.raises(ValueError, match="not a local monomorphism"):
+            free_sofic_certificate(2)
+
+
+def test_certify_free_radius_3_verifies(tmp_path):
+    cert = tmp_path / "free_r3.json"
+    assert main(["certify", "--family", "free", "--radius", "3", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "--eps", "1e-9", "--delta", "1"]) == 0
 
 
 def test_sofic_to_hyperlinear_distance_transform():

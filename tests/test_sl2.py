@@ -12,8 +12,11 @@ from soficlab.sl2 import (
     lef_witness_free,
     mat_mul_mod,
     sl2_images_injective,
+    sl2_right_translations,
     sl2_word_image,
 )
+
+from oracles import sl2_elements
 
 _LETTER_NP = {
     1: np.array([[1, 2], [0, 1]], dtype=object),
@@ -76,3 +79,15 @@ def test_lef_witnesses():
 def test_lef_witness_respects_prime_ceiling():
     with pytest.raises(ResourceCapError):
         lef_witness_free(2, ResourceLimits(prime_ceiling=3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_right_translations_multiply_on_the_right(p):
+    elements = sl2_elements(p)
+    index = {m: i for i, m in enumerate(elements)}
+    words = list(ball(free_backend(2), 2).words) + [(1, 2, -1, -2, 1, 1, 1)]
+    rows = sl2_right_translations(p, words)
+    assert rows.dtype == np.int32 and rows.shape == (len(words), p * (p * p - 1))
+    for word, row in zip(words, rows.tolist()):
+        m = np_word_image(word, p)
+        assert row == [index[mat_mul_mod(x, m, p)] for x in elements]
