@@ -1,39 +1,147 @@
 """Folner sets, Reiter vectors, and the rank-2 free group's paradoxical
 decomposition at ball scale."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .backends import Canon, GroupBackend, HeisenbergBackend, ZPowerBackend, free_backend
 from .balls import ball
-from .config import ResourceLimits
+from .config import ResourceLimits, default_limits
+from .errors import ResourceCapError
 from .words import Word, is_reduced
+
+
+# Points and translations stay within (-2^31, 2^31), so every translated
+# coordinate, c + c' + b a' at most, fits in int64 without wrapping.
+_COORD_BOUND = 2**31
 
 
 @dataclass(frozen=True, eq=False)
 class FolnerSet:
-    """A finite candidate Folner set, stored in canonical sorted order."""
+    """A finite candidate Folner set over Z^d or the Heisenberg group, stored
+    as one int64 array of shape (n, d): its distinct points in lexicographic
+    order.  `coords` may be given as any array-like of canonical forms."""
 
     backend: GroupBackend
-    elements: tuple
+    coords: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.elements:
+        if isinstance(self.backend, ZPowerBackend):
+            dim = self.backend.dim
+        elif isinstance(self.backend, HeisenbergBackend):
+            dim = 3
+        else:
+            raise ValueError(f"no Folner sets for backend kind {self.backend.kind!r}")
+        points = np.asarray(self.coords)
+        if not points.size:
             raise ValueError("Folner set must be nonempty")
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+        if points.shape[1:] != (dim,):
+            raise ValueError(f"Folner set points must be {dim}-tuples")
+        points = _int_coords(points, "Folner set coordinates")
+        points = points[np.lexsort(points.T[::-1])]
+        distinct = np.ones(len(points), dtype=bool)
+        distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
+        points = points[distinct]
+        points.setflags(write=False)
+        object.__setattr__(self, "coords", points)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.coords)
+
+    @property
+    def elements(self) -> tuple:
+        """The points as canonical-form tuples, in order; built on each call."""
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
+    def _levels(self) -> list:
+        """Per column: its distinct values, and the distinct codes of the
+        points' prefixes up to that column, where a prefix code is the rank
+        of the previous prefix times the number of values plus the rank of
+        the value.  Codes stay below n^2, and since the points are sorted,
+        so are their prefix codes."""
+        code = np.zeros(len(self), dtype=np.int64)
+        levels = []
+        for column in self.coords.T:
+            values = _distinct(np.sort(column))
+            code = code * len(values) + np.searchsorted(values, column)
+            prefixes = _distinct(code)
+            code = np.searchsorted(prefixes, code)
+            levels.append((values, prefixes))
+        return levels
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Index into `coords` of each row of an (m, d) int64 array, or -1
+        where the row is not a point of the set: a row misses as soon as one
+        of its values or prefixes is absent."""
+        hit = np.ones(len(rows), dtype=bool)
+        code = np.zeros(len(rows), dtype=np.int64)
+        for column, (values, prefixes) in zip(rows.T, self._levels):
+            code = _find(prefixes, code * len(values) + _find(values, column, hit), hit)
+        return np.where(hit, code, -1)
+
+    def _shift(self, g: Canon) -> np.ndarray:
+        shift = np.asarray(g)
+        if shift.shape != self.coords.shape[1:]:
+            raise ValueError(f"translation {g!r} is not a {self.backend.kind} element")
+        return _int_coords(shift, "translation coordinates")
+
+    def left_translate(self, g: Canon) -> np.ndarray:
+        """The points g x as an (n, d) array, in the order of `coords`."""
+        shift = self._shift(g)
+        moved = self.coords + shift
+        if isinstance(self.backend, HeisenbergBackend):  # c' + c + b' a
+            moved[:, 2] += shift[1] * self.coords[:, 0]
+        return moved
+
+    def right_translate(self, g: Canon) -> np.ndarray:
+        """The points x g as an (n, d) array, in the order of `coords`."""
+        shift = self._shift(g)
+        moved = self.coords + shift
+        if isinstance(self.backend, HeisenbergBackend):  # c + c' + b a'
+            moved[:, 2] += self.coords[:, 1] * shift[0]
+        return moved
+
+
+def _int_coords(values: np.ndarray, what: str) -> np.ndarray:
+    if (values.dtype.kind not in "iu" or values.min() <= -_COORD_BOUND
+            or values.max() >= _COORD_BOUND):
+        raise ValueError(f"{what} must be integers in (-2^31, 2^31)")
+    return values.astype(np.int64)
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    keep = np.ones(len(ascending), dtype=bool)
+    keep[1:] = ascending[1:] != ascending[:-1]
+    return ascending[keep]
+
+
+def _find(table: np.ndarray, keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Rank of each key in the sorted array `table`, clearing `hit` where the
+    key is absent.  Every rank is below len(table), so codes built from
+    ranks stay small whether or not the row was missed."""
+    rank = np.searchsorted(table, keys)
+    rank[rank == len(table)] = 0
+    hit &= table[rank] == keys
+    return rank
+
+
+def _overlap(phi: FolnerSet, g: Canon) -> int:
+    """|g phi intersect phi|: the points x with g x in phi."""
+    return int(np.count_nonzero(phi.positions(phi.left_translate(g)) >= 0))
 
 
 def folner_defect(phi: FolnerSet, test_set: list[Canon]) -> Fraction:
-    """max over g in the test set of |g phi symdiff phi| / |phi|, exact."""
-    base = set(phi.elements)
-    worst = Fraction(0)
-    for g in test_set:
-        shifted = {phi.backend.multiply(g, x) for x in phi.elements}
-        worst = max(worst, Fraction(len(shifted ^ base), len(base)))
-    return worst
+    """max over g in the test set of |g phi symdiff phi| / |phi|, exact.
+    Translation is injective, so the symmetric difference has
+    2 (|phi| - |g phi intersect phi|) points."""
+    n = len(phi)
+    return max((Fraction(2 * (n - _overlap(phi, g)), n) for g in test_set),
+               default=Fraction(0))
 
 
 def generator_folner_defect(phi: FolnerSet) -> Fraction:
@@ -42,26 +150,26 @@ def generator_folner_defect(phi: FolnerSet) -> Fraction:
     return folner_defect(phi, [b.letter(s) for s in b.alphabet.signed_letters()])
 
 
-def folner_box(backend: GroupBackend, side: int) -> FolnerSet:
+def folner_box(backend: GroupBackend, side: int,
+               limits: ResourceLimits | None = None) -> FolnerSet:
     """Standard box witnesses: [0, L)^d for Z^d; a, b in [0, L) and
     c in [0, L^2) for the Heisenberg group.  Free and finite backends are
-    rejected (finite groups use the whole group as their Folner set)."""
+    rejected (finite groups use the whole group as their Folner set).  A box
+    of more than limits.ball_cap points raises ResourceCapError before
+    anything is allocated."""
     if side < 1:
         raise ValueError("side must be >= 1")
     if isinstance(backend, ZPowerBackend):
-        elems = [()]
-        for _ in range(backend.dim):
-            elems = [prefix + (v,) for prefix in elems for v in range(side)]
-        return FolnerSet(backend, tuple(elems))
-    if isinstance(backend, HeisenbergBackend):
-        elems = [
-            (a, b, c)
-            for a in range(side)
-            for b in range(side)
-            for c in range(side * side)
-        ]
-        return FolnerSet(backend, tuple(elems))
-    raise ValueError(f"no box construction for backend kind {backend.kind!r}")
+        shape = (side,) * backend.dim
+    elif isinstance(backend, HeisenbergBackend):
+        shape = (side, side, side * side)
+    else:
+        raise ValueError(f"no box construction for backend kind {backend.kind!r}")
+    cap = (limits or default_limits()).ball_cap
+    size = math.prod(shape)
+    if size > cap:
+        raise ResourceCapError(f"Folner box of {size} points exceeds cap of {cap} elements")
+    return FolnerSet(backend, np.indices(shape).reshape(len(shape), -1).T)
 
 
 def reiter_norm(phi: FolnerSet, g: Canon) -> Fraction:
@@ -69,10 +177,8 @@ def reiter_norm(phi: FolnerSet, g: Canon) -> Fraction:
     ((g)f)(x) = f(g^-1 x).  Both take the value 1/|phi| on their supports,
     so the norm is 1/|phi| times the number of points of the union support
     where exactly one is nonzero; equals folner_defect(phi, [g]) identically."""
-    support = set(phi.elements)
-    shifted = {phi.backend.multiply(g, x) for x in phi.elements}
-    differ = sum((x in support) != (x in shifted) for x in support | shifted)
-    return Fraction(differ, len(support))
+    n = len(phi)
+    return Fraction(2 * (n - _overlap(phi, g)), n)
 
 
 PARADOX_PIECES = ("E", "WA", "WAinv", "WB", "WBinv")
@@ -148,10 +254,10 @@ def ball_expansion(backend: GroupBackend, radius: int,
     For free groups this stays bounded away from 0 as N grows; for Z^d it
     decays to 0, the amenable contrast case."""
     table = ball(backend, radius, limits)
-    phi = FolnerSet(backend, table.elements)
+    n, index = len(table), table.index
     return min(
-        folner_defect(phi, [backend.letter(s)])
-        for s in backend.alphabet.signed_letters()
+        Fraction(2 * (n - sum(backend.multiply(g, x) in index for x in table.elements)), n)
+        for g in map(backend.letter, backend.alphabet.signed_letters())
     )
 
 

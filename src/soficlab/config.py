@@ -17,7 +17,8 @@ DEFAULT_ITERATION_CAP = 200
 class ResourceLimits:
     """Hard caps on the size of constructed objects.
 
-    ball_cap: maximum number of elements in an enumerated word-metric ball.
+    ball_cap: maximum number of elements in an enumerated word-metric ball,
+        and of points in a Folner box (checked before the box is built).
     rank_cap: maximum rank of a unitary matrix (amplification grows rank fast).
     prime_ceiling: largest prime scanned when searching for mod-p witnesses.
     iteration_cap: maximum number of amplification iterations per request.

@@ -31,7 +31,6 @@ from .errors import (
     json_ints,
 )
 from .metrics import canonical_fill
-from .words import Word
 
 
 @dataclass(eq=False)
@@ -157,16 +156,23 @@ def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
     return ColoredGraph(vertex_count=hom.target_n, colors=colors, successors=successors)
 
 
-def _traverse(graph: ColoredGraph, preds: dict[str, tuple[int | None, ...]],
-              start: int, word: Word) -> int | None:
-    v = start
-    for s in word:
-        color = graph.colors[abs(s) - 1]
-        step = graph.successors[color][v] if s > 0 else preds[color][v]
-        if step is None:
-            return None
-        v = step
-    return v
+# landing entries (words x vertices) held at once by local_match_fraction
+_MATCH_CHUNK = 1 << 16
+
+
+def _steps(graph: ColoredGraph) -> dict[int, np.ndarray]:
+    """Per signed letter, the vertex each vertex moves to (inverse colours
+    go to the least predecessor), -1 where undefined, followed by one more
+    -1 so that stepping from -1 stays at -1."""
+    steps = {}
+    for v, color in enumerate(graph.colors, 1):
+        succ = np.array([-1 if k is None else k for k in graph.successors[color]] + [-1])
+        sources = np.flatnonzero(succ >= 0)
+        targets, first = np.unique(succ[sources], return_index=True)
+        pred = np.full_like(succ, -1)
+        pred[targets] = sources[first]
+        steps[v], steps[-v] = succ, pred
+    return steps
 
 
 def local_match_fraction(graph: ColoredGraph, radius: int,
@@ -179,6 +185,10 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
     A vertex matches iff every reduced word of length <= N can be followed
     from it (inverse colours traverse edges backward) and two words land on
     the same vertex exactly when they are equal as reference elements.
+    Words are followed from all vertices at once, in the free ball's order,
+    each one letter on from its parent word.  A failing vertex reports its
+    first word that is undefined or lands apart from an earlier word for the
+    same element, or else a collision of distinct elements.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -187,31 +197,39 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
         raise BackendMismatchError("graph colours do not match the reference alphabet")
     if reference.radius != radius:
         raise ValueError("reference ball radius must equal the requested radius")
-    free_words = ball(free_backend(backend.rank), radius, limits).elements
-    targets = [backend.normal_form(w) for w in free_words]
-    preds = {c: graph.predecessors(c) for c in graph.colors}
+    free = ball(free_backend(backend.rank), radius, limits)
+    words = free.elements
+    parents = [free.index[w[:-1]] for w in words[1:]]
+    first_of: dict = {}  # element -> its first word
+    first = np.array([first_of.setdefault(backend.normal_form(w), k)
+                      for k, w in enumerate(words)])
+    met = first != np.arange(len(words))  # words for an element met before
+    repeats, distinct = np.flatnonzero(met), np.flatnonzero(~met)
+    steps = _steps(graph)
     matched = 0
     failures: list[tuple[int, str]] = []
-    for m in range(graph.vertex_count):
-        landing: dict = {}
-        reason = None
-        for w, elem in zip(free_words, targets):
-            v = _traverse(graph, preds, m, w)
-            if v is None:
-                reason = f"undefined traversal for word {w}"
-                break
-            if elem in landing:
-                if landing[elem] != v:
-                    reason = f"equal elements separate at word {w}"
-                    break
+    chunk = max(1, _MATCH_CHUNK // len(words))
+    for lo in range(0, graph.vertex_count, chunk):
+        landing = np.empty((len(words), min(chunk, graph.vertex_count - lo)), dtype=np.intp)
+        landing[0] = np.arange(lo, lo + landing.shape[1])
+        for k, (w, parent) in enumerate(zip(words[1:], parents), 1):
+            landing[k] = steps[w[-1]][landing[parent]]
+        bad = landing < 0
+        bad[repeats] |= landing[repeats] != landing[first[repeats]]
+        first_bad = bad.argmax(axis=0)
+        ends = landing[distinct]
+        ends.sort(axis=0)
+        failed = bad.any(axis=0) | (ends[1:] == ends[:-1]).any(axis=0)
+        matched += int(np.count_nonzero(~failed))
+        for m in np.flatnonzero(failed)[:max(0, max_failures - len(failures))].tolist():
+            k = first_bad[m]
+            if not bad[k, m]:
+                reason = "distinct elements collide"
+            elif landing[k, m] < 0:
+                reason = f"undefined traversal for word {words[k]}"
             else:
-                landing[elem] = v
-        if reason is None and len(set(landing.values())) != len(landing):
-            reason = "distinct elements collide"
-        if reason is None:
-            matched += 1
-        elif len(failures) < max_failures:
-            failures.append((m, reason))
+                reason = f"equal elements separate at word {words[k]}"
+            failures.append((lo + m, reason))
     return LocalMatchReport(
         radius=radius,
         matched_count=matched,

@@ -54,15 +54,22 @@ class Permutation:
 
 def canonical_fill(partial) -> np.ndarray:
     """Extend a partial injection of {0, ..., n-1}, given as a length-n
-    sequence with None where it is undefined, to a permutation row: the
-    undefined points, in increasing order, take the unused values in
-    increasing order."""
-    defined = [v for v in partial if v is not None]
-    used = set(defined)
-    if len(used) != len(defined):
+    sequence with None where it is undefined (or an integer array with -1
+    there), to a permutation row: the undefined points, in increasing order,
+    take the unused values in increasing order."""
+    if isinstance(partial, np.ndarray):
+        row = partial.astype(np.int64)
+    else:
+        row = np.array([-1 if v is None else v for v in partial], dtype=np.int64)
+    n = len(row)
+    undefined = row < 0
+    counts = np.bincount(row[~undefined], minlength=n)
+    if counts.max(initial=0) > 1:
         raise ValueError("partial map is not injective")
-    free = iter(v for v in range(len(partial)) if v not in used)
-    return np.array([next(free) if v is None else v for v in partial])
+    if len(counts) > n:
+        raise ValueError("partial map leaves {0, ..., n-1}")
+    row[undefined] = np.flatnonzero(counts == 0)
+    return row
 
 
 def hamming(s: Permutation, t: Permutation) -> Fraction:

@@ -4,11 +4,18 @@ They are exhaustive or closed-form and only meant for small inputs, so they
 live with the tests rather than in the package.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
+from soficlab.almosthom import AlmostHom
+from soficlab.amenability import FolnerSet
 from soficlab.amplify import amplified_distance
-from soficlab.backends import FiniteBackend
-from soficlab.balls import BallTable
+from soficlab.backends import FiniteBackend, free_backend
+from soficlab.balls import BallTable, ball
+from soficlab.config import ResourceLimits
+from soficlab.errors import BackendMismatchError
+from soficlab.graphs import ColoredGraph, LocalMatchReport
 from soficlab.matching import BipartiteGraph
 from soficlab.metrics import UnitaryMatrix
 from soficlab.sl2 import mat_mul_mod, sl2_word_image
@@ -158,3 +165,124 @@ def ball_inverses(table: BallTable) -> tuple[int, ...]:
 
 def ball_contains(table: BallTable, g) -> bool:
     return g in table.index
+
+
+# The library's earlier Folner route: one canonical-form tuple per point, a
+# backend multiplication per point and translation, and set algebra.  The
+# array route in soficlab.amenability, soficlab.constructions and
+# soficlab.graphs must reproduce it exactly.
+def folner_defect(phi: FolnerSet, test_set: list) -> Fraction:
+    """max over g in the test set of |g phi symdiff phi| / |phi|, exact."""
+    base = set(phi.elements)
+    worst = Fraction(0)
+    for g in test_set:
+        shifted = {phi.backend.multiply(g, x) for x in phi.elements}
+        worst = max(worst, Fraction(len(shifted ^ base), len(base)))
+    return worst
+
+
+def reiter_norm(phi: FolnerSet, g) -> Fraction:
+    """l1 distance ||f - (g)f||_1 for f = indicator(phi)/|phi|, where
+    ((g)f)(x) = f(g^-1 x).  Both take the value 1/|phi| on their supports,
+    so the norm is 1/|phi| times the number of points of the union support
+    where exactly one is nonzero; equals folner_defect(phi, [g]) identically."""
+    support = set(phi.elements)
+    shifted = {phi.backend.multiply(g, x) for x in phi.elements}
+    differ = sum((x in support) != (x in shifted) for x in support | shifted)
+    return Fraction(differ, len(support))
+
+
+def canonical_fill(partial) -> np.ndarray:
+    """Extend a partial injection of {0, ..., n-1}, given as a length-n
+    sequence with None where it is undefined, to a permutation row: the
+    undefined points, in increasing order, take the unused values in
+    increasing order."""
+    defined = [v for v in partial if v is not None]
+    used = set(defined)
+    if len(used) != len(defined):
+        raise ValueError("partial map is not injective")
+    free = iter(v for v in range(len(partial)) if v not in used)
+    return np.array([next(free) if v is None else v for v in partial])
+
+
+def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
+    """Extend, for each ball element g, the partial right-translation
+    x -> x*g on phi to a self-bijection of phi.
+
+    Unmatched domain points are paired with unmatched codomain points in
+    canonical element order.  For Z intervals this fill reconstitutes exact
+    cyclic shifts, so those certificates have defect 0; in higher rank the
+    fill is still deterministic but boundary wrapping is inexact, leaving a
+    defect on the order of the box's surface-to-volume ratio.
+    """
+    if domain.backend != phi.backend:
+        raise BackendMismatchError("ball and Folner set use different backends")
+    backend = phi.backend
+    n = len(phi.elements)
+    position = {x: i for i, x in enumerate(phi.elements)}
+    images = np.empty((len(domain), n), dtype=np.int32)
+    for k, g in enumerate(domain.elements):
+        images[k] = canonical_fill([position.get(backend.multiply(x, g)) for x in phi.elements])
+    return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=images)
+
+
+def _traverse(graph: ColoredGraph, preds: dict, start: int, word):
+    v = start
+    for s in word:
+        color = graph.colors[abs(s) - 1]
+        step = graph.successors[color][v] if s > 0 else preds[color][v]
+        if step is None:
+            return None
+        v = step
+    return v
+
+
+def local_match_fraction(graph: ColoredGraph, radius: int,
+                         reference: BallTable,
+                         limits: ResourceLimits | None = None,
+                         max_failures: int = 10) -> LocalMatchReport:
+    """Fraction of vertices whose N-ball is colour-isomorphic to the
+    reference Cayley ball.
+
+    A vertex matches iff every reduced word of length <= N can be followed
+    from it (inverse colours traverse edges backward) and two words land on
+    the same vertex exactly when they are equal as reference elements.
+    """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    backend = reference.backend
+    if tuple(backend.alphabet.names) != tuple(graph.colors):
+        raise BackendMismatchError("graph colours do not match the reference alphabet")
+    if reference.radius != radius:
+        raise ValueError("reference ball radius must equal the requested radius")
+    free_words = ball(free_backend(backend.rank), radius, limits).elements
+    targets = [backend.normal_form(w) for w in free_words]
+    preds = {c: graph.predecessors(c) for c in graph.colors}
+    matched = 0
+    failures: list[tuple[int, str]] = []
+    for m in range(graph.vertex_count):
+        landing: dict = {}
+        reason = None
+        for w, elem in zip(free_words, targets):
+            v = _traverse(graph, preds, m, w)
+            if v is None:
+                reason = f"undefined traversal for word {w}"
+                break
+            if elem in landing:
+                if landing[elem] != v:
+                    reason = f"equal elements separate at word {w}"
+                    break
+            else:
+                landing[elem] = v
+        if reason is None and len(set(landing.values())) != len(landing):
+            reason = "distinct elements collide"
+        if reason is None:
+            matched += 1
+        elif len(failures) < max_failures:
+            failures.append((m, reason))
+    return LocalMatchReport(
+        radius=radius,
+        matched_count=matched,
+        total_count=graph.vertex_count,
+        sample_failures=tuple(failures),
+    )

@@ -321,6 +321,20 @@ def test_to_unitary_over_the_rank_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "zu.json").exists()
 
 
+def test_folner_boxes_over_the_ball_cap_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOFICLAB_BALL_CAP", "5000")
+    cert = tmp_path / "z.json"
+    for argv, size in ((["folner", "--family", "heisenberg", "-L", "100000"], 10**20),
+                       (["certify", "--family", "z", "--folner", "1000000000",
+                         "--radius", "1", "-o", cert], 10**9)):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{size} points exceeds cap of 5000" in err
+        assert "Traceback" not in err
+    assert not cert.exists()
+    assert run(["folner", "--family", "z2", "-L", "70"]) == 0  # 4900 points
+
+
 def test_unitary_rank_over_the_cap_is_rejected_before_the_images(tmp_path, capsys):
     cert, doc = _z_certificate(tmp_path, unitary=True)
     doc["target"]["n"] = 257

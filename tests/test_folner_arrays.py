@@ -1,0 +1,223 @@
+"""The array Folner route against the set-based reference route it replaced:
+Folner defects, Reiter norms, Folner certificates, canonical fills and local
+match reports must be equal, not merely close."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from soficlab.amenability import (
+    FolnerSet,
+    folner_box,
+    folner_defect,
+    generator_folner_defect,
+    reiter_norm,
+)
+from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
+from soficlab.balls import ball
+from soficlab.config import ResourceLimits
+from soficlab.constructions import folner_to_sofic
+from soficlab.errors import ResourceCapError
+from soficlab.graphs import ColoredGraph, local_match_fraction
+from soficlab.metrics import canonical_fill
+
+BACKENDS = {
+    "z": zpower_backend(1),
+    "z2": zpower_backend(2),
+    "z3": zpower_backend(3),
+    "heisenberg": heisenberg_backend(),
+}
+
+
+def _dim(backend) -> int:
+    return 3 if backend.kind == "heisenberg" else backend.dim
+
+
+@st.composite
+def folner_sets(draw):
+    """A backend, a point list with negative coordinates and repeats (down to
+    one point), and translations reaching up to 12 past the bounding box."""
+    backend = BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))]
+    d = _dim(backend)
+    point = st.tuples(*[st.integers(-4, 4)] * d)
+    points = draw(st.lists(point, min_size=1, max_size=25))
+    points += draw(st.lists(st.sampled_from(points), max_size=5))  # repeats
+    shifts = draw(st.lists(st.tuples(*[st.integers(-16, 16)] * d), min_size=1, max_size=4))
+    return FolnerSet(backend, points), shifts
+
+
+@settings(max_examples=300, deadline=None)
+@given(folner_sets())
+def test_folner_defect_and_reiter_equal_the_set_route(case):
+    phi, shifts = case
+    assert folner_defect(phi, shifts) == oracles.folner_defect(phi, shifts)
+    for g in shifts:
+        assert reiter_norm(phi, g) == oracles.reiter_norm(phi, g)
+    assert generator_folner_defect(phi) == oracles.folner_defect(
+        phi, [phi.backend.letter(s) for s in phi.backend.alphabet.signed_letters()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(folner_sets(), st.integers(1, 2))
+def test_folner_to_sofic_equals_the_set_route(case, radius):
+    phi, _ = case
+    domain = ball(phi.backend, radius)
+    assert np.array_equal(folner_to_sofic(domain, phi).images,
+                          oracles.folner_to_sofic(domain, phi).images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(folner_sets())
+def test_positions_index_the_sorted_distinct_points(case):
+    phi, shifts = case
+    elements = phi.elements
+    assert list(elements) == sorted(set(elements))
+    position = {x: i for i, x in enumerate(elements)}
+    for g in shifts:
+        for translate, mul in ((phi.left_translate, lambda x: phi.backend.multiply(g, x)),
+                               (phi.right_translate, lambda x: phi.backend.multiply(x, g))):
+            expected = [position.get(mul(x), -1) for x in elements]
+            assert phi.positions(translate(g)).tolist() == expected
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_box_defects_equal_the_set_route(name):
+    phi = folner_box(BACKENDS[name], 3)
+    b = phi.backend
+    letters = [b.letter(s) for s in b.alphabet.signed_letters()]
+    assert folner_defect(phi, letters) == oracles.folner_defect(phi, letters)
+    domain = ball(b, 2)
+    assert np.array_equal(folner_to_sofic(domain, phi).images,
+                          oracles.folner_to_sofic(domain, phi).images)
+
+
+def test_heisenberg_box_defect_value():
+    phi = folner_box(heisenberg_backend(), 16)
+    assert len(phi) == 16**4
+    assert generator_folner_defect(phi) == Fraction(737, 4096)
+
+
+def test_folner_set_rejects_what_int64_cannot_hold_exactly():
+    b = heisenberg_backend()
+    for points in ([(2**31, 0, 0)], [(0, 0, -2**31)], [(2**70, 0, 0)], [(0.5, 0, 0)],
+                   [(0, 0)], []):
+        with pytest.raises(ValueError):
+            FolnerSet(b, points)
+    phi = FolnerSet(b, [(0, 0, 0)])
+    for g in ((2**31, 0, 0), (0.5, 0, 0), (1, 0)):
+        with pytest.raises(ValueError):
+            folner_defect(phi, [g])
+    with pytest.raises(ValueError):
+        FolnerSet(free_backend(2), [(1,)])
+
+
+def test_folner_box_over_the_ball_cap_allocates_nothing():
+    limits = ResourceLimits(ball_cap=1000)
+    assert len(folner_box(zpower_backend(1), 1000, limits)) == 1000
+    with pytest.raises(ResourceCapError, match="1001 points"):
+        folner_box(zpower_backend(1), 1001, limits)
+    with pytest.raises(ResourceCapError, match=str(10**20)):
+        folner_box(heisenberg_backend(), 10**5, limits)
+
+
+@st.composite
+def partial_rows(draw):
+    """A partial injection of {0..n-1} with None holes, or occasionally a
+    repeated value."""
+    n = draw(st.integers(1, 12))
+    row = list(draw(st.permutations(range(n))))
+    holes = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    for i in holes:
+        row[i] = None
+    if n > 1 and draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        row[j] = row[i] if row[i] is not None else 0
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_rows())
+def test_canonical_fill_equals_the_reference(row):
+    try:
+        expected = oracles.canonical_fill(row)
+    except ValueError:
+        with pytest.raises(ValueError, match="not injective"):
+            canonical_fill(row)
+        return
+    assert canonical_fill(row).tolist() == expected.tolist()
+    as_array = np.array([-1 if v is None else v for v in row])
+    assert canonical_fill(as_array).tolist() == expected.tolist()
+
+
+REFERENCES = {
+    "z": zpower_backend(1),
+    "z2": zpower_backend(2),
+    "heisenberg": heisenberg_backend(),
+    "free": free_backend(2),
+}
+
+
+@st.composite
+def partial_graphs(draw):
+    """A reference backend and a coloured graph on its alphabet whose
+    successor maps may be partial (None) and need not be injective."""
+    backend = REFERENCES[draw(st.sampled_from(sorted(REFERENCES)))]
+    n = draw(st.integers(1, 14))
+    succ = st.one_of(st.none(), st.integers(0, n - 1))
+    total = draw(st.booleans())
+    successors = {}
+    for color in backend.alphabet.names:
+        if total:
+            successors[color] = tuple(draw(st.permutations(range(n))))
+        else:
+            successors[color] = tuple(draw(st.lists(succ, min_size=n, max_size=n)))
+    return backend, ColoredGraph(n, tuple(backend.alphabet.names), successors)
+
+
+def _assert_same_report(graph, radius, reference, max_failures):
+    got = local_match_fraction(graph, radius, reference, max_failures=max_failures)
+    want = oracles.local_match_fraction(graph, radius, reference, max_failures=max_failures)
+    assert got == want
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_graphs(), st.integers(1, 3), st.integers(0, 4))
+def test_local_match_fraction_equals_the_traversal_route(case, radius, max_failures):
+    backend, graph = case
+    _assert_same_report(graph, radius, ball(backend, radius), max_failures)
+
+
+def _cycle(n):
+    return ColoredGraph(n, ("a",), {"a": tuple((i + 1) % n for i in range(n))})
+
+
+def _torus(n, twist):
+    """Z_n x Z_n with the b-edges of the last column shifted by `twist`."""
+    a = tuple(n * (i // n) + (i + 1) % n for i in range(n * n))
+    b = tuple((i + n + (twist if i % n == n - 1 else 0)) % (n * n) for i in range(n * n))
+    return ColoredGraph(n * n, ("a", "b"), {"a": a, "b": b})
+
+
+@pytest.mark.parametrize("graph, family, radius, reason", [
+    (ColoredGraph(5, ("a",), {"a": (1, 2, 3, None, None)}), "z", 2, "undefined traversal"),
+    (_torus(6, 1), "z2", 2, "equal elements separate"),
+    (_cycle(5), "z", 3, "distinct elements collide"),
+])
+def test_each_failure_reason_equals_the_traversal_route(graph, family, radius, reason):
+    reference = ball(REFERENCES[family], radius)
+    report = _assert_same_report(graph, radius, reference, max_failures=3)
+    assert len(report.sample_failures) == 3
+    assert any(reason in text for _, text in report.sample_failures)
+    _assert_same_report(graph, radius, reference, max_failures=0)
+
+
+def test_local_match_fraction_over_several_chunks(monkeypatch):
+    import soficlab.graphs
+
+    monkeypatch.setattr(soficlab.graphs, "_MATCH_CHUNK", 8)  # one vertex per chunk at radius 2
+    graph = _torus(5, 2)
+    _assert_same_report(graph, 2, ball(REFERENCES["z2"], 2), max_failures=7)
