@@ -59,9 +59,12 @@ class AlmostHom:
             raise ValueError("image degree/rank mismatch")
         identity = np.arange(n) if sym else np.eye(n)
         if sym:  # before the int32 cast, which would wrap large entries
-            bad = np.flatnonzero((np.sort(images, axis=1) != identity).any(axis=1))
-            if bad.size:
-                raise ValueError(f"image {bad[0]} is not a bijection of {{0,...,{n - 1}}}")
+            step = max(1, _KERNEL_CHUNK // n)
+            for lo in range(0, len(images), step):
+                bad = np.flatnonzero((np.sort(images[lo:lo + step], axis=1) != identity).any(axis=1))
+                if bad.size:
+                    raise ValueError(
+                        f"image {lo + bad[0]} is not a bijection of {{0,...,{n - 1}}}")
         images = np.ascontiguousarray(images, dtype=np.int32 if sym else np.complex128).view()
         if not sym:
             for image in images:
@@ -213,7 +216,7 @@ def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
     def pair_words(pair):
         if pair is None:
             return None
-        return tuple(word_to_str(alphabet, hom.domain.words[i]) for i in pair)
+        return tuple(word_to_str(alphabet, hom.domain.word(i)) for i in pair)
 
     return VerificationReport(
         passed=bool(dft < eps and sep >= delta),
@@ -252,8 +255,8 @@ def certificate_to_json(cert: Certificate) -> dict:
     images = hom.images
     if hom.target_kind == "unitary":  # one [re, im] pair per entry
         images = images.view(np.float64).reshape(len(images), -1, 2)
-    mapping = {word_to_str(alphabet, word): image
-               for word, image in zip(hom.domain.words, images.tolist())}
+    mapping = {word_to_str(alphabet, hom.domain.word(k)): image
+               for k, image in enumerate(images.tolist())}
     return {**_head_json(cert), "map": mapping, **_tail_json(cert)}
 
 
@@ -284,7 +287,7 @@ def save_certificate(cert: Certificate, path) -> None:
     with open(path, "w") as fh:
         fh.write(head[:-2] + ',\n "map": {')
         sep = "\n  "
-        for word, img in zip(hom.domain.words, hom.images):
+        for word, img in zip(map(hom.domain.word, range(len(hom.images))), hom.images):
             fh.write(sep + json.dumps(word_to_str(alphabet, word)) + ": " + image_text(img))
             sep = ",\n  "
         fh.write("\n }," + tail[1:] + "\n")

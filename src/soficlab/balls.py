@@ -3,9 +3,11 @@
 A ball B_N collects every canonical form reachable by a word of length <= N,
 enumerated breadth-first in shortlex order over the signed alphabet
 (generators before inverses, lower index first).  The identity is always
-element 0, and each element carries the shortlex-least word spelling it.
+element 0.  Each element records its BFS parent, one letter shorter, and
+that letter, so its shortlex-least word is read off the tree on demand.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,15 +22,21 @@ class BallTable:
     backend: GroupBackend
     radius: int
     elements: tuple  # canonical forms, identity first
-    words: tuple  # shortlex-least word per element
-    lengths: tuple  # word length per element
-
-    @cached_property
-    def index(self) -> dict:
-        return {g: i for i, g in enumerate(self.elements)}
+    index: dict  # canonical form -> its position in elements
+    lengths: array  # word length per element
+    parents: array  # index of the parent element; -1 at the identity
+    letters: array  # signed letter from the parent to the element; 0 at the identity
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def word(self, i: int) -> Word:
+        """The shortlex-least word spelling element i."""
+        letters = []
+        while i > 0:
+            letters.append(self.letters[i])
+            i = self.parents[i]
+        return tuple(reversed(letters))
 
     @cached_property
     def products(self) -> dict[tuple[int, int], int]:
@@ -59,40 +67,37 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
     letters = [(s, backend.letter(s)) for s in backend.alphabet.signed_letters()]
     identity = backend.identity()
     elements: list[Canon] = [identity]
-    spellings: list[Word] = [()]
-    lengths: list[int] = [0]
-    seen = {identity: 0}
-    frontier = [0]
+    index = {identity: 0}
+    lengths, parents = array("i", [0]), array("i", [-1])
+    steps = array("b" if backend.rank < 128 else "i", [0])
+    start, end = 0, 1  # the elements of the previous depth
     for depth in range(1, radius + 1):
-        next_frontier: list[int] = []
-        for i in frontier:
+        for i in range(start, end):
             g = elements[i]
-            w = spellings[i]
             for s, letter in letters:
                 h = backend.multiply(g, letter)
-                if h in seen:
+                if h in index:
                     continue
                 if len(elements) >= cap:
                     raise ResourceCapError(
                         f"ball at radius {depth} exceeds cap of {cap} elements"
                     )
-                spelling = w + (s,)
-                if spelling == h:  # always so for free groups: store the word once
-                    spelling = h
-                seen[h] = len(elements)
+                index[h] = len(elements)
                 elements.append(h)
-                spellings.append(spelling)
                 lengths.append(depth)
-                next_frontier.append(seen[h])
-        if not next_frontier:
+                parents.append(i)
+                steps.append(s)
+        if len(elements) == end:
             break
-        frontier = next_frontier
+        start, end = end, len(elements)
     return BallTable(
         backend=backend,
         radius=radius,
         elements=tuple(elements),
-        words=tuple(spellings),
-        lengths=tuple(lengths),
+        index=index,
+        lengths=lengths,
+        parents=parents,
+        letters=steps,
     )
 
 

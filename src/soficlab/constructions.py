@@ -79,8 +79,8 @@ def lef_to_sofic(domain: BallTable, target: FiniteBackend,
             alphabet = domain.backend.alphabet
             raise ValueError(
                 "not partially multiplicative at pair "
-                f"({word_to_str(alphabet, domain.words[i])!r}, "
-                f"{word_to_str(alphabet, domain.words[j])!r})"
+                f"({word_to_str(alphabet, domain.word(i))!r}, "
+                f"{word_to_str(alphabet, domain.word(j))!r})"
             )
     return AlmostHom(domain=domain, target_kind="sym", target_n=target.order,
                      images=regular_representation(target)[values])
@@ -103,7 +103,7 @@ def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) ->
     if order > limits.ball_cap:
         raise ResourceCapError(f"|SL(2,Z_{p})| = {order} exceeds the cap")
     domain = ball(free_backend(2), radius, limits)
-    mats = np.array([sl2_word_image(w, p) for w in domain.words], dtype=np.int64)
+    mats = np.array([sl2_word_image(w, p) for w in domain.elements], dtype=np.int64)
     pairs = np.array(list(domain.products), dtype=np.intp).reshape(-1, 2)
     targets = np.fromiter(domain.products.values(), dtype=np.intp, count=len(pairs))
     if not np.array_equal(mats[pairs[:, 0]] @ mats[pairs[:, 1]] % p, mats[targets]):
@@ -113,7 +113,7 @@ def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) ->
         raise ValueError(f"mod-{p} images are not a local monomorphism: "
                          "two ball elements share an image")
     hom = AlmostHom(domain=domain, target_kind="sym", target_n=order,
-                    images=sl2_right_translations(p, domain.words))
+                    images=sl2_right_translations(p, mats))
     return Certificate(hom=hom, claimed_defect=0.0, claimed_separation=1.0,
                        provenance=f"free_sofic: p={p} order={order} radius={radius}")
 

@@ -15,7 +15,6 @@ precisely as the reference group elements do.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -35,46 +34,53 @@ from .metrics import canonical_fill
 
 @dataclass(eq=False)
 class ColoredGraph:
-    """vertex_count vertices; per colour a successor list (entry None where
-    the edge is missing).  total is False for externally loaded partial
-    graphs."""
+    """Distinct colour names and a read-only int64 successor array of shape
+    (len(colors), vertex_count): row c maps each vertex to its colour-c
+    successor, or to -1 where that edge is missing."""
 
-    vertex_count: int
     colors: tuple[str, ...]
-    successors: dict[str, tuple[int | None, ...]]
+    successors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError("graph needs at least one vertex")
-        if set(self.successors) != set(self.colors):
-            raise ValueError("successor map must cover exactly the colours")
-        for color, succ in self.successors.items():
-            if len(succ) != self.vertex_count:
-                raise ValueError(f"colour {color!r} successor list has wrong length")
-            for v in succ:
-                if v is not None and not (0 <= v < self.vertex_count):
-                    raise ValueError(f"colour {color!r} successor out of range")
+        if len(set(self.colors)) != len(self.colors):
+            raise ValueError("colour names must be distinct")
+        succ = np.asarray(self.successors)
+        if (succ.dtype.kind not in "iu" or succ.ndim != 2 or len(succ) != len(self.colors)
+                or succ.shape[1] < 1):
+            raise ValueError("successors must be a nonempty integer array, a row per colour")
+        bad = ((succ < -1) | (succ >= succ.shape[1])).any(axis=1)
+        if bad.any():  # before the int64 cast, which would wrap large entries
+            raise ValueError(f"colour {self.colors[bad.argmax()]!r} successor out of range")
+        succ = succ.astype(np.int64)
+        succ.setflags(write=False)
+        self.successors = succ
+
+    @property
+    def vertex_count(self) -> int:
+        return self.successors.shape[1]
 
     @property
     def total(self) -> bool:
-        return all(
-            None not in succ and len(set(succ)) == self.vertex_count
-            for succ in self.successors.values()
-        )
+        """Whether every colour's successor map is a permutation."""
+        return bool((np.sort(self.successors, axis=1) == np.arange(self.vertex_count)).all())
 
-    def predecessors(self, color: str) -> tuple[int | None, ...]:
-        pred: list[int | None] = [None] * self.vertex_count
-        for m, k in enumerate(self.successors[color]):
-            if k is not None:
-                pred[k] = m if pred[k] is None else pred[k]
-        return tuple(pred)
+    def predecessors(self) -> np.ndarray:
+        """Per colour, each vertex's least predecessor (the least vertex with
+        an edge of that colour into it), -1 where it has none."""
+        n = self.vertex_count
+        color, source = np.nonzero(self.successors >= 0)  # sources ascend per colour
+        heads, first = np.unique(color * n + self.successors[color, source], return_index=True)
+        pred = np.full(self.successors.size, -1, dtype=np.int64)
+        pred[heads] = source[first]
+        return pred.reshape(self.successors.shape)
 
     def to_json(self) -> dict:
         return {
             "vertexCount": self.vertex_count,
             "colors": list(self.colors),
             "successors": {
-                c: [v for v in succ] for c, succ in self.successors.items()
+                c: [None if v < 0 else v for v in succ]
+                for c, succ in zip(self.colors, self.successors.tolist())
             },
         }
 
@@ -87,24 +93,30 @@ class ColoredGraph:
         json_int(count, "vertexCount", 1)
         if type(colors) is not list or not all(type(c) is str for c in colors):
             raise MalformedCertificateError("colors must be a JSON array of names")
-        if not isinstance(successors, dict):
-            raise MalformedCertificateError("successors must be a JSON object keyed by colour")
-        for color, succ in successors.items():
-            if type(succ) is not list:
-                raise MalformedCertificateError(f"colour {color!r} successors must be a JSON array")
-            json_ints([v for v in succ if v is not None], f"colour {color!r} successors")
+        if not isinstance(successors, dict) or set(successors) != set(colors):
+            raise MalformedCertificateError(
+                "successors must be a JSON object keyed by exactly the colours")
+        rows = []
+        for color in colors:
+            succ = successors[color]
+            # null marks a missing edge, so a -1 in the document is out of range
+            if type(succ) is not list or len(succ) != count or -1 in succ:
+                raise MalformedCertificateError(
+                    f"colour {color!r} successors must be {count} vertices or nulls")
+            rows.append(json_ints([-1 if v is None else v for v in succ],
+                                  f"colour {color!r} successors"))
         try:
-            return cls(count, tuple(colors), {c: tuple(succ) for c, succ in successors.items()})
-        except ValueError as exc:
-            raise MalformedCertificateError(str(exc)) from exc
+            return cls(tuple(colors), np.array(rows, dtype=np.int64).reshape(len(colors), count))
+        except (OverflowError, ValueError) as exc:  # OverflowError: an entry beyond int64
+            raise MalformedCertificateError(f"bad coloured graph: {exc}") from exc
 
     def to_dot(self) -> str:
         palette = ["red", "blue", "green", "orange", "purple", "brown"]
         lines = ["digraph colored {"]
-        for ci, color in enumerate(self.colors):
+        for ci, (color, succ) in enumerate(zip(self.colors, self.successors.tolist())):
             tint = palette[ci % len(palette)]
-            for m, k in enumerate(self.successors[color]):
-                if k is not None:
+            for m, k in enumerate(succ):
+                if k >= 0:
                     lines.append(f'  {m} -> {k} [label="{color}", color={tint}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -129,15 +141,9 @@ def cayley_ball_graph(backend, radius: int,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     table = ball(backend, radius, limits)
-    colors = tuple(backend.alphabet.names)
-    successors = {}
-    for s in range(1, backend.rank + 1):
-        gen = backend.letter(s)
-        succ = tuple(
-            table.index.get(backend.multiply(g, gen)) for g in table.elements
-        )
-        successors[colors[s - 1]] = succ
-    return ColoredGraph(vertex_count=len(table), colors=colors, successors=successors)
+    successors = [[table.index.get(backend.multiply(g, gen), -1) for g in table.elements]
+                  for gen in map(backend.letter, range(1, backend.rank + 1))]
+    return ColoredGraph(backend.alphabet.names, np.array(successors))
 
 
 def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
@@ -148,31 +154,12 @@ def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
     backend = hom.domain.backend
     if hom.domain.radius < 1:
         raise ValueError("ball must contain the generators (radius >= 1)")
-    colors = tuple(backend.alphabet.names)
-    successors = {}
-    for s in range(1, backend.rank + 1):
-        idx = hom.domain.index[backend.letter(s)]
-        successors[colors[s - 1]] = tuple(hom.images[idx].tolist())
-    return ColoredGraph(vertex_count=hom.target_n, colors=colors, successors=successors)
+    rows = [hom.domain.index[backend.letter(s)] for s in range(1, backend.rank + 1)]
+    return ColoredGraph(backend.alphabet.names, hom.images[rows])
 
 
 # landing entries (words x vertices) held at once by local_match_fraction
 _MATCH_CHUNK = 1 << 16
-
-
-def _steps(graph: ColoredGraph) -> dict[int, np.ndarray]:
-    """Per signed letter, the vertex each vertex moves to (inverse colours
-    go to the least predecessor), -1 where undefined, followed by one more
-    -1 so that stepping from -1 stays at -1."""
-    steps = {}
-    for v, color in enumerate(graph.colors, 1):
-        succ = np.array([-1 if k is None else k for k in graph.successors[color]] + [-1])
-        sources = np.flatnonzero(succ >= 0)
-        targets, first = np.unique(succ[sources], return_index=True)
-        pred = np.full_like(succ, -1)
-        pred[targets] = sources[first]
-        steps[v], steps[-v] = succ, pred
-    return steps
 
 
 def local_match_fraction(graph: ColoredGraph, radius: int,
@@ -198,22 +185,26 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
     if reference.radius != radius:
         raise ValueError("reference ball radius must equal the requested radius")
     free = ball(free_backend(backend.rank), radius, limits)
-    words = free.elements
-    parents = [free.index[w[:-1]] for w in words[1:]]
+    elements = [backend.identity()]  # the reference element of each free word
+    for parent, s in zip(free.parents[1:], free.letters[1:]):
+        elements.append(backend.multiply(elements[parent], backend.letter(s)))
     first_of: dict = {}  # element -> its first word
-    first = np.array([first_of.setdefault(backend.normal_form(w), k)
-                      for k, w in enumerate(words)])
-    met = first != np.arange(len(words))  # words for an element met before
+    first = np.array([first_of.setdefault(g, k) for k, g in enumerate(elements)])
+    met = first != np.arange(len(free))  # words for an element met before
     repeats, distinct = np.flatnonzero(met), np.flatnonzero(~met)
-    steps = _steps(graph)
+    # row s steps along signed letter s, row -s back to least predecessors;
+    # -1 where undefined, and the extra last column keeps -1 at -1
+    steps = np.pad(np.concatenate([np.full((1, graph.vertex_count), -1), graph.successors,
+                                   graph.predecessors()[::-1]]),
+                   ((0, 0), (0, 1)), constant_values=-1)
     matched = 0
     failures: list[tuple[int, str]] = []
-    chunk = max(1, _MATCH_CHUNK // len(words))
+    chunk = max(1, _MATCH_CHUNK // len(free))
     for lo in range(0, graph.vertex_count, chunk):
-        landing = np.empty((len(words), min(chunk, graph.vertex_count - lo)), dtype=np.intp)
+        landing = np.empty((len(free), min(chunk, graph.vertex_count - lo)), dtype=np.intp)
         landing[0] = np.arange(lo, lo + landing.shape[1])
-        for k, (w, parent) in enumerate(zip(words[1:], parents), 1):
-            landing[k] = steps[w[-1]][landing[parent]]
+        for k in range(1, len(free)):
+            landing[k] = steps[free.letters[k]][landing[free.parents[k]]]
         bad = landing < 0
         bad[repeats] |= landing[repeats] != landing[first[repeats]]
         first_bad = bad.argmax(axis=0)
@@ -226,9 +217,9 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
             if not bad[k, m]:
                 reason = "distinct elements collide"
             elif landing[k, m] < 0:
-                reason = f"undefined traversal for word {words[k]}"
+                reason = f"undefined traversal for word {free.word(k)}"
             else:
-                reason = f"equal elements separate at word {words[k]}"
+                reason = f"equal elements separate at word {free.word(k)}"
             failures.append((lo + m, reason))
     return LocalMatchReport(
         radius=radius,
@@ -251,14 +242,16 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> AlmostHom:
     if tuple(backend.alphabet.names) != tuple(graph.colors):
         raise BackendMismatchError("graph colours do not match the reference alphabet")
     steps = {}  # signed letter -> permutation row
-    for v, color in enumerate(graph.colors, 1):
+    for v, (color, succ) in enumerate(zip(graph.colors, graph.successors), 1):
         try:
-            steps[v] = canonical_fill(graph.successors[color])
+            steps[v] = canonical_fill(succ)
         except ValueError as exc:
             raise ValueError(f"colour {color!r} successor map is not injective") from exc
         steps[-v] = np.argsort(steps[v])
-    # perm * step applies perm, then step: the row step[perm]
-    images = [reduce(lambda perm, s: steps[s][perm], word, np.arange(graph.vertex_count))
-              for word in reference.words]
+    # perm * step applies perm, then step: the row step[perm]; each element's
+    # word is its parent's word and one more letter
+    images = np.tile(np.arange(graph.vertex_count), (len(reference), 1))
+    for k in range(1, len(reference)):
+        images[k] = steps[reference.letters[k]][images[reference.parents[k]]]
     return AlmostHom(domain=reference, target_kind="sym", target_n=graph.vertex_count,
-                     images=np.array(images))
+                     images=images)

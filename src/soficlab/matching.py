@@ -240,8 +240,8 @@ def paradox_from_matching(radius: int, spread: int,
         s = backend.multiply(ig, backend.inverse(g))
         t = backend.multiply(jg, backend.inverse(g))
         key = (
-            word_to_str(alphabet, outer.words[outer.index[s]]),
-            word_to_str(alphabet, outer.words[outer.index[t]]),
+            word_to_str(alphabet, outer.word(outer.index[s])),
+            word_to_str(alphabet, outer.word(outer.index[t])),
         )
         pieces.setdefault(key, []).append(a)
         leakage += (outcome.i[a] >= inner_size) + (outcome.j[a] >= inner_size)

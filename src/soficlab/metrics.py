@@ -52,15 +52,12 @@ class Permutation:
         return all(self.images[i] != i for i in range(self.n))
 
 
-def canonical_fill(partial) -> np.ndarray:
+def canonical_fill(partial: np.ndarray) -> np.ndarray:
     """Extend a partial injection of {0, ..., n-1}, given as a length-n
-    sequence with None where it is undefined (or an integer array with -1
-    there), to a permutation row: the undefined points, in increasing order,
-    take the unused values in increasing order."""
-    if isinstance(partial, np.ndarray):
-        row = partial.astype(np.int64)
-    else:
-        row = np.array([-1 if v is None else v for v in partial], dtype=np.int64)
+    integer array with -1 where it is undefined, to a permutation row: the
+    undefined points, in increasing order, take the unused values in
+    increasing order."""
+    row = partial.astype(np.int64)
     n = len(row)
     undefined = row < 0
     counts = np.bincount(row[~undefined], minlength=n)

@@ -80,18 +80,17 @@ def _sl2_codes(p: int) -> np.ndarray:
     return np.concatenate([zero_a, abc[a != 0] * p + d[a != 0]], axis=None)  # both ascending
 
 
-def sl2_right_translations(p: int, words: list[Word]) -> np.ndarray:
-    """Right translations of SL(2, Z_p) by the mod-p images of rank-2 words:
-    an int32 (len(words), p(p^2 - 1)) array whose row k is the permutation
-    x -> index(x M_k), M_k the image of words[k], with the group indexed in
-    lexicographic entry order.  Positions are found by binary search on the
-    ascending codes, so no p^4 lookup array is built."""
+def sl2_right_translations(p: int, mats: np.ndarray) -> np.ndarray:
+    """Right translations of SL(2, Z_p) by matrices M_k with entries in
+    [0, p), given as an (m, 2, 2) array: an int32 (m, p(p^2 - 1)) array
+    whose row k is the permutation x -> index(x M_k), with the group indexed
+    in lexicographic entry order.  Positions are found by binary search on
+    the ascending codes, so no p^4 lookup array is built."""
     codes = _sl2_codes(p)
     top, bottom = np.divmod(codes, p * p)  # codes a p + b and c p + d of the two rows
     a, b = np.divmod(np.arange(p * p), p)  # every row vector (a, b)
-    rows = np.empty((len(words), len(codes)), dtype=np.int32)
-    for k, word in enumerate(words):
-        (e, f), (g, h) = sl2_word_image(word, p)
+    rows = np.empty((len(mats), len(codes)), dtype=np.int32)
+    for k, ((e, f), (g, h)) in enumerate(np.asarray(mats).tolist()):
         moved = (a * e + b * g) % p * p + (a * f + b * h) % p  # code of (a, b) M_k
         rows[k] = np.searchsorted(codes, moved[top] * p * p + moved[bottom])
     return rows

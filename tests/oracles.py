@@ -157,6 +157,32 @@ def sl2_finite_backend(p: int) -> FiniteBackend:
                          generators=[gen_a, gen_b], names=("A", "B"))
 
 
+# The library's earlier ball: one spelled word per element, each built by
+# concatenating a letter onto its parent's word.  soficlab.balls keeps the
+# BFS tree instead and must give the same elements, words and lengths.
+def spelled_ball(backend, radius: int) -> tuple[list, list, list]:
+    """(elements, words, lengths) of the radius-N ball, breadth-first in
+    shortlex order over the signed alphabet, with the shortlex-least word
+    spelling each element."""
+    letters = [(s, backend.letter(s)) for s in backend.alphabet.signed_letters()]
+    elements, words, lengths = [backend.identity()], [()], [0]
+    seen = {elements[0]}
+    frontier = [0]
+    for depth in range(1, radius + 1):
+        next_frontier = []
+        for i in frontier:
+            for s, letter in letters:
+                h = backend.multiply(elements[i], letter)
+                if h not in seen:
+                    seen.add(h)
+                    next_frontier.append(len(elements))
+                    elements.append(h)
+                    words.append(words[i] + (s,))
+                    lengths.append(depth)
+        frontier = next_frontier
+    return elements, words, lengths
+
+
 def ball_inverses(table: BallTable) -> tuple[int, ...]:
     """Index of each element's inverse; balls are closed under inversion
     since a word and its formal inverse have equal length."""
@@ -226,14 +252,25 @@ def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
     return AlmostHom(domain=domain, target_kind="sym", target_n=n, images=images)
 
 
-def _traverse(graph: ColoredGraph, preds: dict, start: int, word):
+def _step_rows(graph: ColoredGraph) -> list:
+    """Per colour its successor row, followed by per colour its row of least
+    predecessors; -1 where a step is undefined."""
+    rows = graph.successors.tolist()
+    for row in graph.successors.tolist():
+        pred = [-1] * len(row)
+        for m, k in enumerate(row):
+            if k >= 0 and pred[k] < 0:
+                pred[k] = m
+        rows.append(pred)
+    return rows
+
+
+def _traverse(rows: list, start: int, word):
     v = start
     for s in word:
-        color = graph.colors[abs(s) - 1]
-        step = graph.successors[color][v] if s > 0 else preds[color][v]
-        if step is None:
+        v = rows[s - 1 if s > 0 else len(rows) // 2 - s - 1][v]
+        if v < 0:
             return None
-        v = step
     return v
 
 
@@ -257,14 +294,14 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
         raise ValueError("reference ball radius must equal the requested radius")
     free_words = ball(free_backend(backend.rank), radius, limits).elements
     targets = [backend.normal_form(w) for w in free_words]
-    preds = {c: graph.predecessors(c) for c in graph.colors}
+    rows = _step_rows(graph)
     matched = 0
     failures: list[tuple[int, str]] = []
     for m in range(graph.vertex_count):
         landing: dict = {}
         reason = None
         for w, elem in zip(free_words, targets):
-            v = _traverse(graph, preds, m, w)
+            v = _traverse(rows, m, w)
             if v is None:
                 reason = f"undefined traversal for word {w}"
                 break

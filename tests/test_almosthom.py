@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,23 @@ def test_almosthom_validation():
         AlmostHom(domain, "unitary", 2, np.array([np.eye(2), 1.001 * np.eye(2), np.eye(2)]))
     with pytest.raises(ValueError, match="identity"):
         AlmostHom(domain, "unitary", 2, np.array([-np.eye(2), np.eye(2), np.eye(2)]))
+
+
+def test_bijection_check_runs_in_row_chunks():
+    # 63 cyclic shifts of 2^16 points over the radius-31 ball of Z
+    n = 1 << 16
+    images = np.array([np.roll(np.arange(n, dtype=np.int32), k) for k in range(63)])
+    domain = ball(zpower_backend(1), 31)
+    tracemalloc.start()
+    try:
+        AlmostHom(domain, "sym", n, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 4
+    images[[40, 50], 7] = 0  # the first bad image lies past the first chunk
+    with pytest.raises(ValueError, match="image 40 is not a bijection"):
+        AlmostHom(domain, "sym", n, images)
 
 
 def test_defect_and_separation_exact_on_shift():

@@ -1,6 +1,13 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import soficlab
 from soficlab.backends import (
     free_backend,
     heisenberg_backend,
@@ -10,7 +17,13 @@ from soficlab.balls import ball, free_ball_size
 from soficlab.config import ResourceLimits
 from soficlab.errors import ResourceCapError
 
-from oracles import ball_contains, ball_inverses, cyclic_backend, sl2_finite_backend
+from oracles import (
+    ball_contains,
+    ball_inverses,
+    cyclic_backend,
+    sl2_finite_backend,
+    spelled_ball,
+)
 
 PREFIX_BACKENDS = {
     "free": lambda: free_backend(2),
@@ -29,7 +42,7 @@ def test_smaller_ball_is_a_prefix(kind, radius, k):
     small, big = ball(backend, radius), ball(backend, radius + k)
     size = len(small)
     assert big.elements[:size] == small.elements
-    assert big.words[:size] == small.words
+    assert [big.word(i) for i in range(size)] == [small.word(i) for i in range(size)]
     assert big.lengths[:size] == small.lengths
     assert all(length > radius for length in big.lengths[size:])
 
@@ -50,21 +63,45 @@ def test_known_ball_sizes():
 
 def test_identity_first_and_lengths():
     t = ball(zpower_backend(2), 2)
+    words = [t.word(i) for i in range(len(t))]
     assert t.elements[0] == (0, 0)
-    assert t.words[0] == ()
+    assert words[0] == ()
     assert t.lengths[0] == 0
-    assert all(len(w) == l for w, l in zip(t.words, t.lengths))
+    assert all(len(w) == l for w, l in zip(words, t.lengths))
     assert max(t.lengths) == 2
     # words are genuine spellings of their elements
     b = t.backend
-    assert all(b.normal_form(w) == g for w, g in zip(t.words, t.elements))
+    assert all(b.normal_form(w) == g for w, g in zip(words, t.elements))
 
 
 def test_words_are_shortlex_minimal():
     t = ball(free_backend(2), 3)
     order = {s: i for i, s in enumerate(t.backend.alphabet.signed_letters())}
-    keys = [(len(w), [order[s] for s in w]) for w in t.words]
+    keys = [(len(w), [order[s] for s in w]) for w in map(t.word, range(len(t)))]
     assert keys == sorted(keys)
+
+
+TREE_BACKENDS = {
+    "free1": lambda: free_backend(1),
+    "free2": lambda: free_backend(2),
+    "free3": lambda: free_backend(3),
+    "z1": lambda: zpower_backend(1),
+    "z2": lambda: zpower_backend(2),
+    "z3": lambda: zpower_backend(3),
+    "heisenberg": heisenberg_backend,
+    "cyclic5": lambda: cyclic_backend(5),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TREE_BACKENDS)), st.integers(0, 4))
+def test_tree_ball_equals_the_spelled_reference(kind, radius):
+    backend = TREE_BACKENDS[kind]()
+    t = ball(backend, radius)
+    elements, words, lengths = spelled_ball(backend, radius)
+    assert list(t.elements) == elements
+    assert [t.word(i) for i in range(len(t))] == words
+    assert list(t.lengths) == lengths
 
 
 def test_products_partial_table_consistent():
@@ -103,8 +140,35 @@ def test_negative_radius_rejected():
         ball(free_backend(2), -1)
 
 
-def test_free_ball_stores_each_word_once():
-    """A free group's canonical form is its shortlex spelling, so the ball
-    keeps one tuple for both."""
-    t = ball(free_backend(2), 4)
-    assert all(w is g for w, g in zip(t.words, t.elements))
+HUGE_RADIUS_CERTIFICATE = {
+    "schema": "sofic-cert/v1", "group": {"kind": "zpower", "dim": 1},
+    "ball_radius": 1000000000, "target": {"kind": "sym", "n": 1}, "map": {"": [0]},
+}
+
+
+def test_huge_radius_verify_exits_2_in_memory_linear_in_the_cap(tmp_path):
+    """A ball of Z holds no word per element, so hitting the element cap
+    costs memory linear in the cap: the run ends in ResourceCapError (exit
+    2) well under a 1 GiB address-space limit."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_RADIUS_CERTIFICATE))
+    src = os.path.dirname(os.path.dirname(soficlab.__file__))
+    env = {**os.environ, "SOFICLAB_BALL_CAP": "100000",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           # BLAS worker threads would reserve address space of their own
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "soficlab.cli", "verify", str(path), "--eps", "1", "--delta", "0"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        preexec_fn=limit_address_space)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 2, err
+    assert "exceeds cap of 100000 elements" in err
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes

@@ -275,8 +275,11 @@ def test_finite_table_structure_is_malformed(tmp_path, capsys, mutate):
     lambda d: d.update(vertexCount="3"),
     lambda d: d.update(colors="a"),
     lambda d: d["successors"]["a"].__setitem__(0, 7),  # out of range
+    lambda d: d["successors"]["a"].__setitem__(0, -1),  # null marks a missing edge
+    lambda d: d["successors"]["a"].__setitem__(0, 2**70),  # beyond int64
+    lambda d: d.update(colors=["a", "a"]),
 ], ids=["bool-successor", "float-successor", "missing-successors", "string-count",
-        "string-colors", "out-of-range"])
+        "string-colors", "out-of-range", "negative", "beyond-int64", "duplicate-colour"])
 def test_match_fraction_graph_structure_is_malformed(tmp_path, capsys, mutate):
     doc = json.loads(json.dumps(CYCLE_GRAPH))
     mutate(doc)

@@ -145,7 +145,7 @@ def test_free_sofic_certificate_equals_the_table_route(radius, p):
     cert = free_sofic_certificate(radius)
     domain = cert.hom.domain
     index = {m: i for i, m in enumerate(sl2_elements(p))}
-    local_mono = {i: index[sl2_word_image(w, p)] for i, w in enumerate(domain.words)}
+    local_mono = {i: index[sl2_word_image(domain.word(i), p)] for i in range(len(domain))}
     reference = lef_to_sofic(domain, sl2_finite_backend(p), local_mono)
     assert np.array_equal(cert.hom.images, reference.images)
 

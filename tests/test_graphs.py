@@ -17,42 +17,48 @@ from soficlab.graphs import (
 
 
 def cycle_graph(n: int) -> ColoredGraph:
-    return ColoredGraph(
-        vertex_count=n,
-        colors=("a",),
-        successors={"a": tuple((i + 1) % n for i in range(n))},
-    )
+    return ColoredGraph(colors=("a",), successors=[np.roll(np.arange(n), -1)])
 
 
 def test_colored_graph_validation():
     with pytest.raises(ValueError):
-        ColoredGraph(0, ("a",), {"a": ()})
+        ColoredGraph(("a",), np.empty((1, 0), dtype=int))  # no vertex
     with pytest.raises(ValueError):
-        ColoredGraph(2, ("a",), {"b": (0, 1)})
+        ColoredGraph(("a", "b"), [[0, 1]])  # a row per colour
     with pytest.raises(ValueError):
-        ColoredGraph(2, ("a",), {"a": (0,)})
+        ColoredGraph(("a",), [[0, 5]])  # out of range
     with pytest.raises(ValueError):
-        ColoredGraph(2, ("a",), {"a": (0, 5)})
+        ColoredGraph(("a",), [[0, -2]])
+    with pytest.raises(ValueError):
+        ColoredGraph(("a",), [[0.0, 1.0]])  # not integers
+    with pytest.raises(ValueError, match="distinct"):
+        ColoredGraph(("a", "a"), [[0, 1], [1, 0]])
 
 
 def test_total_and_predecessors():
     g = cycle_graph(4)
     assert g.total
-    assert g.predecessors("a") == (3, 0, 1, 2)
-    partial = ColoredGraph(3, ("a",), {"a": (1, None, None)})
+    assert g.predecessors().tolist() == [[3, 0, 1, 2]]
+    partial = ColoredGraph(("a",), [[1, -1, -1]])
     assert not partial.total
-    assert partial.predecessors("a") == (None, 0, None)
+    assert partial.predecessors().tolist() == [[-1, 0, -1]]
+    # vertex 1 has predecessors 0 and 2 under a and 1 and 2 under b: the least counts
+    two = ColoredGraph(("a", "b"), [[1, 0, 1], [2, 1, 1]])
+    assert not two.total
+    assert two.predecessors().tolist() == [[1, 0, -1], [-1, 1, 0]]
 
 
 def test_json_and_dot_round_trip():
     g = cycle_graph(3)
     back = ColoredGraph.from_json(g.to_json())
-    assert back.successors == g.successors
+    assert np.array_equal(back.successors, g.successors)
     dot = g.to_dot()
     assert dot.startswith("digraph") and '0 -> 1 [label="a"' in dot
-    partial = ColoredGraph(2, ("a",), {"a": (1, None)})
+    partial = ColoredGraph(("a",), [[1, -1]])
+    assert partial.to_json()["successors"] == {"a": [1, None]}
     back = ColoredGraph.from_json(partial.to_json())
-    assert back.successors["a"] == (1, None)
+    assert back.successors.tolist() == [[1, -1]]
+    assert not back.successors.flags.writeable
 
 
 def test_cayley_ball_graph_free():
@@ -62,7 +68,7 @@ def test_cayley_ball_graph_free():
     assert not g.total  # boundary edges leave the ball
     # identity is vertex 0; colour a sends it to the element a
     t = ball(free_backend(2), 2)
-    assert g.successors["a"][0] == t.index[(1,)]
+    assert g.successors[0, 0] == t.index[(1,)]
 
 
 def test_cert_to_graph_and_back_exact():
@@ -102,7 +108,7 @@ def test_local_match_fraction_validation():
         local_match_fraction(cycle_graph(10), 3, ref)  # radius mismatch
     with pytest.raises(BackendMismatchError):
         local_match_fraction(
-            ColoredGraph(3, ("x",), {"x": (1, 2, 0)}), 2, ref
+            ColoredGraph(("x",), [[1, 2, 0]]), 2, ref
         )
     with pytest.raises(ValueError):
         local_match_fraction(cycle_graph(10), 0, ref)
@@ -110,12 +116,12 @@ def test_local_match_fraction_validation():
 
 def test_graph_to_almosthom_fills_partial_graphs():
     ref = ball(zpower_backend(1), 1)
-    partial = ColoredGraph(4, ("a",), {"a": (1, 2, None, None)})
+    partial = ColoredGraph(("a",), [[1, 2, -1, -1]])
     hom = graph_to_almosthom(partial, ref)
     gen = hom.images[ref.index[(1,)]]
     assert gen.tolist()[:2] == [1, 2]
     assert sorted(gen.tolist()) == [0, 1, 2, 3]
-    bad = ColoredGraph(3, ("a",), {"a": (1, 1, None)})
+    bad = ColoredGraph(("a",), [[1, 1, -1]])
     with pytest.raises(ValueError, match="injective"):
         graph_to_almosthom(bad, ref)
 

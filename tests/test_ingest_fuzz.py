@@ -10,7 +10,7 @@ JSON values.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soficlab.backends import finite_backend_from_json
 from soficlab.errors import MalformedCertificateError
@@ -68,6 +68,8 @@ def test_group_table_loader_fuzz(doc):
 
 @settings(max_examples=150, deadline=None)
 @given(mutated(PARTIAL_GRAPH) | json_values)
+@example({**PARTIAL_GRAPH, "colors": ["a", "a"]})
+@example({**PARTIAL_GRAPH, "successors": {"a": [1, 2, 2**70], "b": [None, 0, None]}})
 def test_coloured_graph_loader_fuzz(doc):
     assert_value_or_malformed(ColoredGraph.from_json, doc)
 
@@ -80,5 +82,5 @@ def test_bipartite_graph_loader_fuzz(doc):
 
 def test_valid_documents_load():
     assert finite_backend_from_json(C3_TABLE).order == 3
-    assert ColoredGraph.from_json(PARTIAL_GRAPH).successors["b"] == (None, 0, None)
+    assert ColoredGraph.from_json(PARTIAL_GRAPH).successors.tolist() == [[1, 2, 0], [-1, 0, -1]]
     assert BipartiteGraph.from_json(HALL_GRAPH).adjacency == ((0, 1), (1, 2, 3))

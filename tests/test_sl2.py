@@ -85,8 +85,8 @@ def test_lef_witness_respects_prime_ceiling():
 def test_right_translations_multiply_on_the_right(p):
     elements = sl2_elements(p)
     index = {m: i for i, m in enumerate(elements)}
-    words = list(ball(free_backend(2), 2).words) + [(1, 2, -1, -2, 1, 1, 1)]
-    rows = sl2_right_translations(p, words)
+    words = list(ball(free_backend(2), 2).elements) + [(1, 2, -1, -2, 1, 1, 1)]
+    rows = sl2_right_translations(p, np.array([sl2_word_image(w, p) for w in words]))
     assert rows.dtype == np.int32 and rows.shape == (len(words), p * (p * p - 1))
     for word, row in zip(words, rows.tolist()):
         m = np_word_image(word, p)
