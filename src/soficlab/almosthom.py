@@ -10,6 +10,7 @@ advisory and always recomputed on verification.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -32,6 +33,14 @@ EXIT_MALFORMED = 2
 # Elements per temporary array in the defect/separation kernels (4 MiB at
 # complex128), so their working memory stays a few MB whatever the degree n.
 _KERNEL_CHUNK = 1 << 18
+
+
+def _arithmetic_rows(images: np.ndarray) -> np.ndarray:
+    """The complex128 unitary images as contiguous float64 real parts when
+    every imaginary part is zero (a -0.0 counts as zero), else unchanged.
+    Permutation matrices and their tensor squares are real orthogonal, and a
+    real product costs a quarter of the flops of a complex one."""
+    return images if images.imag.any() else np.ascontiguousarray(images.real)
 
 
 @dataclass(eq=False)
@@ -67,7 +76,7 @@ class AlmostHom:
                         f"image {lo + bad[0]} is not a bijection of {{0,...,{n - 1}}}")
         images = np.ascontiguousarray(images, dtype=np.int32 if sym else np.complex128).view()
         if not sym:
-            for image in images:
+            for image in _arithmetic_rows(images):
                 check_unitary(image)
         if np.max(np.abs(images[0] - identity)) > 1e-9:
             raise ValueError("ball identity must map to the identity")
@@ -80,12 +89,14 @@ def _kernels(hom: AlmostHom):
     the images as rows of one (|B|, w) view; compose(a, b), the row-wise
     products a*b; distance(a, b), per row the moved-point count (sym) or
     sqrt(sum |a - b|^2 / n) (unitary); and value, which turns a row
-    distance into an exact Fraction (sym) or a float (unitary).  Products
-    are never stored or returned, so unlike images they are not checked
-    for unitarity."""
+    distance into an exact Fraction (sym) or a float (unitary).  Unitary
+    rows are float64 when every image is real (`_arithmetic_rows`).
+    Products are never stored or returned, so unlike images they are not
+    checked for unitarity."""
     n = hom.target_n
-    images = hom.images.reshape(len(hom.images), -1)
     if hom.target_kind == "sym":
+        images = hom.images.reshape(len(hom.images), -1)
+
         def compose(a, b):  # (s * t)(x) = t(s(x))
             return np.take_along_axis(b, a, axis=1)
 
@@ -94,11 +105,13 @@ def _kernels(hom: AlmostHom):
 
         return images, compose, distance, lambda k: Fraction(int(k), n)
 
+    images = _arithmetic_rows(hom.images).reshape(len(hom.images), -1)
+
     def compose(a, b):
         return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)
 
     def distance(a, b):
-        parts = (a - b).view(np.float64)  # re, im of every entry
+        parts = (a - b).view(np.float64)  # re, im of every entry, or the real entries
         return np.sqrt(np.einsum("...k,...k->...", parts, parts) / n)
 
     return images, compose, distance, float
@@ -203,11 +216,12 @@ class VerificationReport:
 
 def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
     """Recompute defect and separation; pass iff defect < eps and
-    separation >= delta.  Claims inside the certificate are ignored."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    separation >= delta.  Claims inside the certificate are ignored.  A
+    NaN or infinite threshold is malformed input, not a failed check."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     hom = cert.hom
     dft, dft_pair = defect_witness(hom)
     sep, sep_pair = separation_witness(hom)
@@ -262,16 +276,41 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 # The streaming writer reproduces the json.dump(..., indent=1) layout: the
 # map sits at depth 1, its keys at depth 2, image entries at depth 3 and the
-# [re, im] parts of a unitary entry at depth 4.
+# [re, im] parts of a unitary entry at depth 4; in the head, the rows of a
+# finite group's table sit at depth 3 and their entries at depth 4.
+def _int_list_text(values: list, depth: int) -> str:
+    """A nonempty list of ints whose entries sit at `depth`, in one
+    C-encoder call."""
+    pad = "\n" + " " * depth
+    return "[" + pad + json.dumps(values, separators=("," + pad, ": "))[1:-1] + pad[:-1] + "]"
+
+
 def _sym_image_text(row: np.ndarray) -> str:
-    return "[\n   " + json.dumps(row.tolist(), separators=(",\n   ", ": "))[1:-1] + "\n  ]"
+    return _int_list_text(row.tolist(), 3)
+
+
+def _head_text(cert: Certificate) -> str:
+    head = _head_json(cert)
+    table = head["group"].get("table")
+    if table is None:
+        return json.dumps(head, indent=1)
+    # a finite group's table is most of the head; only "group" has a "table" key
+    head["group"]["table"] = 0
+    rows = ",\n   ".join(_int_list_text(row, 4) for row in table)
+    return json.dumps(head, indent=1).replace('"table": 0', '"table": [\n   ' + rows + "\n  ]", 1)
 
 
 def _unitary_image_text(u: np.ndarray) -> str:
     # One C-encoder call spells every number exactly as json.dump does
-    # (repr, NaN, Infinity, -0.0); the parts alternate re, im.
-    tokens = json.dumps(u.view(np.float64).ravel().tolist())[1:-1].split(", ")
-    entries = map(",\n    ".join, zip(tokens[0::2], tokens[1::2]))
+    # (repr, NaN, Infinity, -0.0): of the alternating re, im parts, or of the
+    # real parts alone when every imaginary part is 0.0 or -0.0.
+    if u.imag.any():
+        tokens = json.dumps(u.view(np.float64).ravel().tolist())[1:-1].split(", ")
+        re, im = tokens[0::2], tokens[1::2]
+    else:
+        re = json.dumps(u.real.ravel().tolist())[1:-1].split(", ")
+        im = map(("0.0", "-0.0").__getitem__, np.signbit(u.imag).ravel().tolist())
+    entries = map(",\n    ".join, zip(re, im))
     return "[\n   [\n    " + "\n   ],\n   [\n    ".join(entries) + "\n   ]\n  ]"
 
 
@@ -282,7 +321,7 @@ def save_certificate(cert: Certificate, path) -> None:
     hom = cert.hom
     alphabet = hom.domain.backend.alphabet
     image_text = _sym_image_text if hom.target_kind == "sym" else _unitary_image_text
-    head = json.dumps(_head_json(cert), indent=1)
+    head = _head_text(cert)
     tail = json.dumps(_tail_json(cert), indent=1)
     with open(path, "w") as fh:
         fh.write(head[:-2] + ',\n "map": {')

@@ -37,6 +37,23 @@ def hs_distance_trace(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     return float(np.sqrt(max(2.0 - 2.0 * cross, 0.0)))
 
 
+def complex_unitary_kernels(hom: AlmostHom):
+    """The unitary `almosthom._kernels` with complex128 arithmetic for every
+    certificate, real or not: patched over `_kernels`, it runs the library's
+    defect/separation scans (order, chunks, witness rule) on complex rows."""
+    n = hom.target_n
+    images = hom.images.reshape(len(hom.images), -1)
+
+    def compose(a, b):
+        return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)
+
+    def distance(a, b):
+        parts = (a - b).view(np.float64)  # re, im of every entry
+        return np.sqrt(np.einsum("...k,...k->...", parts, parts) / n)
+
+    return images, compose, distance, float
+
+
 def hall_condition_holds(graph: BipartiteGraph) -> bool:
     """Enumerate all left subsets; exponential, for oracle use on small graphs."""
     n = graph.left_count

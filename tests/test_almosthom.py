@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -113,10 +114,11 @@ def test_verify_pass_and_fail():
     report = verify(cert, eps=1e-9, delta=1.0001)  # unattainable separation
     assert not report.passed and report.exit_code == EXIT_FAIL
     assert report.worst_separation_pair is not None
-    with pytest.raises(ValueError):
-        verify(cert, eps=0.0, delta=1.0)
-    with pytest.raises(ValueError):
-        verify(cert, eps=1e-9, delta=-1.0)
+    # NaN or infinite thresholds are malformed, not a pass or a fail
+    for eps, delta in [(0.0, 1.0), (1e-9, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                       (-math.inf, 1.0), (1e-9, math.nan), (1e-9, math.inf)]:
+        with pytest.raises(ValueError, match="eps" if delta == 1.0 else "delta"):
+            verify(cert, eps=eps, delta=delta)
 
 
 def test_certificate_json_round_trip_sym_byte_identical():

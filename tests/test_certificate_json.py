@@ -21,13 +21,16 @@ from soficlab.backends import FiniteBackend, free_backend, heisenberg_backend, z
 from soficlab.balls import ball
 from soficlab.constructions import lef_to_sofic, sofic_to_hyperlinear
 from soficlab.errors import MalformedCertificateError
-from soficlab.metrics import UnitaryMatrix, random_unitary
+from soficlab.metrics import UnitaryMatrix, random_orthogonal, random_unitary
+
+from oracles import cyclic_backend
 
 BACKENDS = {
     "z": lambda: zpower_backend(1),
     "z2": lambda: zpower_backend(2),
     "free": lambda: free_backend(2),
     "heisenberg": heisenberg_backend,
+    "finite": lambda: cyclic_backend(5),  # a multiplication table in the head
 }
 
 claims = st.floats(allow_nan=True, allow_infinity=True)
@@ -57,15 +60,25 @@ def sym_certificates(draw):
 
 @st.composite
 def unitary_certificates(draw):
+    """Complex unitary images, or real ones (random orthogonal or permutation
+    matrices), which the writer spells from their real parts."""
     domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](), draw(st.integers(0, 1)))
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # global phases put -0.0 and exact zeros among the parts
-    phases = st.sampled_from([1, -1, 1j, -1j])
-    images = [np.eye(n)] + [
-        draw(phases) * random_unitary(n, rng).entries for _ in range(len(domain) - 1)
-    ]
-    hom = AlmostHom(domain=domain, target_kind="unitary", target_n=n, images=np.array(images))
+    kind = draw(st.sampled_from(["unitary", "orthogonal", "permutation"]))
+    draw_image = {
+        "unitary": lambda: random_unitary(n, rng).entries,
+        "orthogonal": lambda: random_orthogonal(n, rng).entries,
+        "permutation": lambda: np.eye(n, dtype=np.complex128)[rng.permutation(n)],
+    }[kind]
+    # global phases and .conj() put -0.0 and exact zeros among the parts;
+    # only the phases +-1 keep a real image real
+    phases = st.sampled_from([1, -1, 1j, -1j] if kind == "unitary" else [1, -1])
+    images = np.array([np.eye(n)] + [draw(phases) * draw_image()
+                                     for _ in range(len(domain) - 1)])
+    if draw(st.booleans()):
+        images = images.conj()
+    hom = AlmostHom(domain=domain, target_kind="unitary", target_n=n, images=images)
     return Certificate(hom, draw(claims), draw(claims), draw(provenances))
 
 
@@ -86,9 +99,11 @@ def test_writer_spells_signed_zeros_and_non_finite_parts(tmp_path):
     # after construction to reach the non-finite spellings
     domain = ball(zpower_backend(1), 1)
     odd = [[complex(-0.0, 0.0), complex(math.nan, -math.inf)], [math.inf, complex(0.0, -0.0)]]
+    # every imaginary part zero: spelled from the real parts alone
+    real_odd = [[-0.0, math.nan], [-math.inf, complex(1.0, -0.0)]]
     swap = np.array([[0, 1], [1, 0]], dtype=complex).conj()
     hom = AlmostHom(domain, "unitary", 2, np.array([np.eye(2), swap, swap]))
-    hom.images = np.array([np.eye(2), odd, swap])
+    hom.images = np.array([np.eye(2), odd, real_odd])
     cert = Certificate(hom, math.nan, -math.inf, "")
     text = saved_text(cert, tmp_path)
     assert text == reference_text(cert)

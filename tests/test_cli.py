@@ -71,6 +71,20 @@ def test_verify_malformed_exits_2(tmp_path):
     assert run(["verify", tmp_path / "missing.json", "--eps", "1", "--delta", "0"]) == 2
 
 
+@pytest.mark.parametrize("eps,delta", [("nan", "1"), ("inf", "1"), ("1e-9", "nan"),
+                                       ("1e-9", "inf"), ("0", "1")])
+def test_verify_malformed_thresholds_exit_2_without_a_report(tmp_path, capsys, eps, delta):
+    cert, report = tmp_path / "z.json", tmp_path / "report.json"
+    assert run(["certify", "--family", "z", "--folner", "10", "--radius", "2",
+                "-o", cert]) == 0
+    capsys.readouterr()
+    assert run(["verify", cert, "--eps", eps, "--delta", delta, "-o", report]) == 2
+    assert run(["verify", cert, "--eps", eps, "--delta", delta]) == 2
+    out, err = capsys.readouterr()
+    assert not report.exists() and out == ""
+    assert err.startswith("error: ")
+
+
 def test_certify_free_and_graph_round_trip(tmp_path, capsys):
     cert = tmp_path / "free.json"
     graph = tmp_path / "g.json"

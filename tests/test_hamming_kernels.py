@@ -16,13 +16,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soficlab import almosthom
-from soficlab.almosthom import AlmostHom, defect_witness, separation_witness
+from soficlab.almosthom import (
+    AlmostHom,
+    defect_witness,
+    measured_certificate,
+    separation_witness,
+)
 from soficlab.amenability import folner_box
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import main
-from soficlab.constructions import folner_to_sofic, sofic_to_hyperlinear
-from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance, random_unitary
+from soficlab.constructions import amplify_certificate, folner_to_sofic, sofic_to_hyperlinear
+from soficlab.metrics import (
+    Permutation,
+    UnitaryMatrix,
+    hamming,
+    hs_distance,
+    random_orthogonal,
+    random_unitary,
+)
+
+from oracles import complex_unitary_kernels
 
 
 def as_permutations(hom: AlmostHom) -> list:
@@ -207,6 +221,67 @@ def test_unitary_kernels_exact_on_permutation_matrices(hom, chunk):
             sym_value, sym_pair = separation_witness(hom)
             assert got[1] == sym_pair
             assert abs(got[0] - np.sqrt(2 * float(sym_value))) <= 1e-12
+
+
+@st.composite
+def real_unitary_homs(draw):
+    """(kind, hom) for real unitary images: permutation matrices, their
+    tensor squares (entries in {0, +-1} either way), or random orthogonal
+    matrices; .conj() puts -0.0 among the imaginary parts."""
+    kind = draw(st.sampled_from(["permutation", "amplified", "orthogonal"]))
+    if kind == "orthogonal":
+        domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](), draw(st.integers(0, 2)))
+        n = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        images = [np.eye(n)] + [random_orthogonal(n, rng).entries for _ in range(len(domain) - 1)]
+        hom = AlmostHom(domain, "unitary", n, np.array(images))
+    else:
+        hom = sofic_to_hyperlinear(draw(sym_homs()))
+        if kind == "amplified" and len(hom.domain) >= 2:  # measuring needs a separation
+            hom = amplify_certificate(measured_certificate(hom), 1).hom
+    if draw(st.booleans()):
+        hom = AlmostHom(hom.domain, "unitary", hom.target_n, hom.images.conj())
+    return kind, hom
+
+
+def witnesses(hom: AlmostHom) -> tuple:
+    separation = separation_witness(hom) if len(hom.domain) >= 2 else None
+    return defect_witness(hom), separation
+
+
+def oracle_witnesses(hom: AlmostHom) -> tuple:
+    with mock.patch.object(almosthom, "_kernels", complex_unitary_kernels):
+        return witnesses(hom)
+
+
+def oracle_distance(hom: AlmostHom, pair, product: bool) -> float:
+    images, compose, distance, _ = complex_unitary_kernels(hom)
+    a, b = images[[pair[0]]], images[[pair[1]]]
+    if product:
+        a, b = compose(a, b), images[[hom.domain.products[pair]]]
+    return float(distance(a, b)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_unitary_homs(), st.sampled_from([1, 3, 1 << 18]))
+def test_real_unitary_kernels_match_complex_oracle(case, chunk):
+    kind, hom = case
+    assert almosthom._kernels(hom)[0].dtype == np.float64
+    with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
+        (dft, sep), (want_dft, want_sep) = witnesses(hom), oracle_witnesses(hom)
+        if kind == "orthogonal":  # float64 and complex128 sums round apart
+            assert_close_to_reference(dft, want_dft, lambda p: oracle_distance(hom, p, True))
+            if sep is not None:
+                assert_close_to_reference(sep, want_sep, lambda p: oracle_distance(hom, p, False))
+        else:  # integer entries: both arithmetics are exact
+            assert (dft, sep) == (want_dft, want_sep)
+        if len(hom.domain) >= 2:
+            # one image times 1j makes the certificate complex: the complex path
+            images = hom.images.copy()
+            images[-1] *= 1j
+            twisted = AlmostHom(hom.domain, "unitary", hom.target_n, images)
+            assert almosthom._kernels(twisted)[0].dtype == np.complex128
+            assert witnesses(twisted) == oracle_witnesses(twisted)
 
 
 def test_verify_checks_unitarity_once_per_image(tmp_path, capsys):
