@@ -214,14 +214,20 @@ class VerificationReport:
         }
 
 
-def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
-    """Recompute defect and separation; pass iff defect < eps and
-    separation >= delta.  Claims inside the certificate are ignored.  A
+def check_thresholds(eps: float, delta: float) -> None:
+    """ValueError unless eps is finite and > 0 and delta finite and >= 0: a
     NaN or infinite threshold is malformed input, not a failed check."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
+
+
+def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
+    """Recompute defect and separation; pass iff defect < eps and
+    separation >= delta.  Claims inside the certificate are ignored, and
+    the thresholds must pass `check_thresholds`."""
+    check_thresholds(eps, delta)
     hom = cert.hom
     dft, dft_pair = defect_witness(hom)
     sep, sep_pair = separation_witness(hom)

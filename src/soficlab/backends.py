@@ -174,8 +174,9 @@ class FiniteBackend(GroupBackend):
     """An explicit finite group given by its multiplication table.
 
     The table is verified to be a group table on construction: entries in
-    range, identity behaving neutrally, rows and columns bijective, and full
-    associativity.  Canonical forms are table indices.
+    range, identity behaving neutrally, rows and columns bijective, and
+    associativity (Light's test over a generating set).  Canonical forms
+    are table indices.
     """
 
     kind = "finite"
@@ -201,13 +202,14 @@ class FiniteBackend(GroupBackend):
         bad |= (np.sort(tbl, axis=0).T != span).any(axis=1)
         if bad.any():
             raise ValueError(f"row/column {bad.argmax()} is not a bijection")
-        # associativity, (x_i x_j) x_k == x_i (x_j x_k), row i at a time
-        left, right = np.empty_like(tbl), np.empty_like(tbl)
-        for i in range(m):
-            np.take(tbl, tbl[i], axis=0, out=left)
-            np.take(tbl[i], tbl, out=right)
-            if not np.array_equal(left, right):
-                raise ValueError(f"table not associative at row {i}")
+        # Light's test: the a with (x a) y = x (a y) for all x, y contain e
+        # and are closed under products, so checking a generating set suffices
+        for s in _right_generators(tbl, e):
+            bad = tbl[tbl[:, s]] != tbl[:, tbl[s]]  # (x s) y against x (s y)
+            if bad.any():
+                x, y = np.argwhere(bad)[0].tolist()
+                raise ValueError(f"table not associative: (x*s)*y != x*(s*y) "
+                                 f"at (x, s, y) = ({x}, {s}, {y})")
         self.table = tbl
         self.table.setflags(write=False)
         self.order = m
@@ -245,6 +247,23 @@ class FiniteBackend(GroupBackend):
             "identity": self.identity_index,
             "generators": list(self.generators),
         }
+
+
+def _right_generators(table: np.ndarray, e: int) -> list[int]:
+    """A set S whose right-multiplication closure from e is the whole table:
+    the least element the closure misses joins S, greedily, until none is
+    missed."""
+    reached = np.zeros(len(table), dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(reached.argmin()))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            frontier = np.unique(table[np.ix_(frontier, gens)])
+            frontier = frontier[~reached[frontier]]
+            reached[frontier] = True
+    return gens
 
 
 def free_backend(rank: int = 2, names: tuple[str, ...] = ()) -> FreeBackend:

@@ -1,17 +1,22 @@
-"""Word-metric balls with partial multiplication tables.
+"""Word-metric balls with successor arrays and partial multiplication tables.
 
 A ball B_N collects every canonical form reachable by a word of length <= N,
 enumerated breadth-first in shortlex order over the signed alphabet
 (generators before inverses, lower index first).  The identity is always
 element 0.  Each element records its BFS parent, one letter shorter, and
 that letter, so its shortlex-least word is read off the tree on demand.
+Right and left multiplication by each signed letter are index arrays
+(`succ`, `lsucc`).  A free ball is built in closed form from those arrays
+alone, and its canonical forms, the reduced words, only on request.
 """
 
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .backends import Canon, GroupBackend
+import numpy as np
+
+from .backends import Canon, FreeBackend, GroupBackend
 from .config import ResourceLimits, default_limits
 from .errors import ResourceCapError
 from .words import Word
@@ -19,16 +24,22 @@ from .words import Word
 
 @dataclass(eq=False)
 class BallTable:
+    """The BFS tree of a ball and its right-successor array.
+
+    `succ` is a read-only int32 array of shape (|B| + 1, 2 rank): succ[i, c]
+    is the index of element i times the c-th signed letter (columns in
+    `signed_letters` order), or -1 outside the ball.  Its last row is all
+    -1, so a gather through -1 stays at -1."""
+
     backend: GroupBackend
     radius: int
-    elements: tuple  # canonical forms, identity first
-    index: dict  # canonical form -> its position in elements
     lengths: array  # word length per element
     parents: array  # index of the parent element; -1 at the identity
     letters: array  # signed letter from the parent to the element; 0 at the identity
+    succ: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.lengths)
 
     def word(self, i: int) -> Word:
         """The shortlex-least word spelling element i."""
@@ -37,6 +48,43 @@ class BallTable:
             letters.append(self.letters[i])
             i = self.parents[i]
         return tuple(reversed(letters))
+
+    def levels(self) -> list[tuple[int, int]]:
+        """(start, stop) of the elements at each depth 1, 2, ... in turn."""
+        bounds = np.searchsorted(self.lengths, np.arange(1, self.lengths[-1] + 2)).tolist()
+        return list(zip(bounds, bounds[1:]))
+
+    @cached_property
+    def lsucc(self) -> np.ndarray:
+        """Left successors, shaped like `succ`: lsucc[i, c] is the index of
+        the c-th signed letter times element i, or -1.  For w_i = w_p x,
+        s w_i = (s w_p) x, and s w_p lies in the ball because
+        |s w_p| <= |w_i|; so one gather per depth is exact in any group."""
+        parents = np.asarray(self.parents)
+        columns = _columns(np.asarray(self.letters), self.backend.rank)
+        lsucc = np.full_like(self.succ, -1)
+        lsucc[0] = self.succ[0]
+        for lo, hi in self.levels():
+            lsucc[lo:hi] = self.succ[lsucc[parents[lo:hi]], columns[lo:hi, None]]
+        lsucc.setflags(write=False)
+        return lsucc
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Canonical forms, identity first.  The generic enumeration keeps the
+        ones it built; a free ball multiplies them out along the tree on
+        first use."""
+        backend = self.backend
+        step = {s: backend.letter(s) for s in backend.alphabet.signed_letters()}
+        out = [backend.identity()]
+        for parent, s in zip(self.parents[1:], self.letters[1:]):
+            out.append(backend.multiply(out[parent], step[s]))
+        return tuple(out)
+
+    @cached_property
+    def index(self) -> dict:
+        """Canonical form -> its position in `elements`."""
+        return {g: i for i, g in enumerate(self.elements)}
 
     @cached_property
     def products(self) -> dict[tuple[int, int], int]:
@@ -58,47 +106,80 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
 
     For finite-table backends the radius may exceed the diameter, in which
     case the ball saturates at the whole group.  Raises ResourceCapError if
-    the element count would exceed the configured cap.
+    the element count would exceed the configured cap; a free ball is
+    checked against the cap before anything is allocated.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    limits = limits or default_limits()
-    cap = limits.ball_cap
+    cap = (limits or default_limits()).ball_cap
+    if isinstance(backend, FreeBackend):
+        return _free_ball(backend, radius, cap)
     letters = [(s, backend.letter(s)) for s in backend.alphabet.signed_letters()]
     identity = backend.identity()
     elements: list[Canon] = [identity]
     index = {identity: 0}
     lengths, parents = array("i", [0]), array("i", [-1])
     steps = array("b" if backend.rank < 128 else "i", [0])
-    start, end = 0, 1  # the elements of the previous depth
-    for depth in range(1, radius + 1):
-        for i in range(start, end):
-            g = elements[i]
-            for s, letter in letters:
-                h = backend.multiply(g, letter)
-                if h in index:
-                    continue
+    succ = array("i")
+    for i, g in enumerate(elements):  # the list grows as the loop runs
+        depth = lengths[i] + 1
+        for s, letter in letters:
+            h = backend.multiply(g, letter)
+            j = index.get(h, -1)
+            if j < 0 and depth <= radius:
                 if len(elements) >= cap:
                     raise ResourceCapError(
                         f"ball at radius {depth} exceeds cap of {cap} elements"
                     )
-                index[h] = len(elements)
+                j = index[h] = len(elements)
                 elements.append(h)
                 lengths.append(depth)
                 parents.append(i)
                 steps.append(s)
-        if len(elements) == end:
-            break
-        start, end = end, len(elements)
-    return BallTable(
-        backend=backend,
-        radius=radius,
-        elements=tuple(elements),
-        index=index,
-        lengths=lengths,
-        parents=parents,
-        letters=steps,
-    )
+            succ.append(j)
+    succ.extend([-1] * len(letters))
+    succ = np.array(succ, dtype=np.int32).reshape(-1, len(letters))
+    succ.setflags(write=False)
+    table = BallTable(backend, radius, lengths, parents, steps, succ)
+    vars(table).update(elements=tuple(elements), index=index)  # seed the cached properties
+    return table
+
+
+def _free_ball(backend: FreeBackend, radius: int, cap: int) -> BallTable:
+    """The free ball in closed form: depth k + 1 lists each depth-k element
+    once per signed letter, in signed order, skipping the inverse of its
+    last letter, which steps back to its parent."""
+    rank = backend.rank
+    size, level = 1, 2 * rank  # free_ball_size depth by depth, up to the first over the cap
+    for depth in range(1, radius + 1):
+        size += level
+        if size > cap:
+            raise ResourceCapError(f"ball at radius {depth} exceeds cap of {cap} elements")
+        level *= 2 * rank - 1
+    signed = np.array(backend.alphabet.signed_letters(), dtype=np.int32)
+    parents, letters, start = [np.array([-1])], [np.array([0], dtype=np.int32)], 0
+    for _ in range(radius):
+        k, c = np.nonzero(signed != -letters[-1][:, None])
+        parents.append(start + k)
+        letters.append(signed[c])
+        start += len(letters[-2])
+    lengths = np.repeat(np.arange(radius + 1, dtype=np.int32), list(map(len, parents)))
+    parents, letters = np.concatenate(parents).astype(np.int32), np.concatenate(letters)
+    n, column = len(parents), _columns(letters, rank)
+    succ = np.full((n + 1, 2 * rank), -1, dtype=np.int32)
+    succ[parents[1:], column[1:]] = np.arange(1, n)  # parent times letter
+    succ[np.arange(1, n), (column[1:] + rank) % (2 * rank)] = parents[1:]  # times its inverse
+    succ.setflags(write=False)
+    return BallTable(backend, radius, array("i", lengths.tobytes()), array("i", parents.tobytes()),
+                     array("b", letters.astype(np.int8).tobytes()) if rank < 128
+                     else array("i", letters.tobytes()), succ)
+
+
+def _columns(letters: np.ndarray, rank: int) -> np.ndarray:
+    """The `succ` column of each signed letter: s - 1 for a generator s,
+    rank - 1 - s for an inverse."""
+    letters = letters.astype(np.intp)
+    return np.where(letters > 0, letters - 1, rank - 1 - letters)
 
 
 def free_ball_size(rank: int, radius: int) -> int:

@@ -15,6 +15,7 @@ from .almosthom import (
     EXIT_FAIL,
     EXIT_MALFORMED,
     EXIT_PASS,
+    check_thresholds,
     load_certificate,
     measured_certificate,
     save_certificate,
@@ -130,6 +131,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_thresholds(args.eps, args.delta)  # before reading a certificate of any size
     cert = load_certificate(args.certificate)
     report = verify(cert, args.eps, args.delta)
     _emit(report.to_json(), args.output)

@@ -141,9 +141,7 @@ def cayley_ball_graph(backend, radius: int,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     table = ball(backend, radius, limits)
-    successors = [[table.index.get(backend.multiply(g, gen), -1) for g in table.elements]
-                  for gen in map(backend.letter, range(1, backend.rank + 1))]
-    return ColoredGraph(backend.alphabet.names, np.array(successors))
+    return ColoredGraph(backend.alphabet.names, table.succ[:-1, :backend.rank].T)
 
 
 def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
@@ -154,8 +152,7 @@ def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
     backend = hom.domain.backend
     if hom.domain.radius < 1:
         raise ValueError("ball must contain the generators (radius >= 1)")
-    rows = [hom.domain.index[backend.letter(s)] for s in range(1, backend.rank + 1)]
-    return ColoredGraph(backend.alphabet.names, hom.images[rows])
+    return ColoredGraph(backend.alphabet.names, hom.images[hom.domain.succ[0, :backend.rank]])
 
 
 # landing entries (words x vertices) held at once by local_match_fraction

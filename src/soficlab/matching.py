@@ -21,6 +21,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 from .backends import GroupBackend, free_backend
 from .balls import ball
 from .config import ResourceLimits
@@ -219,41 +221,39 @@ def paradox_from_matching(radius: int, spread: int,
     # B_r exactly when its index is below |B_r|
     outer = ball(backend, radius + spread, limits)
     inner_size = bisect_right(outer.lengths, radius)
-    translators = outer.elements[:bisect_right(outer.lengths, spread)]
-    adjacency = []
-    for g in outer.elements[:inner_size]:
-        nbrs = {outer.index[backend.multiply(x, g)] for x in translators}
-        adjacency.append(tuple(sorted(nbrs)))
-    graph = BipartiteGraph(inner_size, len(outer), tuple(adjacency))
+    translators = bisect_right(outer.lengths, spread)
+    column = {s: c for c, s in enumerate(backend.alphabet.signed_letters())}
+    # targets[x, g] is the index of x g, reached from g by left successors
+    # along x's word, last letter first; |x g| <= N + k, so none is -1
+    targets = np.empty((translators, inner_size), dtype=outer.lsucc.dtype)
+    for x in range(translators):
+        moved = np.arange(inner_size)
+        for s in reversed(outer.word(x)):
+            moved = outer.lsucc[moved, column[s]]
+        targets[x] = moved
+    # distinct translators move g to distinct elements, so no edge repeats
+    adjacency = tuple(map(tuple, np.sort(targets, axis=0).T.tolist()))
+    graph = BipartiteGraph(inner_size, len(outer), adjacency)
     outcome = two_one_matching(graph)
-    alphabet = backend.alphabet
     if isinstance(outcome, DeficiencyWitness):
         return MatchingParadoxReport(
             radius=radius, spread=spread, feasible=False, witness=outcome,
             pieces={}, translated_disjoint=False, leakage=0,
         )
-    pieces: dict[tuple[str, str], list[int]] = {}
-    leakage = 0
-    for a, g in enumerate(outer.elements[:inner_size]):
-        ig = outer.elements[outcome.i[a]]
-        jg = outer.elements[outcome.j[a]]
-        s = backend.multiply(ig, backend.inverse(g))
-        t = backend.multiply(jg, backend.inverse(g))
-        key = (
-            word_to_str(alphabet, outer.word(outer.index[s])),
-            word_to_str(alphabet, outer.word(outer.index[t])),
-        )
-        pieces.setdefault(key, []).append(a)
-        leakage += (outcome.i[a] >= inner_size) + (outcome.j[a] >= inner_size)
-    # translated pieces s*Omega_{s,t} are exactly the i-images grouped by key,
-    # and t*Omega_{s,t} the j-images; verify global disjointness by counting
-    translated: list[int] = []
-    for (s_w, t_w), members in pieces.items():
-        translated.extend(outcome.i[a] for a in members)
-        translated.extend(outcome.j[a] for a in members)
-    disjoint = len(translated) == len(set(translated))
+    i, j = np.array(outcome.i), np.array(outcome.j)
+    # the translators s and t with i(g) = s g and j(g) = t g, spelled once each
+    s_of, t_of = (targets == i).argmax(axis=0), (targets == j).argmax(axis=0)
+    names = [word_to_str(backend.alphabet, outer.word(x)) for x in range(translators)]
+    keys, first, sizes = np.unique(s_of * translators + t_of, return_index=True,
+                                   return_counts=True)
+    order = np.argsort(first)  # pieces in the order their first member appears
+    pieces = {(names[k // translators], names[k % translators]): size
+              for k, size in zip(keys[order].tolist(), sizes[order].tolist())}
+    # the translated pieces s*Omega_{s,t} and t*Omega_{s,t} are the i- and
+    # j-images grouped by piece; verify their global disjointness by counting
+    images = np.concatenate([i, j])
     return MatchingParadoxReport(
-        radius=radius, spread=spread, feasible=True, witness=None,
-        pieces={key: len(members) for key, members in pieces.items()},
-        translated_disjoint=disjoint, leakage=leakage,
+        radius=radius, spread=spread, feasible=True, witness=None, pieces=pieces,
+        translated_disjoint=len(np.unique(images)) == len(images),
+        leakage=int(np.count_nonzero(images >= inner_size)),
     )

@@ -9,16 +9,22 @@ from fractions import Fraction
 import numpy as np
 
 from soficlab.almosthom import AlmostHom
-from soficlab.amenability import FolnerSet
+from soficlab.amenability import PARADOX_PIECES, FolnerSet, ParadoxReport
 from soficlab.amplify import amplified_distance
 from soficlab.backends import FiniteBackend, free_backend
 from soficlab.balls import BallTable, ball
 from soficlab.config import ResourceLimits
 from soficlab.errors import BackendMismatchError
 from soficlab.graphs import ColoredGraph, LocalMatchReport
-from soficlab.matching import BipartiteGraph
+from soficlab.matching import (
+    BipartiteGraph,
+    DeficiencyWitness,
+    MatchingParadoxReport,
+    two_one_matching,
+)
 from soficlab.metrics import UnitaryMatrix
 from soficlab.sl2 import mat_mul_mod, sl2_word_image
+from soficlab.words import word_to_str
 
 
 def predicted_amplified(d: float, times: int) -> float:
@@ -339,4 +345,76 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
         matched_count=matched,
         total_count=graph.vertex_count,
         sample_failures=tuple(failures),
+    )
+
+
+def table_is_associative(table) -> bool:
+    """(x y) z == x (y z) for all m^3 triples, one row x at a time."""
+    tbl = np.asarray(table)
+    return all(np.array_equal(tbl[tbl[x]], tbl[x][tbl]) for x in range(len(tbl)))
+
+
+# The library's earlier paradox checks: word by word over the ball's
+# canonical forms, with a backend multiplication per word or edge and index
+# lookups.  soficlab.amenability and soficlab.matching read the ball's
+# successor arrays instead and must give equal reports.
+_PIECE_OF_FIRST_LETTER = {1: "WA", -1: "WAinv", 2: "WB", -2: "WBinv"}
+
+
+def paradox_verify(radius: int) -> ParadoxReport:
+    """Check, word by word over the free ball B_N, the two translation
+    identities behind the paradoxical decomposition of the rank-2 free group:
+    every nonempty word lies in exactly one of {w(a), a*w(a^-1)} and exactly
+    one of {w(b), b*w(b^-1)}."""
+    backend = free_backend(2)
+    elements = ball(backend, radius).elements
+    sizes = {piece: 0 for piece in PARADOX_PIECES}
+    a_ok = b_ok = True
+    for w in elements:
+        if not w:
+            sizes["E"] += 1
+            continue
+        sizes[_PIECE_OF_FIRST_LETTER[w[0]]] += 1
+        shifted_a = backend.multiply((-1,), w)  # a^-1 w
+        if (w[0] == 1) == (bool(shifted_a) and shifted_a[0] == -1):
+            a_ok = False
+        shifted_b = backend.multiply((-2,), w)  # b^-1 w
+        if (w[0] == 2) == (bool(shifted_b) and shifted_b[0] == -2):
+            b_ok = False
+    return ParadoxReport(radius=radius, piece_sizes=sizes, a_identity_holds=a_ok,
+                         b_identity_holds=b_ok, partition_ok=sum(sizes.values()) == len(elements))
+
+
+def paradox_from_matching(radius: int, spread: int, backend) -> MatchingParadoxReport:
+    """The (2,1)-matching paradox on A = B_N, B = B_{N+k} with an edge
+    (g, xg) per x in B_k; each piece's translators s = i(g) g^-1 and
+    t = j(g) g^-1 are multiplied out and looked up in the ball."""
+    outer = ball(backend, radius + spread)
+    inner_size = sum(length <= radius for length in outer.lengths)
+    translators = outer.elements[:sum(length <= spread for length in outer.lengths)]
+    adjacency = []
+    for g in outer.elements[:inner_size]:
+        adjacency.append(tuple(sorted({outer.index[backend.multiply(x, g)]
+                                       for x in translators})))
+    outcome = two_one_matching(BipartiteGraph(inner_size, len(outer), tuple(adjacency)))
+    if isinstance(outcome, DeficiencyWitness):
+        return MatchingParadoxReport(radius=radius, spread=spread, feasible=False,
+                                     witness=outcome, pieces={}, translated_disjoint=False,
+                                     leakage=0)
+    pieces: dict = {}
+    leakage = 0
+    for a, g in enumerate(outer.elements[:inner_size]):
+        ig, jg = outer.elements[outcome.i[a]], outer.elements[outcome.j[a]]
+        s = backend.multiply(ig, backend.inverse(g))
+        t = backend.multiply(jg, backend.inverse(g))
+        key = (word_to_str(backend.alphabet, outer.word(outer.index[s])),
+               word_to_str(backend.alphabet, outer.word(outer.index[t])))
+        pieces.setdefault(key, []).append(a)
+        leakage += (outcome.i[a] >= inner_size) + (outcome.j[a] >= inner_size)
+    translated = [image for members in pieces.values()
+                  for image in [outcome.i[a] for a in members] + [outcome.j[a] for a in members]]
+    return MatchingParadoxReport(
+        radius=radius, spread=spread, feasible=True, witness=None,
+        pieces={key: len(members) for key, members in pieces.items()},
+        translated_disjoint=len(translated) == len(set(translated)), leakage=leakage,
     )

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficlab.amenability import (
     PARADOX_PIECES,
@@ -18,6 +19,8 @@ from soficlab.amenability import (
 )
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball, free_ball_size
+
+import oracles
 
 
 def test_folner_set_canonicalizes():
@@ -125,6 +128,12 @@ def test_paradox_verify_pieces_match_classify():
     words = ball(free_backend(2), 4).elements
     sizes = Counter(paradox_classify(w) for w in words)
     assert paradox_verify(4).piece_sizes == {p: sizes[p] for p in PARADOX_PIECES}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 6))
+def test_paradox_verify_equals_the_word_loop(radius):
+    assert paradox_verify(radius) == oracles.paradox_verify(radius)
 
 
 def test_ball_expansion_contrast():

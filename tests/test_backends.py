@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from soficlab.backends import (
 )
 from soficlab.words import reduce_word, word_inverse
 
-from oracles import cyclic_backend
+from oracles import cyclic_backend, table_is_associative
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=12).map(tuple)
@@ -104,8 +106,7 @@ def test_finite_table_validation():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(ValueError, match="associative"):
-        FiniteBackend(loop, 0)
+    assert not check_associativity_verdict(loop)  # refused, naming a failing triple
 
 
 def reference_first_non_bijection(table) -> int | None:
@@ -141,13 +142,55 @@ def test_latin_check_names_the_reference_index(m, data):
             table[i][j] = data.draw(st.integers(0, m - 1))
     want = reference_first_non_bijection(table)
     if want is None:  # a Latin square again, which may or may not associate
-        try:
-            FiniteBackend(table, 0)
-        except ValueError as exc:
-            assert "associative" in str(exc)
+        check_associativity_verdict(table)
     else:
         with pytest.raises(ValueError, match=rf"^row/column {want} is not a bijection$"):
             FiniteBackend(table, 0)
+
+
+def check_associativity_verdict(table):
+    """FiniteBackend accepts a Latin square with identity 0 exactly when
+    every triple associates, and otherwise names a failing triple."""
+    if table_is_associative(table):
+        FiniteBackend(table, 0)
+        return True
+    with pytest.raises(ValueError, match="associative") as exc:
+        FiniteBackend(table, 0)
+    x, s, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)$", str(exc.value)).groups())
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+    return False
+
+
+def reduced_latin_squares(m: int):
+    """Every m x m Latin square whose first row and column are 0..m-1, i.e.
+    every loop on {0, ..., m-1} with identity 0."""
+    table = [[i if j == 0 else j if i == 0 else -1 for j in range(m)] for i in range(m)]
+    cells = [(i, j) for i in range(1, m) for j in range(1, m)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in table]
+            return
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        for v in range(m):
+            if v not in used:
+                table[i][j] = v
+                yield from fill(k + 1)
+        table[i][j] = -1
+
+    return list(fill(0))
+
+
+def test_light_test_agrees_with_every_triple():
+    # all loops of order <= 5: the 4 of order 4 are groups, and order 5 has
+    # both groups and non-associative loops
+    verdicts = []
+    for m in range(2, 6):
+        for table in reduced_latin_squares(m):
+            verdicts.append(check_associativity_verdict(table))
+    assert len(verdicts) == 1 + 1 + 4 + 56
+    assert set(verdicts) == {True, False}
 
 
 def test_finite_backend_from_json_and_descriptor_round_trip():

@@ -3,7 +3,9 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +104,61 @@ def test_tree_ball_equals_the_spelled_reference(kind, radius):
     assert list(t.elements) == elements
     assert [t.word(i) for i in range(len(t))] == words
     assert list(t.lengths) == lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6))
+def test_closed_form_free_ball_equals_the_spelled_reference(rank, radius):
+    t = ball(free_backend(rank), radius)
+    elements, words, lengths = spelled_ball(free_backend(rank), radius)
+    position = {w: i for i, w in enumerate(words)}
+    assert list(t.elements) == elements
+    assert [t.word(i) for i in range(len(t))] == words
+    assert list(t.lengths) == lengths
+    assert list(t.parents) == [-1] + [position[w[:-1]] for w in words[1:]]
+    assert list(t.letters) == [0] + [w[-1] for w in words[1:]]
+
+
+SUCCESSOR_BACKENDS = {**TREE_BACKENDS, "sl2_3": lambda: sl2_finite_backend(3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SUCCESSOR_BACKENDS)), st.integers(0, 4))
+def test_successor_arrays_equal_multiplication(kind, radius):
+    backend = SUCCESSOR_BACKENDS[kind]()
+    t = ball(backend, radius)
+    letters = [backend.letter(s) for s in backend.alphabet.signed_letters()]
+    sink = [-1] * len(letters)
+    right = [[t.index.get(backend.multiply(g, x), -1) for x in letters] for g in t.elements]
+    left = [[t.index.get(backend.multiply(x, g), -1) for x in letters] for g in t.elements]
+    assert t.succ.tolist() == right + [sink]
+    assert t.lsucc.tolist() == left + [sink]
+    assert not (t.succ.flags.writeable or t.lsucc.flags.writeable)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 10**9), st.integers(1, 5000))
+def test_free_ball_cap_names_the_first_depth_over_it(rank, radius, cap):
+    over = next((d for d in range(1, min(radius, cap) + 1) if free_ball_size(rank, d) > cap),
+                None)
+    if over is None:
+        assert len(ball(free_backend(rank), radius, ResourceLimits(ball_cap=cap))) <= cap
+    else:
+        with pytest.raises(ResourceCapError,
+                           match=f"^ball at radius {over} exceeds cap of {cap} elements$"):
+            ball(free_backend(rank), radius, ResourceLimits(ball_cap=cap))
+
+
+def test_free_ball_over_the_cap_allocates_nothing():
+    # the default cap admits radius 11 of the rank-2 free group, not 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="^ball at radius 12 exceeds cap of 1000000"):
+            ball(free_backend(2), 10**9, ResourceLimits(ball_cap=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_products_partial_table_consistent():

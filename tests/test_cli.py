@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from soficlab import almosthom
+from soficlab import almosthom, cli
 from soficlab.backends import zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import main
@@ -83,6 +83,20 @@ def test_verify_malformed_thresholds_exit_2_without_a_report(tmp_path, capsys, e
     out, err = capsys.readouterr()
     assert not report.exists() and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("eps,delta", [("nan", "1"), ("1e-9", "inf")])
+def test_verify_checks_thresholds_before_loading(tmp_path, monkeypatch, eps, delta):
+    def load_certificate(*args, **kwargs):
+        raise AssertionError("load_certificate called")
+
+    monkeypatch.setattr(cli, "load_certificate", load_certificate)
+    assert run(["verify", tmp_path / "cert.json", "--eps", eps, "--delta", delta]) == 2
+
+
+def test_paradox_over_the_ball_cap_exits_2(capsys):
+    assert run(["paradox", "--radius", "13"]) == 2
+    assert "ball at radius 12 exceeds cap of" in capsys.readouterr().err
 
 
 def test_certify_free_and_graph_round_trip(tmp_path, capsys):

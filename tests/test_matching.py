@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from soficlab import matching
 from soficlab.backends import free_backend, zpower_backend
+from soficlab.balls import free_ball_size
 from soficlab.matching import (
     BipartiteGraph,
     DeficiencyWitness,
@@ -13,6 +14,7 @@ from soficlab.matching import (
     two_one_matching,
 )
 
+import oracles
 from oracles import hall_condition_holds, matching_exists_bruteforce, max_flow_two_one
 
 
@@ -178,3 +180,26 @@ def test_paradox_from_matching_matches_oracle_flow(monkeypatch, backend, radius,
     assert report.feasible == (backend.kind == "free")
     assert list(report.pieces.items()) == list(expected.pieces.items())
 
+
+
+PARADOX_BACKENDS = {
+    "free2": lambda: free_backend(2),
+    "free3": lambda: free_backend(3),
+    "z1": lambda: zpower_backend(1),  # amenable: infeasible, with a witness
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PARADOX_BACKENDS)), st.integers(1, 6), st.integers(1, 3))
+@example("free2", 4, 2)
+@example("free2", 3, 3)
+@example("free3", 2, 2)
+@example("z1", 6, 3)
+def test_paradox_from_matching_equals_the_multiplication_route(kind, radius, spread):
+    backend = PARADOX_BACKENDS[kind]()
+    # the oracle multiplies per edge, so keep its ball to about a thousand elements
+    assume(backend.kind != "free" or free_ball_size(backend.rank, radius + spread) <= 1500)
+    report = paradox_from_matching(radius, spread, backend)
+    expected = oracles.paradox_from_matching(radius, spread, backend)
+    assert report == expected
+    assert list(report.pieces.items()) == list(expected.pieces.items())
