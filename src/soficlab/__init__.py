@@ -101,5 +101,5 @@ from .metrics import (
     random_unitary,
     sinfty_demo,
 )
-from .sl2 import lef_witness_free, sl2_word_image
+from .sl2 import lef_witness_free, sl2_ball_images
 from .words import GeneratorAlphabet, reduce_word, word_from_str, word_to_str

@@ -124,16 +124,14 @@ def defect_witness(hom: AlmostHom):
     scanned in chunks that keep each temporary under _KERNEL_CHUNK elements."""
     images, compose, distance, value = _kernels(hom)
     products = hom.domain.products
-    pairs = np.array(list(products), dtype=np.intp).reshape(-1, 2)
-    targets = np.fromiter(products.values(), dtype=np.intp, count=len(products))
     step = max(1, _KERNEL_CHUNK // images.shape[1])
     worst, witness = 0, None
-    for lo in range(0, len(targets), step):
-        i, j = pairs[lo:lo + step, 0], pairs[lo:lo + step, 1]
+    for lo in range(0, len(products), step):
+        i, j, k = products[lo:lo + step].T
         # holding `product` until the next chunk replaces it keeps malloc from
         # trimming and re-faulting the heap every chunk (1.5x at n = 3600)
         product = compose(images[i], images[j])
-        d = distance(product, images[targets[lo:lo + step]])
+        d = distance(product, images[k])
         a = int(d.argmax())
         if witness is None or d[a] > worst:
             worst, witness = d[a], (int(i[a]), int(j[a]))
@@ -380,6 +378,8 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
     different failure mode than verification failure.  A unitary rank above
     limits.rank_cap raises ResourceCapError before any image is read.
     """
+    if not isinstance(doc, dict):
+        raise MalformedCertificateError("certificate document must be a JSON object")
     limits = limits or default_limits()
     try:
         if doc.get("schema") != CERT_SCHEMA:
@@ -449,6 +449,4 @@ def load_certificate(path, limits: ResourceLimits | None = None) -> Certificate:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedCertificateError("certificate document must be a JSON object")
     return certificate_from_json(doc, limits)

@@ -177,8 +177,7 @@ def reiter_norm(phi: FolnerSet, g: Canon) -> Fraction:
     ((g)f)(x) = f(g^-1 x).  Both take the value 1/|phi| on their supports,
     so the norm is 1/|phi| times the number of points of the union support
     where exactly one is nonzero; equals folner_defect(phi, [g]) identically."""
-    n = len(phi)
-    return Fraction(2 * (n - _overlap(phi, g)), n)
+    return folner_defect(phi, [g])
 
 
 PARADOX_PIECES = ("E", "WA", "WAinv", "WB", "WBinv")

@@ -6,7 +6,8 @@ enumerated breadth-first in shortlex order over the signed alphabet
 element 0.  Each element records its BFS parent, one letter shorter, and
 that letter, so its shortlex-least word is read off the tree on demand.
 Right and left multiplication by each signed letter are index arrays
-(`succ`, `lsucc`).  A free ball is built in closed form from those arrays
+(`succ`, `lsucc`), and the partial multiplication table is one array of
+(i, j, k) rows.  A free ball is built in closed form from those arrays
 alone, and its canonical forms, the reduced words, only on request.
 """
 
@@ -20,6 +21,8 @@ from .backends import Canon, FreeBackend, GroupBackend
 from .config import ResourceLimits, default_limits
 from .errors import ResourceCapError
 from .words import Word
+
+_PRODUCT_CHUNK = 1 << 18  # entries of the block of products filled at once
 
 
 @dataclass(eq=False)
@@ -54,18 +57,25 @@ class BallTable:
         bounds = np.searchsorted(self.lengths, np.arange(1, self.lengths[-1] + 2)).tolist()
         return list(zip(bounds, bounds[1:]))
 
+    def walk(self, table: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Follow every element's word through a successor table laid out
+        like `succ`, one gather per depth: row 0 is `start`, a 1-D array of
+        table rows, and row i is row parent(i) stepped along i's last letter."""
+        parents = np.asarray(self.parents)
+        columns = _columns(np.asarray(self.letters), self.backend.rank)[:, None]
+        out = np.empty((len(self), len(start)), dtype=table.dtype)
+        out[0] = start
+        for lo, hi in self.levels():
+            out[lo:hi] = table[out[parents[lo:hi]], columns[lo:hi]]
+        return out
+
     @cached_property
     def lsucc(self) -> np.ndarray:
         """Left successors, shaped like `succ`: lsucc[i, c] is the index of
         the c-th signed letter times element i, or -1.  For w_i = w_p x,
         s w_i = (s w_p) x, and s w_p lies in the ball because
-        |s w_p| <= |w_i|; so one gather per depth is exact in any group."""
-        parents = np.asarray(self.parents)
-        columns = _columns(np.asarray(self.letters), self.backend.rank)
-        lsucc = np.full_like(self.succ, -1)
-        lsucc[0] = self.succ[0]
-        for lo, hi in self.levels():
-            lsucc[lo:hi] = self.succ[lsucc[parents[lo:hi]], columns[lo:hi, None]]
+        |s w_p| <= |w_i|; so the walk from the letters is exact in any group."""
+        lsucc = np.concatenate([self.walk(self.succ, self.succ[0]), self.succ[-1:]])
         lsucc.setflags(write=False)
         return lsucc
 
@@ -73,7 +83,7 @@ class BallTable:
     def elements(self) -> tuple:
         """Canonical forms, identity first.  The generic enumeration keeps the
         ones it built; a free ball multiplies them out along the tree on
-        first use."""
+        first use, which only certificate ingest asks for."""
         backend = self.backend
         step = {s: backend.letter(s) for s in backend.alphabet.signed_letters()}
         out = [backend.identity()]
@@ -87,18 +97,27 @@ class BallTable:
         return {g: i for i, g in enumerate(self.elements)}
 
     @cached_property
-    def products(self) -> dict[tuple[int, int], int]:
-        """Partial multiplication table: (i, j) -> k exactly when the
-        product of elements i and j stays inside the ball."""
-        table = {}
-        mul = self.backend.multiply
-        idx = self.index
-        for i, g in enumerate(self.elements):
-            for j, h in enumerate(self.elements):
-                k = idx.get(mul(g, h))
-                if k is not None:
-                    table[(i, j)] = k
-        return table
+    def products(self) -> np.ndarray:
+        """Partial multiplication table: a read-only int32 array with a row
+        (i, j, k) for each product g_i g_j = g_k inside the ball, in (i, j)
+        order, a block of rows i at a time.  A free ball walks each word
+        g_j = g_p x from the g_i, exact because g g_p lies in the ball
+        whenever g g_p x does in a free group; other backends multiply
+        every pair."""
+        n, blocks = len(self), []
+        step = max(1, _PRODUCT_CHUNK // n)
+        for lo in range(0, n, step):  # block[i - lo, j] = k, or -1 outside the ball
+            if isinstance(self.backend, FreeBackend):
+                block = self.walk(self.succ, np.arange(lo, min(lo + step, n))).T
+            else:
+                mul, idx = self.backend.multiply, self.index
+                block = np.array([[idx.get(mul(g, h), -1) for h in self.elements]
+                                  for g in self.elements[lo:lo + step]])
+            i, j = np.nonzero(block >= 0)
+            blocks.append(np.column_stack([i + lo, j, block[i, j]]).astype(np.int32))
+        rows = np.concatenate(blocks)
+        rows.setflags(write=False)
+        return rows
 
 
 def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = None) -> BallTable:

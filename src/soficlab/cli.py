@@ -6,6 +6,7 @@ Exit codes: 0 success/pass, 1 verification failure (or infeasible matching),
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -26,7 +27,6 @@ from .amenability import (
     folner_box,
     generator_folner_defect,
     paradox_verify,
-    reiter_norm,
 )
 from .backends import (
     GroupBackend,
@@ -87,9 +87,7 @@ def _emit(doc, path=None) -> None:
 def cmd_ball(args) -> int:
     backend = _backend_for(args)
     table = ball(backend, args.radius, default_limits())
-    by_length = {}
-    for length in table.lengths:
-        by_length[length] = by_length.get(length, 0) + 1
+    by_length = dict(enumerate(np.bincount(table.lengths).tolist()))
     _emit(
         {
             "backend": backend.kind,
@@ -189,18 +187,15 @@ def cmd_match_fraction(args) -> int:
 def cmd_folner(args) -> int:
     backend = _backend_for(args)
     phi = folner_box(backend, args.side)
-    defect = generator_folner_defect(phi)
-    reiter = max(
-        reiter_norm(phi, backend.letter(s))
-        for s in backend.alphabet.signed_letters()
-    )
+    # reiter_norm(phi, g) = folner_defect(phi, [g]): the max over g is this
+    defect = float(generator_folner_defect(phi))
     _emit(
         {
             "backend": backend.kind,
             "side": args.side,
             "size": len(phi),
-            "generator_defect": float(defect),
-            "reiter_norm_max": float(reiter),
+            "generator_defect": defect,
+            "reiter_norm_max": defect,
         },
         args.output,
     )
@@ -361,11 +356,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
+        return code
     except MalformedCertificateError as exc:
         print(f"malformed: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except (OSError, json.JSONDecodeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # drop the unwritten output
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except (SoficlabError, ValueError) as exc:

@@ -16,7 +16,7 @@ from .config import ResourceLimits, default_limits
 from .errors import BackendMismatchError, ResourceCapError
 from .amenability import FolnerSet
 from .metrics import canonical_fill
-from .sl2 import lef_witness_free, sl2_right_translations, sl2_word_image
+from .sl2 import distinct_matrices, lef_witness_free, sl2_ball_images, sl2_right_translations
 from .words import word_to_str
 
 
@@ -67,28 +67,32 @@ def lef_to_sofic(domain: BallTable, target: FiniteBackend,
     n = len(domain)
     if set(local_mono) != set(range(n)):
         raise ValueError("local monomorphism must be total on the ball")
-    values = [local_mono[i] for i in range(n)]
-    first: dict[int, int] = {}
-    for i, v in enumerate(values):
-        if first.setdefault(v, i) != i:
-            raise ValueError(f"not injective: ball elements {first[v]} and {i} share image {v}")
+    values = np.array([local_mono[i] for i in range(n)])
+    if values.dtype.kind not in "iu" or not ((values >= 0) & (values < target.order)).all():
+        raise ValueError(f"images must index the {target.order} target elements")
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    first = first[inverse]  # the first ball element with the same image
+    i = np.argmax(first != np.arange(n))  # the first repeated image, else 0
+    if i:
+        raise ValueError(f"not injective: ball elements {first[i]} and {i} share image {values[i]}")
     if values[0] != target.identity_index:
         raise ValueError("ball identity must map to the target identity")
-    for (i, j), k in domain.products.items():
-        if target.multiply(values[i], values[j]) != values[k]:
-            alphabet = domain.backend.alphabet
-            raise ValueError(
-                "not partially multiplicative at pair "
-                f"({word_to_str(alphabet, domain.word(i))!r}, "
-                f"{word_to_str(alphabet, domain.word(j))!r})"
-            )
+    i, j, k = domain.products.T
+    bad = np.flatnonzero(target.table[values[i], values[j]] != values[k])
+    if bad.size:
+        alphabet = domain.backend.alphabet
+        raise ValueError(
+            "not partially multiplicative at pair "
+            f"({word_to_str(alphabet, domain.word(i[bad[0]]))!r}, "
+            f"{word_to_str(alphabet, domain.word(j[bad[0]]))!r})"
+        )
     return AlmostHom(domain=domain, target_kind="sym", target_n=target.order,
                      images=regular_representation(target)[values])
 
 
 def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) -> Certificate:
-    """Exact sofic certificate for the rank-2 free group: evaluate ball words
-    into SL(2, Z_p) for the least injective prime p, then act by right
+    """Exact sofic certificate for the rank-2 free group: map the ball into
+    SL(2, Z_p) for the least injective prime p, then act by right
     translations.
 
     The right-regular action is a faithful homomorphism under which distinct
@@ -103,13 +107,12 @@ def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) ->
     if order > limits.ball_cap:
         raise ResourceCapError(f"|SL(2,Z_{p})| = {order} exceeds the cap")
     domain = ball(free_backend(2), radius, limits)
-    mats = np.array([sl2_word_image(w, p) for w in domain.elements], dtype=np.int64)
-    pairs = np.array(list(domain.products), dtype=np.intp).reshape(-1, 2)
-    targets = np.fromiter(domain.products.values(), dtype=np.intp, count=len(pairs))
-    if not np.array_equal(mats[pairs[:, 0]] @ mats[pairs[:, 1]] % p, mats[targets]):
+    mats = sl2_ball_images(domain, p)
+    i, j, k = domain.products.T
+    if not np.array_equal(mats[i] @ mats[j] % p, mats[k]):
         raise ValueError(f"mod-{p} images are not a local monomorphism: "
                          "a recorded product is not preserved")
-    if len(np.unique(mats.reshape(len(mats), 4), axis=0)) != len(mats):
+    if not distinct_matrices(mats):
         raise ValueError(f"mod-{p} images are not a local monomorphism: "
                          "two ball elements share an image")
     hom = AlmostHom(domain=domain, target_kind="sym", target_n=order,

@@ -169,10 +169,10 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
     A vertex matches iff every reduced word of length <= N can be followed
     from it (inverse colours traverse edges backward) and two words land on
     the same vertex exactly when they are equal as reference elements.
-    Words are followed from all vertices at once, in the free ball's order,
-    each one letter on from its parent word.  A failing vertex reports its
-    first word that is undefined or lands apart from an earlier word for the
-    same element, or else a collision of distinct elements.
+    Words are followed from all vertices at once, each one letter on from
+    its parent word.  A failing vertex reports its first word that is
+    undefined or lands apart from an earlier word for the same element, or
+    else a collision of distinct elements.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -182,26 +182,22 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
     if reference.radius != radius:
         raise ValueError("reference ball radius must equal the requested radius")
     free = ball(free_backend(backend.rank), radius, limits)
-    elements = [backend.identity()]  # the reference element of each free word
-    for parent, s in zip(free.parents[1:], free.letters[1:]):
-        elements.append(backend.multiply(elements[parent], backend.letter(s)))
-    first_of: dict = {}  # element -> its first word
-    first = np.array([first_of.setdefault(g, k) for k, g in enumerate(elements)])
+    # the reference element of each free word: no prefix of a word of length
+    # <= N leaves B_N
+    element = free.walk(reference.succ, np.zeros(1, dtype=np.int32))[:, 0]
+    _, first, inverse = np.unique(element, return_index=True, return_inverse=True)
+    first = first[inverse]  # each word's first word for the same element
     met = first != np.arange(len(free))  # words for an element met before
     repeats, distinct = np.flatnonzero(met), np.flatnonzero(~met)
-    # row s steps along signed letter s, row -s back to least predecessors;
-    # -1 where undefined, and the extra last column keeps -1 at -1
-    steps = np.pad(np.concatenate([np.full((1, graph.vertex_count), -1), graph.successors,
-                                   graph.predecessors()[::-1]]),
-                   ((0, 0), (0, 1)), constant_values=-1)
+    # vertex times signed letter: successors, least predecessors for inverse
+    # colours, -1 where undefined; the extra last row keeps -1 at -1
+    steps = np.full((graph.vertex_count + 1, 2 * backend.rank), -1)
+    steps[:-1] = np.concatenate([graph.successors, graph.predecessors()]).T
     matched = 0
     failures: list[tuple[int, str]] = []
     chunk = max(1, _MATCH_CHUNK // len(free))
     for lo in range(0, graph.vertex_count, chunk):
-        landing = np.empty((len(free), min(chunk, graph.vertex_count - lo)), dtype=np.intp)
-        landing[0] = np.arange(lo, lo + landing.shape[1])
-        for k in range(1, len(free)):
-            landing[k] = steps[free.letters[k]][landing[free.parents[k]]]
+        landing = free.walk(steps, np.arange(lo, min(lo + chunk, graph.vertex_count)))
         bad = landing < 0
         bad[repeats] |= landing[repeats] != landing[first[repeats]]
         first_bad = bad.argmax(axis=0)
@@ -238,17 +234,14 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> AlmostHom:
     backend = reference.backend
     if tuple(backend.alphabet.names) != tuple(graph.colors):
         raise BackendMismatchError("graph colours do not match the reference alphabet")
-    steps = {}  # signed letter -> permutation row
-    for v, (color, succ) in enumerate(zip(graph.colors, graph.successors), 1):
+    steps = []  # per colour its permutation row, then their inverses
+    for color, succ in zip(graph.colors, graph.successors):
         try:
-            steps[v] = canonical_fill(succ)
+            steps.append(canonical_fill(succ))
         except ValueError as exc:
             raise ValueError(f"colour {color!r} successor map is not injective") from exc
-        steps[-v] = np.argsort(steps[v])
-    # perm * step applies perm, then step: the row step[perm]; each element's
-    # word is its parent's word and one more letter
-    images = np.tile(np.arange(graph.vertex_count), (len(reference), 1))
-    for k in range(1, len(reference)):
-        images[k] = steps[reference.letters[k]][images[reference.parents[k]]]
+    steps += [np.argsort(step) for step in steps]
+    # perm * step applies perm, then step: the row step[perm]
+    images = reference.walk(np.column_stack(steps), np.arange(graph.vertex_count))
     return AlmostHom(domain=reference, target_kind="sym", target_n=graph.vertex_count,
                      images=images)

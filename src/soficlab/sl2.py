@@ -7,20 +7,14 @@ yields injective local monomorphisms on word-metric balls for suitable p.
 
 import numpy as np
 
-from .balls import ball
-from .backends import free_backend
+from .balls import BallTable, ball
+from .backends import FreeBackend, free_backend
 from .config import ResourceLimits, default_limits
 from .errors import ResourceCapError
-from .words import Word
 
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-SL2_A: Mat2 = ((1, 2), (0, 1))
-SL2_B: Mat2 = ((1, 0), (2, 1))
-SL2_A_INV: Mat2 = ((1, -2), (0, 1))
-SL2_B_INV: Mat2 = ((1, 0), (-2, 1))
-
-_LETTER_MATRICES = {1: SL2_A, -1: SL2_A_INV, 2: SL2_B, -2: SL2_B_INV}
+# I, A, B, B^-1, A^-1: the image of signed letter s is entry s
+_LETTER_MATRICES = np.array([[[1, 0], [0, 1]], [[1, 2], [0, 1]], [[1, 0], [2, 1]],
+                             [[1, 0], [-2, 1]], [[1, -2], [0, 1]]])
 
 
 def is_prime(n: int) -> bool:
@@ -38,34 +32,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mat_mul_mod(m1: Mat2, m2: Mat2, p: int) -> Mat2:
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return (
-        ((a * e + b * g) % p, (a * f + b * h) % p),
-        ((c * e + d * g) % p, (c * f + d * h) % p),
-    )
+def sl2_ball_images(domain: BallTable, p: int) -> np.ndarray:
+    """The mod-p images of the elements of a rank-2 free ball, as an int64
+    (|B|, 2, 2) array with entries in [0, p): each element's image is its
+    parent's times the image of its last letter, one batched 2 x 2 product
+    per depth."""
+    if not (isinstance(domain.backend, FreeBackend) and domain.backend.rank == 2):
+        raise ValueError("SL(2) images need a ball of the rank-2 free group")
+    parents, letters = np.asarray(domain.parents), np.asarray(domain.letters)
+    mats = _LETTER_MATRICES[letters] % p  # the identity's letter is 0
+    for lo, hi in domain.levels():
+        mats[lo:hi] = mats[parents[lo:hi]] @ mats[lo:hi] % p
+    return mats
 
 
-def mat_identity(p: int) -> Mat2:
-    return ((1 % p, 0), (0, 1 % p))
-
-
-def sl2_word_image(word: Word, p: int) -> Mat2:
-    """Evaluate a rank-2 word into SL(2, Z_p) by reducing entries mod p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    result = mat_identity(p)
-    for s in word:
-        if s == 0 or abs(s) > 2:
-            raise ValueError(f"letter {s} requires a rank-2 alphabet")
-        result = mat_mul_mod(result, tuple(tuple(x % p for x in row) for row in _LETTER_MATRICES[s]), p)
-    return result
-
-
-def sl2_images_injective(words: list[Word], p: int) -> bool:
-    images = [sl2_word_image(w, p) for w in words]
-    return len(set(images)) == len(images)
+def distinct_matrices(mats: np.ndarray) -> bool:
+    """Whether the matrices of an (m, 2, 2) array are pairwise distinct:
+    equal ones are neighbours in lexicographic order."""
+    rows = mats.reshape(len(mats), 4)
+    rows = rows[np.lexsort(rows.T)]
+    return not (rows[1:] == rows[:-1]).all(axis=1).any()
 
 
 def _sl2_codes(p: int) -> np.ndarray:
@@ -97,7 +83,7 @@ def sl2_right_translations(p: int, mats: np.ndarray) -> np.ndarray:
 
 
 def lef_witness_free(radius: int, limits: ResourceLimits | None = None) -> int:
-    """Smallest prime p for which word evaluation mod p is injective on the
+    """Smallest prime p for which evaluation mod p is injective on the
     radius-N ball of the rank-2 free group.
 
     The restriction of a homomorphism is automatically multiplicative on
@@ -106,10 +92,10 @@ def lef_witness_free(radius: int, limits: ResourceLimits | None = None) -> int:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     limits = limits or default_limits()
-    words = list(ball(free_backend(2), radius, limits).elements)
+    domain = ball(free_backend(2), radius, limits)
     p = 2
     while p <= limits.prime_ceiling:
-        if is_prime(p) and sl2_images_injective(words, p):
+        if is_prime(p) and distinct_matrices(sl2_ball_images(domain, p)):
             return p
         p += 1
     raise ResourceCapError(

@@ -23,8 +23,8 @@ from soficlab.matching import (
     two_one_matching,
 )
 from soficlab.metrics import UnitaryMatrix
-from soficlab.sl2 import mat_mul_mod, sl2_word_image
-from soficlab.words import word_to_str
+from soficlab.sl2 import is_prime
+from soficlab.words import Word, word_to_str
 
 
 def predicted_amplified(d: float, times: int) -> float:
@@ -154,6 +154,89 @@ def cyclic_backend(m: int) -> FiniteBackend:
     """Z_m as an explicit table, generated by the class of 1."""
     table = [[(i + j) % m for j in range(m)] for i in range(m)]
     return FiniteBackend(table, 0, generators=[1] if m > 1 else None)
+
+
+# The library's earlier mod-p evaluator: one 2 x 2 tuple product per letter
+# of every word.  soficlab.sl2.sl2_ball_images multiplies along the ball's
+# BFS tree instead and must give the same matrices.
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
+
+SL2_A: Mat2 = ((1, 2), (0, 1))
+SL2_B: Mat2 = ((1, 0), (2, 1))
+SL2_A_INV: Mat2 = ((1, -2), (0, 1))
+SL2_B_INV: Mat2 = ((1, 0), (-2, 1))
+
+_LETTER_MATRICES = {1: SL2_A, -1: SL2_A_INV, 2: SL2_B, -2: SL2_B_INV}
+
+
+def mat_mul_mod(m1: Mat2, m2: Mat2, p: int) -> Mat2:
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return (
+        ((a * e + b * g) % p, (a * f + b * h) % p),
+        ((c * e + d * g) % p, (c * f + d * h) % p),
+    )
+
+
+def mat_identity(p: int) -> Mat2:
+    return ((1 % p, 0), (0, 1 % p))
+
+
+def sl2_word_image(word: Word, p: int) -> Mat2:
+    """Evaluate a rank-2 word into SL(2, Z_p) by reducing entries mod p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    result = mat_identity(p)
+    for s in word:
+        if s == 0 or abs(s) > 2:
+            raise ValueError(f"letter {s} requires a rank-2 alphabet")
+        result = mat_mul_mod(result, tuple(tuple(x % p for x in row) for row in _LETTER_MATRICES[s]), p)
+    return result
+
+
+def sl2_images_injective(words: list[Word], p: int) -> bool:
+    images = [sl2_word_image(w, p) for w in words]
+    return len(set(images)) == len(images)
+
+
+# The library's earlier partial product table: every pair of canonical forms
+# multiplied and looked up, kept as a dict.  BallTable.products must list the
+# same (i, j) -> k in the same order.
+def ball_products(table: BallTable) -> dict[tuple[int, int], int]:
+    """(i, j) -> k exactly when the product of elements i and j is element k
+    of the ball."""
+    products = {}
+    mul = table.backend.multiply
+    idx = table.index
+    for i, g in enumerate(table.elements):
+        for j, h in enumerate(table.elements):
+            k = idx.get(mul(g, h))
+            if k is not None:
+                products[(i, j)] = k
+    return products
+
+
+# The library's earlier checks in lef_to_sofic: a loop over the images for
+# the first repeated one, then one over the product table in (i, j) order.
+# soficlab.constructions.lef_to_sofic checks with arrays and must refuse the
+# same maps with the same messages.
+def lef_to_sofic_refusal(domain: BallTable, target: FiniteBackend, local_mono: dict) -> str | None:
+    """The ValueError message lef_to_sofic gives for a total map of ball
+    indices to target indices, or None when it accepts the map."""
+    values = [local_mono[i] for i in range(len(domain))]
+    first: dict[int, int] = {}
+    for i, v in enumerate(values):
+        if first.setdefault(v, i) != i:
+            return f"not injective: ball elements {first[v]} and {i} share image {v}"
+    if values[0] != target.identity_index:
+        return "ball identity must map to the target identity"
+    for (i, j), k in ball_products(domain).items():
+        if target.multiply(values[i], values[j]) != values[k]:
+            alphabet = domain.backend.alphabet
+            return ("not partially multiplicative at pair "
+                    f"({word_to_str(alphabet, domain.word(i))!r}, "
+                    f"{word_to_str(alphabet, domain.word(j))!r})")
+    return None
 
 
 def sl2_elements(p: int) -> list:

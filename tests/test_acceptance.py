@@ -39,9 +39,14 @@ from soficlab.metrics import (
     random_unitary,
     sinfty_demo,
 )
-from soficlab.sl2 import is_prime, lef_witness_free, sl2_images_injective, sl2_word_image
+from soficlab.sl2 import is_prime, lef_witness_free
 
-from oracles import hall_condition_holds, matching_exists_bruteforce
+from oracles import (
+    hall_condition_holds,
+    matching_exists_bruteforce,
+    sl2_images_injective,
+    sl2_word_image,
+)
 
 
 def report(n: int, text: str) -> None:

@@ -4,12 +4,14 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import soficlab
+from soficlab import balls
 from soficlab.backends import (
     free_backend,
     heisenberg_backend,
@@ -22,6 +24,7 @@ from soficlab.errors import ResourceCapError
 from oracles import (
     ball_contains,
     ball_inverses,
+    ball_products,
     cyclic_backend,
     sl2_finite_backend,
     spelled_ball,
@@ -164,14 +167,46 @@ def test_free_ball_over_the_cap_allocates_nothing():
 def test_products_partial_table_consistent():
     t = ball(heisenberg_backend(), 2)
     b = t.backend
-    for (i, j), k in t.products.items():
+    for i, j, k in t.products.tolist():
         assert b.multiply(t.elements[i], t.elements[j]) == t.elements[k]
     # completeness: every in-ball product is recorded
-    recorded = set(t.products)
+    recorded = {(i, j) for i, j, _ in t.products.tolist()}
     for i, g in enumerate(t.elements):
         for j, h in enumerate(t.elements):
             if ball_contains(t, b.multiply(g, h)):
                 assert (i, j) in recorded
+
+
+PRODUCT_BACKENDS = {
+    "free1": lambda: free_backend(1),
+    "free2": lambda: free_backend(2),
+    "free3": lambda: free_backend(3),
+    "z1": lambda: zpower_backend(1),
+    "z2": lambda: zpower_backend(2),
+    "z3": lambda: zpower_backend(3),
+    "heisenberg": heisenberg_backend,
+    "cyclic5": lambda: cyclic_backend(5),
+    "sl2_z3": lambda: sl2_finite_backend(3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_BACKENDS)), st.integers(0, 5), st.sampled_from([1, 7, 1 << 18]))
+@example("free2", 5, 1 << 18)
+@example("free3", 4, 7)
+def test_products_equal_the_multiplying_loop(kind, radius, chunk):
+    """Row for row, in (i, j) order, the products are the pairs the old
+    multiply-and-look-up loop records; a free ball walks them a block of
+    `chunk` entries at a time."""
+    backend = PRODUCT_BACKENDS[kind]()
+    radius = min(radius, 4) if kind == "free3" else radius  # 937 elements at radius 4
+    with mock.patch.object(balls, "_PRODUCT_CHUNK", chunk):
+        table = ball(backend, radius)
+        rows = table.products
+    want = [(i, j, k) for (i, j), k in ball_products(ball(backend, radius)).items()]
+    assert rows.dtype == np.int32 and rows.shape == (len(want), 3)
+    assert not rows.flags.writeable
+    assert list(map(tuple, rows.tolist())) == want
 
 
 def test_ball_closed_under_inversion():

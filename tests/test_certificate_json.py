@@ -180,6 +180,11 @@ def test_map_structure_errors():
             expect_malformed(doc, key)
 
 
+@pytest.mark.parametrize("doc", [[], None, math.nan, "map", 3, [{"schema": "sofic-cert/v1"}]])
+def test_non_object_documents_are_malformed(doc):
+    expect_malformed(doc, "certificate document must be a JSON object")
+
+
 @pytest.mark.parametrize("field,value", [("ball_radius", 1.0), ("ball_radius", -1),
                                          ("ball_radius", True), ("n", 4.0), ("n", 0)])
 def test_integer_header_fields_are_strict(field, value):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import soficlab
 from soficlab import almosthom, cli
 from soficlab.backends import zpower_backend
 from soficlab.balls import ball
@@ -437,3 +441,26 @@ def test_ball_free_rank_below_one_exits_2(capsys, rank):
 def test_paradox_spread_zero_exits_2(capsys):
     assert run(["paradox", "--radius", "3", "--spread", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_2(unbuffered):
+    """`ball` printing into a pipe whose reader has already closed exits 2
+    with an i/o error, with stdout block-buffered (the default for a pipe)
+    or unbuffered, and nothing more is reported at interpreter exit."""
+    src = os.path.dirname(os.path.dirname(soficlab.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "soficlab.cli", "ball", "--family", "free", "--radius", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("i/o error:") and err.count("\n") == 1, err

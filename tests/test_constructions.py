@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficlab.almosthom import defect, save_certificate, separation, verify
 from soficlab.amenability import folner_box
-from soficlab.backends import heisenberg_backend, zpower_backend
+from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import main
 from soficlab.constructions import (
@@ -24,9 +25,14 @@ from soficlab.constructions import (
 )
 from soficlab.errors import BackendMismatchError, ResourceCapError
 from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance
-from soficlab.sl2 import sl2_word_image
-
-from oracles import cyclic_backend, predicted_amplified, sl2_elements, sl2_finite_backend
+from oracles import (
+    cyclic_backend,
+    lef_to_sofic_refusal,
+    predicted_amplified,
+    sl2_elements,
+    sl2_finite_backend,
+    sl2_word_image,
+)
 
 
 def test_regular_representation_is_injective_homomorphism():
@@ -96,6 +102,39 @@ def test_lef_to_sofic_validation():
         lef_to_sofic(domain, b, {0: 1, 1: 2, 2: 0, 3: 3, 4: 4})
     with pytest.raises(ValueError, match="multiplicative"):
         lef_to_sofic(domain, b, {0: 0, 1: 1, 2: 6, 3: 3, 4: 4})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["z", "free", "heisenberg"]), st.integers(1, 2), st.integers(0, 3),
+       st.data())
+def test_lef_to_sofic_refuses_like_the_loops(kind, radius, spoil, data):
+    """Maps into a cyclic group, spoiled at up to three ball elements, are
+    accepted or refused as the old loop checks did, with the same message
+    naming the same pair.  Unspoiled, Z maps faithfully (n -> n mod m);
+    the other balls map element i to i."""
+    backend = {"z": zpower_backend(1), "free": free_backend(2),
+               "heisenberg": heisenberg_backend()}[kind]
+    domain = ball(backend, radius)
+    target = cyclic_backend(len(domain) + 2)
+    values = [g[0] % target.order if kind == "z" else i for i, g in enumerate(domain.elements)]
+    for _ in range(spoil):
+        values[data.draw(st.integers(0, len(domain) - 1))] = data.draw(
+            st.integers(0, target.order - 1))
+    local_mono = dict(enumerate(values))
+    want = lef_to_sofic_refusal(domain, target, local_mono)
+    if want is None:
+        assert defect(lef_to_sofic(domain, target, local_mono)) == 0
+    else:
+        with pytest.raises(ValueError) as caught:
+            lef_to_sofic(domain, target, local_mono)
+        assert str(caught.value) == want
+
+
+def test_lef_to_sofic_refuses_images_outside_the_target():
+    domain = ball(zpower_backend(1), 1)
+    for bad in (-1, 7, 1.0):
+        with pytest.raises(ValueError, match="index the 7 target elements"):
+            lef_to_sofic(domain, cyclic_backend(7), {0: 0, 1: 1, 2: bad})
 
 
 def test_sl2_finite_backend_orders():

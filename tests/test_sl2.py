@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from soficlab.backends import free_backend
+from soficlab.backends import free_backend, zpower_backend
 from soficlab.balls import ball
 from soficlab.config import ResourceLimits
 from soficlab.errors import ResourceCapError
 from soficlab.sl2 import (
-    SL2_A,
-    SL2_B,
+    distinct_matrices,
     is_prime,
     lef_witness_free,
-    mat_mul_mod,
-    sl2_images_injective,
+    sl2_ball_images,
     sl2_right_translations,
-    sl2_word_image,
 )
 
-from oracles import sl2_elements
+from oracles import (
+    SL2_A,
+    SL2_B,
+    mat_mul_mod,
+    sl2_elements,
+    sl2_images_injective,
+    sl2_word_image,
+)
 
 _LETTER_NP = {
     1: np.array([[1, 2], [0, 1]], dtype=object),
@@ -74,6 +79,33 @@ def test_lef_witnesses():
     # and 3 genuinely fails at radius 2, so 5 is minimal there
     assert not sl2_images_injective(list(ball(free_backend(2), 2).elements), 3)
     assert not sl2_images_injective(list(ball(free_backend(2), 1).elements), 2)
+
+
+def test_lef_witnesses_to_radius_6():
+    assert [lef_witness_free(r) for r in range(1, 7)] == [3, 5, 11, 11, 23, 31]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([2, 3, 5, 7, 11, 31, 61, 9973]))
+def test_tree_images_equal_the_word_oracle(radius, p):
+    domain = ball(free_backend(2), radius)
+    mats = sl2_ball_images(domain, p)
+    assert mats.dtype == np.int64 and mats.shape == (len(domain), 2, 2)
+    assert [tuple(map(tuple, m)) for m in mats.tolist()] == [
+        sl2_word_image(domain.word(i), p) for i in range(len(domain))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=12))
+def test_distinct_matrices_equals_a_set_count(entries):
+    mats = np.array(entries, dtype=np.int64).reshape(-1, 2, 2)
+    assert distinct_matrices(mats) == (len(set(entries)) == len(entries))
+
+
+def test_tree_images_need_the_rank_2_free_group():
+    for backend in (free_backend(3), zpower_backend(2)):
+        with pytest.raises(ValueError, match="rank-2 free group"):
+            sl2_ball_images(ball(backend, 1), 5)
 
 
 def test_lef_witness_respects_prime_ceiling():
