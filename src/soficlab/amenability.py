@@ -249,14 +249,16 @@ def paradox_verify(radius: int, limits: ResourceLimits | None = None) -> Paradox
 
 def ball_expansion(backend: GroupBackend, radius: int,
                    limits: ResourceLimits | None = None) -> Fraction:
-    """min over signed generators g of |g B_N symdiff B_N| / |B_N|, where
-    |g B_N intersect B_N| counts the defined left successors by g.
+    """min over signed generators g of |g B_N symdiff B_N| / |B_N|.  The
+    ball is symmetric, so b -> b^-1 maps {b : g b in B_N} onto
+    {c : c g^-1 in B_N}, and |g B_N intersect B_N| is the count of defined
+    right successors by g^-1; the minimum runs over both.
 
     For free groups this stays bounded away from 0 as N grows; for Z^d it
     decays to 0, the amenable contrast case."""
     table = ball(backend, radius, limits)
     n = len(table)
-    inside = np.count_nonzero(table.lsucc[:-1] >= 0, axis=0).tolist()
+    inside = np.count_nonzero(table.succ[:-1] >= 0, axis=0).tolist()
     return min(Fraction(2 * (n - k), n) for k in inside)
 
 

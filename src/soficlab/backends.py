@@ -260,9 +260,10 @@ def _right_generators(table: np.ndarray, e: int) -> list[int]:
         gens.append(int(reached.argmin()))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            frontier = np.unique(table[np.ix_(frontier, gens)])
-            frontier = frontier[~reached[frontier]]
-            reached[frontier] = True
+            grown = reached.copy()
+            grown[table[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(grown ^ reached)
+            reached = grown
     return gens
 
 

@@ -5,10 +5,11 @@ enumerated breadth-first in shortlex order over the signed alphabet
 (generators before inverses, lower index first).  The identity is always
 element 0.  Each element records its BFS parent, one letter shorter, and
 that letter, so its shortlex-least word is read off the tree on demand.
-Right and left multiplication by each signed letter are index arrays
-(`succ`, `lsucc`), and the partial multiplication table is one array of
-(i, j, k) rows.  A free ball is built in closed form from those arrays
-alone, and its canonical forms, the reduced words, only on request.
+Right multiplication by each signed letter is an index array (`succ`), and
+the partial multiplication table is one array of (i, j, k) rows, found by
+walking every word through successors.  A free ball is built in closed form
+from those arrays alone, and its canonical forms, the reduced words, only on
+request.
 """
 
 from array import array
@@ -70,16 +71,6 @@ class BallTable:
         return out
 
     @cached_property
-    def lsucc(self) -> np.ndarray:
-        """Left successors, shaped like `succ`: lsucc[i, c] is the index of
-        the c-th signed letter times element i, or -1.  For w_i = w_p x,
-        s w_i = (s w_p) x, and s w_p lies in the ball because
-        |s w_p| <= |w_i|; so the walk from the letters is exact in any group."""
-        lsucc = np.concatenate([self.walk(self.succ, self.succ[0]), self.succ[-1:]])
-        lsucc.setflags(write=False)
-        return lsucc
-
-    @cached_property
     def elements(self) -> tuple:
         """Canonical forms, identity first.  The generic enumeration keeps the
         ones it built; a free ball multiplies them out along the tree on
@@ -96,26 +87,29 @@ class BallTable:
         """Canonical form -> its position in `elements`."""
         return {g: i for i, g in enumerate(self.elements)}
 
+    def product_blocks(self):
+        """The rows of `products`, yielded a block of rows i at a time.  Each
+        word g_j is walked from every g_i, one `succ` gather per depth.  A
+        free ball walks its own `succ`, exact because g g_p lies in the ball
+        whenever g g_p x does in a free group.  Any other ball walks the
+        `succ` of B_2N, built under the default limits: every prefix product
+        g_i g_p has length <= 2N, and BFS order makes B_N a prefix of B_2N,
+        so an index >= |B_N| lies outside the ball."""
+        n = len(self)
+        succ = (self.succ if isinstance(self.backend, FreeBackend)
+                else ball(self.backend, 2 * self.radius).succ)
+        step = max(1, _PRODUCT_CHUNK // n)
+        for lo in range(0, n, step):
+            block = self.walk(succ, np.arange(lo, min(lo + step, n))).T  # block[i - lo, j] = k
+            i, j = np.nonzero((block >= 0) & (block < n))
+            yield np.column_stack([i + lo, j, block[i, j]]).astype(np.int32)
+
     @cached_property
     def products(self) -> np.ndarray:
         """Partial multiplication table: a read-only int32 array with a row
         (i, j, k) for each product g_i g_j = g_k inside the ball, in (i, j)
-        order, a block of rows i at a time.  A free ball walks each word
-        g_j = g_p x from the g_i, exact because g g_p lies in the ball
-        whenever g g_p x does in a free group; other backends multiply
-        every pair."""
-        n, blocks = len(self), []
-        step = max(1, _PRODUCT_CHUNK // n)
-        for lo in range(0, n, step):  # block[i - lo, j] = k, or -1 outside the ball
-            if isinstance(self.backend, FreeBackend):
-                block = self.walk(self.succ, np.arange(lo, min(lo + step, n))).T
-            else:
-                mul, idx = self.backend.multiply, self.index
-                block = np.array([[idx.get(mul(g, h), -1) for h in self.elements]
-                                  for g in self.elements[lo:lo + step]])
-            i, j = np.nonzero(block >= 0)
-            blocks.append(np.column_stack([i + lo, j, block[i, j]]).astype(np.int32))
-        rows = np.concatenate(blocks)
+        order."""
+        rows = np.concatenate(list(self.product_blocks()))
         rows.setflags(write=False)
         return rows
 

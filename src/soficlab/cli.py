@@ -44,7 +44,7 @@ from .constructions import (
     hyperlinear_certificate,
     lef_to_sofic,
 )
-from .errors import MalformedCertificateError, SoficlabError
+from .errors import MalformedCertificateError, ResourceCapError, SoficlabError
 from .graphs import ColoredGraph, cert_to_graph, local_match_fraction
 from .matching import (
     BipartiteGraph,
@@ -94,7 +94,7 @@ def cmd_ball(args) -> int:
             "radius": args.radius,
             "elements": len(table),
             "by_length": by_length,
-            "products_defined": len(table.products),
+            "products_defined": sum(map(len, table.product_blocks())),
         },
         args.output,
     )
@@ -257,6 +257,9 @@ def cmd_demo(args) -> int:
         print(f"{float(dconj)}")
         return EXIT_PASS
     if args.what == "amplify":
+        rank_cap = default_limits().rank_cap
+        if args.rank**2 > rank_cap:  # before drawing: the tensor square has rank^4 entries
+            raise ResourceCapError(f"amplified rank {args.rank**2} exceeds cap {rank_cap}")
         rng = np.random.default_rng(args.seed)
         pairs = [
             (random_unitary(args.rank, rng), random_unitary(args.rank, rng))

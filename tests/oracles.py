@@ -216,6 +216,20 @@ def ball_products(table: BallTable) -> dict[tuple[int, int], int]:
     return products
 
 
+# The expansion of a ball by its left translates, each product multiplied
+# and looked up.  soficlab.amenability.ball_expansion counts right successors
+# instead and must give the same Fraction.
+def ball_expansion(backend, radius: int) -> Fraction:
+    """min over signed generators g of |g B symdiff B| / |B|, with
+    |g B intersect B| counted by multiplying g into every element."""
+    table = ball(backend, radius)
+    n = len(table)
+    inside = [sum(ball_contains(table, backend.multiply(backend.letter(s), h))
+                  for h in table.elements)
+              for s in backend.alphabet.signed_letters()]
+    return min(Fraction(2 * (n - k), n) for k in inside)
+
+
 # The library's earlier checks in lef_to_sofic: a loop over the images for
 # the first repeated one, then one over the product table in (i, j) order.
 # soficlab.constructions.lef_to_sofic checks with arrays and must refuse the

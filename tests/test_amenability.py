@@ -136,6 +136,28 @@ def test_paradox_verify_equals_the_word_loop(radius):
     assert paradox_verify(radius) == oracles.paradox_verify(radius)
 
 
+EXPANSION_BACKENDS = {
+    "free1": lambda: free_backend(1),
+    "free2": lambda: free_backend(2),
+    "free3": lambda: free_backend(3),
+    "z1": lambda: zpower_backend(1),
+    "z2": lambda: zpower_backend(2),
+    "z3": lambda: zpower_backend(3),
+    "heisenberg": heisenberg_backend,
+    "cyclic5": lambda: oracles.cyclic_backend(5),
+    "sl2_z3": lambda: oracles.sl2_finite_backend(3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EXPANSION_BACKENDS)), st.integers(0, 5))
+def test_ball_expansion_equals_the_left_translates(kind, radius):
+    """Counting right successors by g^-1 gives the same minimum as counting
+    the left translates g B inside B."""
+    backend = EXPANSION_BACKENDS[kind]()
+    assert ball_expansion(backend, radius) == oracles.ball_expansion(backend, radius)
+
+
 def test_ball_expansion_contrast():
     """Free balls keep expanding (non-amenability), while Z^d balls do not."""
     free_vals = [f2_ball_expansion(r) for r in (2, 3, 4)]

@@ -44,6 +44,19 @@ def test_ball_stats(capsys):
     }
 
 
+def test_ball_counts_non_free_products_within_the_double_ball(capsys, monkeypatch):
+    # the products of B_N are walked through B_2N, which the ball cap bounds
+    monkeypatch.setenv("SOFICLAB_BALL_CAP", "100")
+    assert run(["ball", "--family", "z", "--radius", "30"]) == 2  # |B_60| = 121
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds cap of 100 elements" in err
+    assert "Traceback" not in err
+    assert run(["ball", "--family", "z", "--radius", "20"]) == 0  # |B_40| = 81
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["elements"] == 41
+    assert doc["products_defined"] == len(ball(zpower_backend(1), 20).products)
+
+
 def test_certify_verify_pipeline(tmp_path, capsys):
     cert = tmp_path / "z.json"
     assert run(["certify", "--family", "z", "--folner", "100", "--radius", "2",
@@ -176,6 +189,16 @@ def test_demo_amplify_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert len(doc["pairs"]) == 3
+
+
+def test_demo_amplify_respects_the_rank_cap(capsys):
+    # the tensor square of a rank-17 unitary has rank 289 > 256
+    assert run(["demo", "amplify", "--rank", "17", "--pairs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "rank 289 exceeds cap 256" in captured.err
+    assert run(["demo", "amplify", "--rank", "16", "--pairs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["output_rank"] == 256
 
 
 def test_certify_finite_family(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import soficlab
 from soficlab import matching
 from soficlab.backends import free_backend, zpower_backend
 from soficlab.balls import free_ball_size
@@ -203,3 +207,25 @@ def test_paradox_from_matching_equals_the_multiplication_route(kind, radius, spr
     expected = oracles.paradox_from_matching(radius, spread, backend)
     assert report == expected
     assert list(report.pieces.items()) == list(expected.pieces.items())
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from soficlab.backends import finite_backend_from_json
+from soficlab.matching import paradox_from_matching
+finite_backend_from_json({"table": [[(i + j) % 6 for j in range(6)] for i in range(6)],
+                          "identity": 0})
+assert paradox_from_matching(3, 2).translated_disjoint
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_table_load_and_paradox_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma, a cost paid once per process
+    src = os.path.dirname(os.path.dirname(soficlab.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
