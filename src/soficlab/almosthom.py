@@ -20,7 +20,13 @@ import numpy as np
 from .backends import backend_from_descriptor
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
-from .errors import MalformedCertificateError, ResourceCapError, json_int, json_ints
+from .errors import (
+    MalformedCertificateError,
+    ResourceCapError,
+    json_int,
+    json_ints,
+    load_json,
+)
 from .metrics import check_unitary
 from .words import word_from_str, word_to_str
 
@@ -434,19 +440,8 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
     )
 
 
-def _unique_keys(pairs: list) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
-        doc[key] = value
-    return doc
-
-
 def load_certificate(path, limits: ResourceLimits | None = None) -> Certificate:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
-    return certificate_from_json(doc, limits)
+    """The certificate in the JSON file at `path`, read by `load_json` and
+    validated by `certificate_from_json` under `limits`.  Raises
+    MalformedCertificateError or ResourceCapError as those do."""
+    return load_json(path, lambda doc: certificate_from_json(doc, limits))

@@ -44,7 +44,7 @@ from .constructions import (
     hyperlinear_certificate,
     lef_to_sofic,
 )
-from .errors import MalformedCertificateError, ResourceCapError, SoficlabError
+from .errors import MalformedCertificateError, ResourceCapError, SoficlabError, load_json
 from .graphs import ColoredGraph, cert_to_graph, local_match_fraction
 from .matching import (
     BipartiteGraph,
@@ -70,8 +70,7 @@ def _backend_for(args) -> GroupBackend:
     if family == "finite":
         if not getattr(args, "table", None):
             raise SoficlabError("--table required for the finite family")
-        with open(args.table) as fh:
-            return finite_backend_from_json(json.load(fh))
+        return load_json(args.table, finite_backend_from_json)
     raise SoficlabError(f"unknown family {family!r}")
 
 
@@ -166,8 +165,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_match_fraction(args) -> int:
-    with open(args.graph) as fh:
-        graph = ColoredGraph.from_json(json.load(fh))
+    graph = load_json(args.graph, ColoredGraph.from_json)
     backend = _backend_for(args)
     reference = ball(backend, args.radius, default_limits())
     report = local_match_fraction(graph, args.radius, reference)
@@ -203,8 +201,7 @@ def cmd_folner(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    with open(args.graph) as fh:
-        graph = BipartiteGraph.from_json(json.load(fh))
+    graph = load_json(args.graph, BipartiteGraph.from_json)
     outcome = two_one_matching(graph)
     if isinstance(outcome, DeficiencyWitness):
         _emit(
@@ -365,7 +362,7 @@ def main(argv=None) -> int:
     except MalformedCertificateError as exc:
         print(f"malformed: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         if isinstance(exc, BrokenPipeError):  # drop the unwritten output
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,5 +1,9 @@
-"""Exception types shared across the library, and the checks that reject
-untrusted JSON input with MalformedCertificateError."""
+"""Exception types shared across the library, the one reader of JSON input
+documents, and the checks that reject untrusted JSON with
+MalformedCertificateError."""
+
+import gc
+import json
 
 
 class SoficlabError(Exception):
@@ -24,6 +28,43 @@ class MalformedCertificateError(SoficlabError, ValueError):
 
 class BackendMismatchError(SoficlabError):
     """Two objects built over incompatible group backends were combined."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
+def load_json(path, build):
+    """`build(doc)` of the JSON document in the file at `path`.
+
+    Every JSON input (certificates, group tables, coloured and bipartite
+    graphs) is read here.  A repeated key in any object, invalid or too
+    deeply nested JSON raise MalformedCertificateError.  The cyclic garbage
+    collector is paused for the parse and for `build`: a parsed document
+    holds no reference cycle, yet a certificate's hundreds of thousands of
+    `[re, im]` lists would otherwise trigger full collections that rescan
+    all of them.  The document is dropped before the collector is restored
+    to the caller's state, which is never enabled if the caller had it off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            try:
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
+        value = build(doc)
+        del doc
+        return value
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def json_fields(doc, what: str, *keys: str) -> list:

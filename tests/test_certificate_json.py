@@ -1,6 +1,7 @@
 """Certificate JSON: the streaming writer against the reference document, and
 strict ingest of image entries and map structure."""
 
+import gc
 import json
 import math
 
@@ -18,8 +19,15 @@ from soficlab.almosthom import (
     save_certificate,
 )
 from soficlab.backends import FiniteBackend, free_backend, heisenberg_backend, zpower_backend
+from soficlab.amenability import folner_box
 from soficlab.balls import ball
-from soficlab.constructions import lef_to_sofic, sofic_to_hyperlinear
+from soficlab.constructions import (
+    amplify_certificate,
+    folner_certificate,
+    hyperlinear_certificate,
+    lef_to_sofic,
+    sofic_to_hyperlinear,
+)
 from soficlab.errors import MalformedCertificateError
 from soficlab.metrics import UnitaryMatrix, random_orthogonal, random_unitary
 
@@ -206,3 +214,46 @@ def test_duplicate_json_keys_are_malformed(tmp_path):
     path.write_text(text.replace('"map": {', '"map": {\n  "a": [0, 1, 2, 3],', 1))
     with pytest.raises(MalformedCertificateError, match="duplicate key 'a'"):
         load_certificate(path)
+
+
+def test_certificate_load_pauses_the_collector(tmp_path):
+    """A rank-64 certificate is 32k `[re, im]` lists: reading it runs no
+    cyclic collection (29 ran before the pause), and the collector is left
+    as the caller had it on every outcome."""
+    z = zpower_backend(1)
+    cert = amplify_certificate(
+        hyperlinear_certificate(folner_certificate(ball(z, 2), folner_box(z, 8))), 1)
+    path = tmp_path / "z_amplified.json"
+    save_certificate(cert, path)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        loaded = load_certificate(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert collections == []
+    assert loaded.hom.target_n == 64 and gc.isenabled()
+
+    text = path.read_text()
+    duplicate = tmp_path / "dup.json"
+    duplicate.write_text(text.replace('"map": {', '"map": {\n  "": [],', 1))
+    truncated = tmp_path / "cut.json"
+    truncated.write_text(text[:len(text) // 2])
+    for bad, match in ((duplicate, "duplicate key ''"), (truncated, "not valid JSON")):
+        with pytest.raises(MalformedCertificateError, match=match):
+            load_certificate(bad)
+        assert gc.isenabled()
+    gc.disable()
+    try:
+        load_certificate(path)
+        assert not gc.isenabled()
+        with pytest.raises(MalformedCertificateError):
+            load_certificate(truncated)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -367,6 +367,39 @@ def test_list_documents_are_malformed(tmp_path, capsys):
     _assert_malformed_input(["hall", doc], capsys)
 
 
+# per command: a valid input, one of its keys, a value for that key that the
+# command refuses, and the argv that reads the input from `path`
+JSON_INPUTS = {
+    "table": (C3_TABLE, "identity", 5, lambda path, tmp_path: [
+        "certify", "--family", "finite", "--table", path, "--radius", "1",
+        "-o", tmp_path / "x.json"]),
+    "match-fraction": (CYCLE_GRAPH, "vertexCount", 7, lambda path, tmp_path: [
+        "match-fraction", path, "--family", "z", "--radius", "1"]),
+    "hall": (HALL_GRAPH, "left_count", 9, lambda path, tmp_path: ["hall", path]),
+}
+
+
+@pytest.mark.parametrize("defect", ["duplicate-key", "truncated", "too-deep"])
+@pytest.mark.parametrize("command", sorted(JSON_INPUTS))
+def test_json_inputs_are_read_strictly(tmp_path, capsys, command, defect):
+    """A repeated key is refused even when its last value is the valid one,
+    and text that is not JSON is malformed, not an i/o error or a traceback."""
+    doc, key, refused, argv = JSON_INPUTS[command]
+    path = tmp_path / "input.json"
+    argv = argv(path, tmp_path)
+    text = json.dumps(doc)
+    path.write_text(text)
+    assert run(argv) == 0
+    path.write_text({"duplicate-key": f'{{"{key}": {refused}, {text[1:]}',
+                     "truncated": text[:-1],
+                     "too-deep": "[" * 100_000}[defect])
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    message = "duplicate key" if defect == "duplicate-key" else "not valid JSON"
+    assert captured.err.startswith(f"malformed: {message}") and captured.out == ""
+
+
 def test_to_unitary_over_the_rank_cap_exits_2(tmp_path, capsys):
     cert = tmp_path / "z.json"
     assert run(["certify", "--family", "z", "--folner", "300", "--radius", "1",

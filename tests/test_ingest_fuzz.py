@@ -6,11 +6,15 @@ or raise MalformedCertificateError, and `certificate_from_json` may also
 raise ResourceCapError; any other exception is a defect (the CLI would turn
 it into a traceback or an "error:" line instead of "malformed:").  Documents
 are valid ones with one entry replaced or removed, plus arbitrary JSON
-values.
+values.  The same holds for files read through `load_json`, whose texts
+are valid documents with a key duplicated or cut short, and arbitrary short
+strings; the reader leaves the cyclic collector as it found it.
 """
 
+import gc
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soficlab.almosthom import certificate_from_json, certificate_to_json
@@ -19,7 +23,7 @@ from soficlab.backends import finite_backend_from_json, zpower_backend
 from soficlab.balls import ball
 from soficlab.config import ResourceLimits
 from soficlab.constructions import folner_certificate, hyperlinear_certificate
-from soficlab.errors import MalformedCertificateError, ResourceCapError
+from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
 from soficlab.graphs import ColoredGraph
 from soficlab.matching import BipartiteGraph
 
@@ -112,3 +116,89 @@ def test_valid_documents_load():
     assert finite_backend_from_json(C3_TABLE).order == 3
     assert ColoredGraph.from_json(PARTIAL_GRAPH).successors.tolist() == [[1, 2, 0], [-1, 0, -1]]
     assert BipartiteGraph.from_json(HALL_GRAPH).adjacency == ((0, 1), (1, 2, 3))
+
+
+VALID_TEXTS = [json.dumps(doc) for doc in
+               (SYM_CERT, UNITARY_CERT, C3_TABLE, PARTIAL_GRAPH, HALL_GRAPH)]
+BUILDERS = [lambda doc: certificate_from_json(doc, SMALL_LIMITS), finite_backend_from_json,
+            ColoredGraph.from_json, BipartiteGraph.from_json]
+_MARK = "\x00duplicate\x00"
+
+
+@st.composite
+def duplicated(draw) -> str:
+    """A valid text in which one object, at a random depth, names one of its
+    keys twice; either copy may come first."""
+    doc = json.loads(draw(st.sampled_from(VALID_TEXTS)))
+    objects, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            objects += [node] if node else []
+            node = list(node.values())
+        todo += [child for child in node if isinstance(child, (dict, list))]
+    node = draw(st.sampled_from(objects))
+    key = draw(st.sampled_from(sorted(node)))
+    items = list(node.items())
+    items.insert(draw(st.integers(0, len(items))), (_MARK, draw(json_values)))
+    node.clear()
+    node.update(items)
+    return json.dumps(doc).replace(json.dumps(_MARK), json.dumps(key), 1)
+
+
+@st.composite
+def truncated(draw) -> str:
+    text = draw(st.sampled_from(VALID_TEXTS))
+    return text[:draw(st.integers(0, len(text) - 1))]
+
+
+@pytest.fixture(scope="module")
+def json_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "input.json"
+
+
+def read_through_each_builder(path, collector_on: bool) -> list:
+    """The outcome of `load_json(path, build)` for every builder: a value,
+    MalformedCertificateError or ResourceCapError; with the collector left
+    as it was."""
+    outcomes = []
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        for build in BUILDERS:
+            try:
+                outcomes.append(load_json(path, build))
+            except (MalformedCertificateError, ResourceCapError) as exc:
+                outcomes.append(exc)
+            assert gc.isenabled() is collector_on
+    finally:
+        gc.enable()
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(duplicated(), st.booleans())
+def test_reader_refuses_duplicate_keys(json_file, text, collector_on):
+    json_file.write_text(text)
+    for outcome in read_through_each_builder(json_file, collector_on):
+        assert isinstance(outcome, MalformedCertificateError)
+        assert str(outcome).startswith("duplicate key")
+
+
+@settings(max_examples=150, deadline=None)
+@given(truncated(), st.booleans())
+def test_reader_refuses_cut_texts(json_file, text, collector_on):
+    json_file.write_text(text)
+    for outcome in read_through_each_builder(json_file, collector_on):
+        assert isinstance(outcome, MalformedCertificateError)
+        assert str(outcome).startswith("not valid JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=12), st.booleans())
+@example("[" * 100_000, True)  # deeper than the parser's recursion limit
+@example('{"a": 1, "a": 1}', True)
+@example("\udc80", False)  # written as a byte that is not UTF-8
+def test_reader_fuzz(json_file, text, collector_on):
+    json_file.write_text(text, errors="surrogateescape")
+    read_through_each_builder(json_file, collector_on)
+
