@@ -311,17 +311,19 @@ def _head_text(cert: Certificate) -> str:
 
 
 def _unitary_image_text(u: np.ndarray) -> str:
-    # One C-encoder call spells every number exactly as json.dump does
-    # (repr, NaN, Infinity, -0.0): of the alternating re, im parts, or of the
-    # real parts alone when every imaginary part is 0.0 or -0.0.
-    if u.imag.any():
-        tokens = json.dumps(u.view(np.float64).ravel().tolist())[1:-1].split(", ")
-        re, im = tokens[0::2], tokens[1::2]
-    else:
-        re = json.dumps(u.real.ravel().tolist())[1:-1].split(", ")
-        im = map(("0.0", "-0.0").__getitem__, np.signbit(u.imag).ravel().tolist())
-    entries = map(",\n    ".join, zip(re, im))
-    return "[\n   [\n    " + "\n   ],\n   [\n    ".join(entries) + "\n   ]\n  ]"
+    # Each distinct entry (by the bit patterns of its re and im parts) is
+    # spelled once, in one C-encoder call that spells every number exactly
+    # as json.dump does (repr, NaN, Infinity, -0.0); every entry then looks
+    # its spelling up.  Images built from permutations hold only 0.0 and 1.0.
+    flat = np.ascontiguousarray(u).ravel()
+    parts = flat.view(np.uint64)
+    _, re_index = np.unique(parts[0::2], return_inverse=True)
+    im_patterns, im_index = np.unique(parts[1::2], return_inverse=True)
+    _, first, index = np.unique(re_index * len(im_patterns) + im_index,
+                                return_index=True, return_inverse=True)
+    tokens = json.dumps(flat[first].view(np.float64).tolist())[1:-1].split(", ")
+    entries = [f"[\n    {re},\n    {im}\n   ]" for re, im in zip(tokens[0::2], tokens[1::2])]
+    return "[\n   " + ",\n   ".join(map(entries.__getitem__, index.tolist())) + "\n  ]"
 
 
 def save_certificate(cert: Certificate, path) -> None:
