@@ -21,6 +21,9 @@ from .backends import backend_from_descriptor
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
 from .errors import (
+    EXIT_FAIL,
+    EXIT_MALFORMED,
+    EXIT_PASS,
     MalformedCertificateError,
     ResourceCapError,
     json_int,
@@ -31,10 +34,6 @@ from .metrics import check_unitary
 from .words import word_from_str, word_to_str
 
 CERT_SCHEMA = "sofic-cert/v1"
-
-EXIT_PASS = 0
-EXIT_FAIL = 1
-EXIT_MALFORMED = 2
 
 # Elements per temporary array in the defect/separation kernels (4 MiB at
 # complex128), so their working memory stays a few MB whatever the degree n.

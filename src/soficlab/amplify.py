@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ResourceLimits, default_limits
 from .errors import ResourceCapError
-from .metrics import UnitaryMatrix, hs_distance, phase_aligned_hs
+from .metrics import UnitaryMatrix, check_gram, hs_distance, phase_aligned_hs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,8 +33,15 @@ def conj_kron(u: np.ndarray) -> np.ndarray:
 
 
 def tensor_square(u: UnitaryMatrix) -> UnitaryMatrix:
-    """Amplify one step: rank n -> n^2, normalized trace -> |trace|^2."""
-    return UnitaryMatrix(conj_kron(u.entries), 10 * u.unitarity_tolerance)
+    """Amplify one step: rank n -> n^2, normalized trace -> |trace|^2.
+
+    The square is checked for unitarity within 10x u's tolerance from the
+    Gram matrix G = u*u: (conj(u) (x) u)*(conj(u) (x) u) = conj(G) (x) G for
+    any matrix u, so max |conj(G) (x) G - I| takes n^4 operations where the
+    product of the square with itself takes n^6."""
+    tol = 10 * u.unitarity_tolerance
+    check_gram(conj_kron(u.entries.conj().T @ u.entries), tol)
+    return UnitaryMatrix._checked(conj_kron(u.entries), tol)
 
 
 def amplified_distance(d: float) -> float:

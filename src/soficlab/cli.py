@@ -2,6 +2,9 @@
 
 Exit codes: 0 success/pass, 1 verification failure (or infeasible matching),
 2 usage errors, I/O failures, and malformed inputs.
+
+Each command imports the library modules it calls when it runs, so a process
+loads only what its command needs.
 """
 
 import argparse
@@ -12,52 +15,22 @@ import sys
 import numpy as np
 
 from . import __version__
-from .almosthom import (
+from .errors import (
     EXIT_FAIL,
     EXIT_MALFORMED,
     EXIT_PASS,
-    check_thresholds,
-    load_certificate,
-    measured_certificate,
-    save_certificate,
-    verify,
+    MalformedCertificateError,
+    ResourceCapError,
+    SoficlabError,
+    load_json,
 )
-from .amplify import amplification_report
-from .amenability import (
-    folner_box,
-    generator_folner_defect,
-    paradox_verify,
-)
-from .backends import (
-    GroupBackend,
-    finite_backend_from_json,
-    free_backend,
-    heisenberg_backend,
-    zpower_backend,
-)
-from .balls import ball
-from .config import default_limits
-from .constructions import (
-    amplify_certificate,
-    folner_certificate,
-    free_sofic_certificate,
-    hyperlinear_certificate,
-    lef_to_sofic,
-)
-from .errors import MalformedCertificateError, ResourceCapError, SoficlabError, load_json
-from .graphs import ColoredGraph, cert_to_graph, local_match_fraction
-from .matching import (
-    BipartiteGraph,
-    DeficiencyWitness,
-    paradox_from_matching,
-    two_one_matching,
-)
-from .metrics import random_unitary, sinfty_demo
 
 FAMILIES = ("z", "z2", "heisenberg", "free", "finite")
 
 
-def _backend_for(args) -> GroupBackend:
+def _backend_for(args):
+    from .backends import finite_backend_from_json, free_backend, heisenberg_backend, zpower_backend
+
     family = args.family
     if family == "z":
         return zpower_backend(1)
@@ -84,6 +57,9 @@ def _emit(doc, path=None) -> None:
 
 
 def cmd_ball(args) -> int:
+    from .balls import ball
+    from .config import default_limits
+
     backend = _backend_for(args)
     table = ball(backend, args.radius, default_limits())
     by_length = dict(enumerate(np.bincount(table.lengths).tolist()))
@@ -101,6 +77,12 @@ def cmd_ball(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .almosthom import measured_certificate, save_certificate
+    from .amenability import folner_box
+    from .balls import ball
+    from .config import default_limits
+    from .constructions import folner_certificate, free_sofic_certificate, lef_to_sofic
+
     limits = default_limits()
     if args.family == "free":
         if args.rank != 2:
@@ -128,6 +110,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .almosthom import check_thresholds, load_certificate, verify
+
     check_thresholds(args.eps, args.delta)  # before reading a certificate of any size
     cert = load_certificate(args.certificate)
     report = verify(cert, args.eps, args.delta)
@@ -136,6 +120,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_amplify(args) -> int:
+    from .almosthom import load_certificate, save_certificate
+    from .config import default_limits
+    from .constructions import amplify_certificate
+
     cert = load_certificate(args.certificate)
     out = amplify_certificate(cert, args.times, default_limits())
     save_certificate(out, args.output)
@@ -148,12 +136,18 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_to_unitary(args) -> int:
+    from .almosthom import load_certificate, save_certificate
+    from .constructions import hyperlinear_certificate
+
     cert = load_certificate(args.certificate)
     save_certificate(hyperlinear_certificate(cert), args.output)
     return EXIT_PASS
 
 
 def cmd_graph(args) -> int:
+    from .almosthom import load_certificate
+    from .graphs import cert_to_graph
+
     cert = load_certificate(args.certificate)
     graph = cert_to_graph(cert.hom)
     if args.output.endswith(".dot"):
@@ -165,6 +159,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_match_fraction(args) -> int:
+    from .balls import ball
+    from .config import default_limits
+    from .graphs import ColoredGraph, local_match_fraction
+
     graph = load_json(args.graph, ColoredGraph.from_json)
     backend = _backend_for(args)
     reference = ball(backend, args.radius, default_limits())
@@ -183,6 +181,8 @@ def cmd_match_fraction(args) -> int:
 
 
 def cmd_folner(args) -> int:
+    from .amenability import folner_box, generator_folner_defect
+
     backend = _backend_for(args)
     phi = folner_box(backend, args.side)
     # reiter_norm(phi, g) = folner_defect(phi, [g]): the max over g is this
@@ -201,6 +201,8 @@ def cmd_folner(args) -> int:
 
 
 def cmd_hall(args) -> int:
+    from .matching import BipartiteGraph, DeficiencyWitness, two_one_matching
+
     graph = load_json(args.graph, BipartiteGraph.from_json)
     outcome = two_one_matching(graph)
     if isinstance(outcome, DeficiencyWitness):
@@ -219,6 +221,8 @@ def cmd_hall(args) -> int:
 
 def cmd_paradox(args) -> int:
     if args.spread is not None:
+        from .matching import paradox_from_matching
+
         report = paradox_from_matching(args.radius, args.spread)
         _emit(
             {
@@ -233,6 +237,8 @@ def cmd_paradox(args) -> int:
             args.output,
         )
         return EXIT_PASS if report.feasible else EXIT_FAIL
+    from .amenability import paradox_verify
+
     report = paradox_verify(args.radius)
     _emit(
         {
@@ -249,11 +255,17 @@ def cmd_paradox(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.what == "sinfty":
+        from .metrics import sinfty_demo
+
         dx, dconj = sinfty_demo(args.k)
         print(f"{float(dx)}")
         print(f"{float(dconj)}")
         return EXIT_PASS
     if args.what == "amplify":
+        from .amplify import amplification_report
+        from .config import default_limits
+        from .metrics import random_unitary
+
         rank_cap = default_limits().rank_cap
         if args.rank**2 > rank_cap:  # before drawing: the tensor square has rank^4 entries
             raise ResourceCapError(f"amplified rank {args.rank**2} exceeds cap {rank_cap}")

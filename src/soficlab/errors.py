@@ -1,9 +1,14 @@
-"""Exception types shared across the library, the one reader of JSON input
-documents, and the checks that reject untrusted JSON with
+"""Exception types and exit codes shared across the library, the one reader
+of JSON input documents, and the checks that reject untrusted JSON with
 MalformedCertificateError."""
 
 import gc
 import json
+
+# Process exit codes: pass, verification failure, malformed input or usage.
+EXIT_PASS = 0
+EXIT_FAIL = 1
+EXIT_MALFORMED = 2
 
 
 class SoficlabError(Exception):

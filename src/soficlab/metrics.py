@@ -83,7 +83,13 @@ def check_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> None:
     certificate images."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("entries must be a nonempty square matrix")
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    check_gram(m.conj().T @ m, tol)
+
+
+def check_gram(gram: np.ndarray, tol: float) -> None:
+    """Raise check_unitary's ValueError unless max |gram - I| <= tol, for
+    the Gram matrix gram = m*m of a square matrix m."""
+    defect = np.max(np.abs(gram - np.eye(gram.shape[0])))
     if not defect <= tol:  # also rejects NaN entries
         raise ValueError(f"matrix is not unitary within tolerance {tol:g} (defect {defect:.3e})")
 
@@ -112,6 +118,16 @@ class UnitaryMatrix:
     @classmethod
     def identity(cls, n: int) -> "UnitaryMatrix":
         return cls(np.eye(n, dtype=np.complex128))
+
+    @classmethod
+    def _checked(cls, entries: np.ndarray, tol: float) -> "UnitaryMatrix":
+        """Wrap complex128 entries whose unitarity within tol the caller has
+        already checked, without checking again."""
+        u = object.__new__(cls)
+        entries.setflags(write=False)
+        object.__setattr__(u, "entries", entries)
+        object.__setattr__(u, "unitarity_tolerance", tol)
+        return u
 
     def __mul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
         if self.n != other.n:
@@ -166,13 +182,13 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
+def random_unitary(n: int, rng: "np.random.Generator") -> UnitaryMatrix:
     """Random unitary: complex Gaussian matrix orthonormalized column by
     column (modified Gram-Schmidt)."""
     return UnitaryMatrix(_gram_schmidt(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
 
 
-def random_orthogonal(n: int, rng: np.random.Generator) -> UnitaryMatrix:
+def random_orthogonal(n: int, rng: "np.random.Generator") -> UnitaryMatrix:
     """Random real orthogonal matrix; a unitary whose relative traces with
     other real matrices are real, so the amplification recurrence applies to
     the plain Hilbert-Schmidt distance."""

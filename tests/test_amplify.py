@@ -6,6 +6,7 @@ from soficlab.amplify import (
     SQRT2,
     amplification_report,
     amplified_distance,
+    conj_kron,
     halve_embed,
     iterate_amplification,
     iterations_to_tolerance,
@@ -53,6 +54,36 @@ def test_tensor_square_trace_identity():
 def test_tensor_square_kills_global_phase():
     u = UnitaryMatrix(1j * np.eye(3))
     assert np.max(np.abs(tensor_square(u).entries - np.eye(9))) < 1e-12
+
+
+def _square_gram_defects(m):
+    """max |S*S - I| for S = conj(m) (x) m, from the Gram law conj(G) (x) G
+    with G = m*m and from the dense product."""
+    square = conj_kron(m)
+    eye = np.eye(square.shape[0])
+    law = np.max(np.abs(conj_kron(m.conj().T @ m) - eye))
+    dense = np.max(np.abs(square.conj().T @ square - eye))
+    return law, dense
+
+
+@given(st.integers(1, 6), st.sampled_from(["unitary", "permutation", "arbitrary"]),
+       st.integers(0, 2**32 - 1))
+def test_tensor_square_gram_law_matches_the_dense_check(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "unitary":
+        m = random_unitary(n, rng).entries
+    elif kind == "permutation":
+        m = np.eye(n, dtype=np.complex128)[rng.permutation(n)]
+    else:
+        m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    law, dense = _square_gram_defects(m)
+    assert abs(law - dense) <= 1e-12
+
+
+def test_tensor_square_rejects_a_non_unitary_square():
+    u = UnitaryMatrix._checked(np.diag([1.1, 1.0]).astype(np.complex128), 1e-9)
+    with pytest.raises(ValueError, match="not unitary within tolerance 1e-08"):
+        tensor_square(u)
 
 
 def test_amplified_distance_fixed_points_and_range():

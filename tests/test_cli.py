@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import soficlab
-from soficlab import almosthom, cli
+from soficlab import almosthom
 from soficlab.backends import zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import main
@@ -107,7 +107,7 @@ def test_verify_checks_thresholds_before_loading(tmp_path, monkeypatch, eps, del
     def load_certificate(*args, **kwargs):
         raise AssertionError("load_certificate called")
 
-    monkeypatch.setattr(cli, "load_certificate", load_certificate)
+    monkeypatch.setattr(almosthom, "load_certificate", load_certificate)
     assert run(["verify", tmp_path / "cert.json", "--eps", eps, "--delta", delta]) == 2
 
 
@@ -520,3 +520,58 @@ def test_closed_stdout_pipe_exits_2(unbuffered):
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     assert err.startswith("i/o error:") and err.count("\n") == 1, err
+
+
+# Runs one command through main() in a fresh interpreter, then writes its exit
+# code and the soficlab modules (and numpy.random) it loaded as the last line
+# of stderr.
+FOOTPRINT = """
+import json, sys
+from soficlab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m == "numpy.random" or m.split(".")[0] == "soficlab")
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+
+def _footprint(*argv):
+    src = os.path.dirname(os.path.dirname(soficlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded)
+
+
+def test_version_loads_only_the_cli_and_errors():
+    assert _footprint("--version") == (0, {"soficlab", "soficlab.cli", "soficlab.errors"})
+
+
+def test_verify_loads_only_the_certificate_layers(tmp_path):
+    cert, _ = _z_certificate(tmp_path)
+    code, loaded = _footprint("verify", cert, "--eps", "1e-9", "--delta", "1")
+    assert code == 0 and "soficlab.almosthom" in loaded
+    assert not loaded & {"numpy.random", "soficlab.matching", "soficlab.graphs",
+                         "soficlab.amenability"}
+
+
+def test_paradox_loads_no_certificate_layer():
+    code, loaded = _footprint("paradox", "--radius", "3")
+    assert code == 0 and "soficlab.amenability" in loaded
+    assert not loaded & {"soficlab.almosthom", "soficlab.metrics"}
+
+
+@pytest.mark.parametrize("argv,draws", [
+    (["demo", "amplify", "--rank", "2", "--pairs", "1"], True),
+    (["demo", "sinfty", "--k", "3"], False),
+    (["ball", "--family", "free", "--radius", "2"], False),
+    (["folner", "--family", "z", "-L", "4"], False),
+    (["paradox", "--radius", "3", "--spread", "2"], False),
+])
+def test_only_demo_amplify_loads_numpy_random(argv, draws):
+    code, loaded = _footprint(*argv)
+    assert code == 0 and ("numpy.random" in loaded) == draws
