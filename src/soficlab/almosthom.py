@@ -89,28 +89,37 @@ class AlmostHom:
         self.images = images
 
 
+def _compose_rows(a, b):  # (s * t)(x) = t(s(x))
+    return np.take_along_axis(b, a, axis=1)
+
+
+def _moved_points(a, b):
+    return np.count_nonzero(a != b, axis=-1)
+
+
 def _kernels(hom: AlmostHom):
     """(images, compose, distance, value) for the defect/separation scans:
-    the images as rows of one (|B|, w) view; compose(a, b), the row-wise
-    products a*b; distance(a, b), per row the moved-point count (sym) or
-    sqrt(sum |a - b|^2 / n) (unitary); and value, which turns a row
-    distance into an exact Fraction (sym) or a float (unitary).  Unitary
-    rows are float64 when every image is real (`_arithmetic_rows`).
-    Products are never stored or returned, so unlike images they are not
-    checked for unitarity."""
+    the images as rows of one (|B|, w) array; compose(a, b), the row-wise
+    products a*b; distance(a, b), per row the moved-point count (sym and
+    permutation matrices) or sqrt(sum |a - b|^2 / n) (any other unitary);
+    and value, which turns a row distance into an exact Fraction (sym) or a
+    float (unitary).  Unitary images whose entries are all exactly 0 or 1
+    are permutation matrices, scanned as int32 permutation rows with value
+    hs = sqrt(2k / n) for k moved points; other real images are float64 rows
+    (`_arithmetic_rows`), the rest complex128.  Products are never stored or
+    returned, so unlike images they are not checked for unitarity."""
     n = hom.target_n
     if hom.target_kind == "sym":
-        images = hom.images.reshape(len(hom.images), -1)
+        return hom.images, _compose_rows, _moved_points, lambda k: Fraction(int(k), n)
 
-        def compose(a, b):  # (s * t)(x) = t(s(x))
-            return np.take_along_axis(b, a, axis=1)
-
-        def distance(a, b):
-            return np.count_nonzero(a != b, axis=-1)
-
-        return images, compose, distance, lambda k: Fraction(int(k), n)
-
-    images = _arithmetic_rows(hom.images).reshape(len(hom.images), -1)
+    images = _arithmetic_rows(hom.images)
+    if images.dtype == np.float64 and ((images == 0) | (images == 1)).all():
+        # a unitary 0/1 matrix is P_s, its row x holding a 1 at s(x); P_s - P_t
+        # has 2k entries +-1 for the k points s and t send apart, so the dense
+        # scan's sum of squares is exactly 2k and its floats and pairs are these
+        rows = images.argmax(axis=-1).astype(np.int32)
+        return rows, _compose_rows, _moved_points, lambda k: math.sqrt(2 * int(k) / n)
+    images = images.reshape(len(images), -1)
 
     def compose(a, b):
         return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)

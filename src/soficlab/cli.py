@@ -78,7 +78,6 @@ def cmd_ball(args) -> int:
 
 def cmd_certify(args) -> int:
     from .almosthom import measured_certificate, save_certificate
-    from .amenability import folner_box
     from .balls import ball
     from .config import default_limits
     from .constructions import folner_certificate, free_sofic_certificate, lef_to_sofic
@@ -97,6 +96,8 @@ def cmd_certify(args) -> int:
     else:
         if args.folner is None:
             raise SoficlabError("--folner L required for amenable families")
+        from .amenability import folner_box
+
         backend = _backend_for(args)
         domain = ball(backend, args.radius, limits)
         cert = folner_certificate(domain, folner_box(backend, args.folner))

@@ -31,11 +31,24 @@ class ResourceLimits:
 
     @classmethod
     def from_env(cls) -> "ResourceLimits":
+        """The caps set in the environment, defaults elsewhere; ValueError
+        naming the variable unless its value is an integer >= 1."""
         return cls(
-            ball_cap=int(os.environ.get(ENV_BALL_CAP, DEFAULT_BALL_CAP)),
-            rank_cap=int(os.environ.get(ENV_RANK_CAP, DEFAULT_RANK_CAP)),
-            prime_ceiling=int(os.environ.get(ENV_PRIME_CEILING, DEFAULT_PRIME_CEILING)),
+            ball_cap=_env_cap(ENV_BALL_CAP, DEFAULT_BALL_CAP),
+            rank_cap=_env_cap(ENV_RANK_CAP, DEFAULT_RANK_CAP),
+            prime_ceiling=_env_cap(ENV_PRIME_CEILING, DEFAULT_PRIME_CEILING),
         )
+
+
+def _env_cap(name: str, default: int) -> int:
+    text = os.environ.get(name, str(default))
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
+    return value
 
 
 def default_limits() -> ResourceLimits:

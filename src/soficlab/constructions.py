@@ -5,19 +5,20 @@ amplification, and finite-stage approximation sequences.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .almosthom import AlmostHom, Certificate, defect, measured_certificate, separation
-from .amplify import conj_kron
 from .backends import FiniteBackend, free_backend
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
 from .errors import BackendMismatchError, ResourceCapError
-from .amenability import FolnerSet
 from .metrics import canonical_fill
-from .sl2 import distinct_matrices, lef_witness_free, sl2_ball_images, sl2_right_translations
 from .words import word_to_str
+
+if TYPE_CHECKING:  # amplify, amenability and sl2 load only where they are used
+    from .amenability import FolnerSet
 
 
 def regular_representation(backend: FiniteBackend) -> np.ndarray:
@@ -28,7 +29,7 @@ def regular_representation(backend: FiniteBackend) -> np.ndarray:
     return np.ascontiguousarray(backend.table.T, dtype=np.int32)
 
 
-def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
+def folner_to_sofic(domain: BallTable, phi: "FolnerSet") -> AlmostHom:
     """Extend, for each ball element g, the partial right-translation
     x -> x*g on phi to a self-bijection of phi.
 
@@ -46,7 +47,7 @@ def folner_to_sofic(domain: BallTable, phi: FolnerSet) -> AlmostHom:
     return AlmostHom(domain=domain, target_kind="sym", target_n=len(phi), images=images)
 
 
-def folner_certificate(domain: BallTable, phi: FolnerSet) -> Certificate:
+def folner_certificate(domain: BallTable, phi: "FolnerSet") -> Certificate:
     hom = folner_to_sofic(domain, phi)
     return measured_certificate(
         hom,
@@ -101,6 +102,8 @@ def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) ->
     images, and separation exactly 1 iff those images are pairwise distinct.
     Both are checked on the images before any row is built; ValueError
     unless they hold, i.e. unless the images form a local monomorphism."""
+    from .sl2 import distinct_matrices, lef_witness_free, sl2_ball_images, sl2_right_translations
+
     limits = limits or default_limits()
     p = lef_witness_free(radius, limits)
     order = p * (p * p - 1)
@@ -147,6 +150,8 @@ def amplify_certificate(cert: Certificate, times: int,
     """Pass every image through the tensor square `times` times.  Pairwise
     separations follow the iterated distance map; the rank grows to
     n^(2^k) and is checked against the rank cap up front."""
+    from .amplify import conj_kron
+
     if times < 1:
         raise ValueError("times must be >= 1")
     hom = cert.hom

@@ -57,6 +57,19 @@ def test_ball_counts_non_free_products_within_the_double_ball(capsys, monkeypatc
     assert doc["products_defined"] == len(ball(zpower_backend(1), 20).products)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+@pytest.mark.parametrize("name", ["SOFICLAB_BALL_CAP", "SOFICLAB_RANK_CAP",
+                                  "SOFICLAB_PRIME_CEILING"])
+def test_env_caps_must_be_positive_integers(name, value, capsys, monkeypatch):
+    monkeypatch.setenv(name, value)
+    message = f"{name} must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError) as exc:
+        ResourceLimits.from_env()
+    assert str(exc.value) == message
+    assert run(["ball", "--family", "z", "--radius", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_certify_verify_pipeline(tmp_path, capsys):
     cert = tmp_path / "z.json"
     assert run(["certify", "--family", "z", "--folner", "100", "--radius", "2",
@@ -557,6 +570,22 @@ def test_verify_loads_only_the_certificate_layers(tmp_path):
     assert code == 0 and "soficlab.almosthom" in loaded
     assert not loaded & {"numpy.random", "soficlab.matching", "soficlab.graphs",
                          "soficlab.amenability"}
+
+
+@pytest.mark.parametrize("argv,used,unused", [
+    (["certify", "--family", "z", "--folner", "4", "--radius", "1"],
+     "soficlab.amenability", {"soficlab.sl2", "soficlab.amplify"}),
+    (["certify", "--family", "free", "--radius", "1"],
+     "soficlab.sl2", {"soficlab.amenability", "soficlab.amplify"}),
+    (["to-unitary", "z.json"],
+     "soficlab.constructions", {"soficlab.sl2", "soficlab.amenability"}),
+])
+def test_constructions_load_only_the_layers_they_call(argv, used, unused, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _z_certificate(tmp_path)
+    code, loaded = _footprint(*argv, "-o", "out.json")
+    assert code == 0 and used in loaded
+    assert not loaded & unused
 
 
 def test_paradox_loads_no_certificate_layer():

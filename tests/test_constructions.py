@@ -191,7 +191,7 @@ def test_free_sofic_certificate_equals_the_table_route(radius, p):
 
 def test_free_sofic_certificate_refuses_a_non_injective_prime():
     # mod 3 identifies two words of the radius-2 ball: defect 0, separation 0
-    with mock.patch("soficlab.constructions.lef_witness_free", return_value=3):
+    with mock.patch("soficlab.sl2.lef_witness_free", return_value=3):
         with pytest.raises(ValueError, match="not a local monomorphism"):
             free_sofic_certificate(2)
 

@@ -231,8 +231,9 @@ def test_unitary_kernels_exact_on_permutation_matrices(hom, chunk):
 @st.composite
 def real_unitary_homs(draw):
     """(kind, hom) for real unitary images: permutation matrices, their
-    tensor squares (entries in {0, +-1} either way), or random orthogonal
-    matrices; .conj() puts -0.0 among the imaginary parts."""
+    tensor squares once or twice (final rank <= 256; still permutation
+    matrices), or random orthogonal matrices; .conj() puts -0.0 among the
+    imaginary parts."""
     kind = draw(st.sampled_from(["permutation", "amplified", "orthogonal"]))
     if kind == "orthogonal":
         domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](), draw(st.integers(0, 2)))
@@ -243,7 +244,8 @@ def real_unitary_homs(draw):
     else:
         hom = sofic_to_hyperlinear(draw(sym_homs()))
         if kind == "amplified" and len(hom.domain) >= 2:  # measuring needs a separation
-            hom = amplify_certificate(measured_certificate(hom), 1).hom
+            times = draw(st.sampled_from([1, 2] if hom.target_n <= 4 else [1]))
+            hom = amplify_certificate(measured_certificate(hom), times).hom
     if draw(st.booleans()):
         hom = AlmostHom(hom.domain, "unitary", hom.target_n, hom.images.conj())
     return kind, hom
@@ -267,20 +269,38 @@ def oracle_distance(hom: AlmostHom, pair, product: bool) -> float:
     return float(distance(a, b)[0])
 
 
+def assert_real_rows(hom: AlmostHom) -> None:
+    """Entries exactly 0 or 1 (-0.0 included) make permutation matrices,
+    scanned as int32 permutation rows; other real images as float64 rows."""
+    zero_one = ((hom.images == 0) | (hom.images == 1)).all()
+    assert almosthom._kernels(hom)[0].dtype == (np.int32 if zero_one else np.float64)
+
+
+def assert_matches_complex_oracle(kind: str, hom: AlmostHom) -> None:
+    (dft, sep), (want_dft, want_sep) = witnesses(hom), oracle_witnesses(hom)
+    if kind == "orthogonal":  # float64 and complex128 sums round apart
+        assert_close_to_reference(dft, want_dft, lambda p: oracle_distance(hom, p, True))
+        if sep is not None:
+            assert_close_to_reference(sep, want_sep, lambda p: oracle_distance(hom, p, False))
+    else:  # integer entries: every arithmetic is exact
+        assert (dft, sep) == (want_dft, want_sep)
+
+
 @settings(max_examples=60, deadline=None)
 @given(real_unitary_homs(), st.sampled_from([1, 3, 1 << 18]))
 def test_real_unitary_kernels_match_complex_oracle(case, chunk):
     kind, hom = case
-    assert almosthom._kernels(hom)[0].dtype == np.float64
+    assert_real_rows(hom)
     with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
-        (dft, sep), (want_dft, want_sep) = witnesses(hom), oracle_witnesses(hom)
-        if kind == "orthogonal":  # float64 and complex128 sums round apart
-            assert_close_to_reference(dft, want_dft, lambda p: oracle_distance(hom, p, True))
-            if sep is not None:
-                assert_close_to_reference(sep, want_sep, lambda p: oracle_distance(hom, p, False))
-        else:  # integer entries: both arithmetics are exact
-            assert (dft, sep) == (want_dft, want_sep)
+        assert_matches_complex_oracle(kind, hom)
         if len(hom.domain) >= 2:
+            # one image times -1 stays real, and unless it was -1 (a 1 x 1
+            # orthogonal draw) it is no permutation matrix: the float64 path
+            images = hom.images.copy()
+            images[-1] *= -1
+            negated = AlmostHom(hom.domain, "unitary", hom.target_n, images)
+            assert_real_rows(negated)
+            assert_matches_complex_oracle(kind, negated)
             # one image times 1j makes the certificate complex: the complex path
             images = hom.images.copy()
             images[-1] *= 1j
