@@ -11,6 +11,7 @@ advisory and always recomputed on verification.
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -26,9 +27,11 @@ from .errors import (
     EXIT_PASS,
     MalformedCertificateError,
     ResourceCapError,
+    SoficlabError,
     json_int,
     json_ints,
-    load_json,
+    read_json,
+    unique_keys,
 )
 from .metrics import check_unitary
 from .words import word_from_str, word_to_str
@@ -352,11 +355,16 @@ def save_certificate(cert: Certificate, path) -> None:
         fh.write("\n }," + tail[1:] + "\n")
 
 
-def _read_image(kind: str, raw: list, out: np.ndarray) -> None:
-    """Check the entries of one JSON image and write them into `out`, its
-    row of the certificate's images array."""
+def _read_image(kind: str, n: int, raw, index=None) -> np.ndarray:
+    """The checked int32 (n,) or complex128 (n, n) row of a JSON image that
+    lists its entries in `raw`, or, given `index`, its distinct entries in
+    first-occurrence order, entry k being raw[index[k]]: every check then
+    fails on the same entry, with the same message, as on the whole list."""
+    width = n if kind == "sym" else n * n
+    if index is None and (type(raw) is not list or len(raw) != width):
+        raise MalformedCertificateError(f"every image must list {width} entries")
     if kind == "sym":
-        flat, dest = json_ints(raw, "permutation entries"), out
+        flat, dest = json_ints(raw, "permutation entries"), np.empty(n, np.int32)
     else:
         # a str or dict entry of length 2 fails the type test through its
         # characters or keys; one flat list converts far faster than nested ones
@@ -368,13 +376,17 @@ def _read_image(kind: str, raw: list, out: np.ndarray) -> None:
         if not is_pairs or not set(map(type, flat)) <= {int, float}:
             raise MalformedCertificateError(
                 "unitary entries must be [re, im] pairs of JSON numbers")
-        dest = out.reshape(-1).view(np.float64)  # re, im of every entry
+        dest = np.empty(len(flat))  # re, im of every entry
     try:
         dest[:] = flat
     except OverflowError as exc:  # an integer beyond int32 or beyond the float range
         raise MalformedCertificateError(f"bad {kind} image: {exc}") from exc
     if not np.isfinite(dest).all():
         raise MalformedCertificateError("unitary entries must be finite")
+    if kind == "sym":
+        return dest
+    parts = dest.reshape(-1, 2)
+    return (parts if index is None else parts[index]).view(np.complex128).reshape(n, n)
 
 
 def _claim(doc: dict, key: str) -> float:
@@ -387,16 +399,11 @@ def _claim(doc: dict, key: str) -> float:
         raise MalformedCertificateError(f"{key} out of range: {exc}") from exc
 
 
-def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Certificate:
-    """Parse and structurally validate a certificate document.
-
-    Raises MalformedCertificateError on any structural violation; this is a
-    different failure mode than verification failure.  A unitary rank above
-    limits.rank_cap raises ResourceCapError before any image is read.
-    """
-    if not isinstance(doc, dict):
-        raise MalformedCertificateError("certificate document must be a JSON object")
-    limits = limits or default_limits()
+def _almost_hom(doc: dict, limits: ResourceLimits, entries=None) -> AlmostHom:
+    """The checked AlmostHom of a certificate document whose map is a dict,
+    or is read as `entries(kind, n)`: (key, raw, index) per entry, for
+    `_read_image`.  The rows are stacked once every key is read, so nothing
+    is allocated for images that the input lacks."""
     try:
         if doc.get("schema") != CERT_SCHEMA:
             raise MalformedCertificateError(f"unknown schema {doc.get('schema')!r}")
@@ -411,21 +418,14 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
         raise MalformedCertificateError(f"unknown target kind {kind!r}")
     if kind == "unitary" and n > limits.rank_cap:
         raise ResourceCapError(f"unitary rank {n} exceeds cap {limits.rank_cap}")
-    if not isinstance(mapping, dict):
+    if entries is None and not isinstance(mapping, dict):
         raise MalformedCertificateError("map must be a JSON object keyed by words")
-    shape = (n,) if kind == "sym" else (n, n)
-    width = n if kind == "sym" else n * n
-    if not all(type(raw) is list and len(raw) == width for raw in mapping.values()):
-        raise MalformedCertificateError(f"every image must list {width} entries")
+    pairs = entries(kind, n) if entries else ((key, raw, None) for key, raw in mapping.items())
     domain = ball(backend, radius, limits)
-    # Every key names a distinct ball element or is rejected below, so a map
-    # with at least |B| keys that passes covers the ball.
-    if len(mapping) < len(domain):
-        raise MalformedCertificateError("map does not cover the whole ball")
-    images = np.empty((len(domain), *shape), np.int32 if kind == "sym" else np.complex128)
+    rows: list = [None] * len(domain)
     keys: list = [None] * len(domain)
     alphabet = backend.alphabet
-    for key, raw in mapping.items():
+    for key, raw, index in pairs:
         try:
             elem = backend.normal_form(word_from_str(alphabet, key))
         except ValueError as exc:
@@ -437,11 +437,19 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
             raise MalformedCertificateError(
                 f"map keys {keys[idx]!r} and {key!r} name the same element")
         keys[idx] = key
-        _read_image(kind, raw, images[idx])
+        rows[idx] = _read_image(kind, n, raw, index)
+    if None in keys:
+        raise MalformedCertificateError("map does not cover the whole ball")
+    images = np.empty((len(rows), *rows[0].shape), rows[0].dtype)
+    for k, row in enumerate(rows):  # free each row once copied, never holding both whole
+        images[k], rows[k] = row, None
     try:
-        hom = AlmostHom(domain=domain, target_kind=kind, target_n=n, images=images)
+        return AlmostHom(domain=domain, target_kind=kind, target_n=n, images=images)
     except ValueError as exc:
         raise MalformedCertificateError(str(exc)) from exc
+
+
+def _certificate(hom: AlmostHom, doc: dict) -> Certificate:
     return Certificate(
         hom=hom,
         claimed_defect=_claim(doc, "claimed_defect"),
@@ -450,8 +458,131 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
     )
 
 
+def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Certificate:
+    """Parse and structurally validate a certificate document.
+
+    Raises MalformedCertificateError on any structural violation; this is a
+    different failure mode than verification failure.  A unitary rank above
+    limits.rank_cap raises ResourceCapError before any image is read.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedCertificateError("certificate document must be a JSON object")
+    return _certificate(_almost_hom(doc, limits or default_limits()), doc)
+
+
+_skip = json.decoder.WHITESPACE.match
+# the "]" closing a unitary image's last [re, im] entry, then the image's own
+_IMAGE_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+class _CertificateText:
+    """A cursor over a certificate's JSON text, moved one value at a time by
+    the json module's scanners: a malformed text fails as in json.loads."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, _skip(text, 0).end()
+        decoder = json.JSONDecoder(object_pairs_hook=unique_keys)
+        self.decode, self.decode_at = decoder.decode, decoder.raw_decode
+
+    def value(self):
+        value, self.pos = self.decode_at(self.text, self.pos)
+        return value
+
+    def members(self):
+        """Yield each key of the object at the cursor, leaving the cursor at
+        its value, and skip a value left unread."""
+        text, keys = self.text, []
+        pos = _skip(text, self.pos + 1).end()
+        while keys or not text.startswith("}", pos):
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError("Expecting property name", text, pos)
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _skip(text, pos).end()
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            self.pos = start = _skip(text, pos + 1).end()
+            keys.append(key)
+            yield key
+            if self.pos == start:
+                self.value()
+            pos = _skip(text, self.pos).end()
+            if not text.startswith(",", pos):
+                break
+            pos = _skip(text, pos + 1).end()
+        if not text.startswith("}", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        self.pos = pos + 1
+        unique_keys(zip(keys, keys))  # once the object closes, as in json.loads
+
+    def images(self, keys, kind: str, n: int):
+        """(key, raw, index) for each key of the map's `members()`."""
+        for key in keys:
+            image = self._repeated_entries(n) if kind == "unitary" else None
+            yield (key, *image) if image else (key, self.value(), None)
+
+    def _repeated_entries(self, n: int):
+        """(distinct entries, index) of the unitary image at the cursor if
+        its entry texts repeat, else None.  Split on "]", the distinct entry
+        texts are decoded in one call as [0, entry, entry, ...]: the grammar
+        they have in the image."""
+        text, pos = self.text, self.pos
+        probe = text[pos:pos + 4096].split("]", 64)[1:-1]
+        if 2 * len(set(probe)) > len(probe) or not text.startswith("[", pos):
+            return None  # mostly distinct: decoding the image whole costs no more
+        end = _IMAGE_END.search(text, pos)
+        if not end or text.count("]", pos, end.start()) != n * n - 1:
+            return None  # counted first: a bad image may end far away
+        pieces = text[pos:end.start()].split("]")
+        pieces[0] = "," + pieces[0][1:]
+        distinct = dict.fromkeys(pieces)
+        try:
+            entries = self.decode("[0" + "]".join(distinct) + "]]")[1:]
+        except (ValueError, RecursionError):
+            return None
+        # a flat list per distinct text leaves no "]" inside an entry, so the
+        # image is exactly these entries
+        if len(entries) != len(distinct) or set(map(type, entries)) != {list}:
+            return None
+        self.pos = end.end()
+        for k, piece in enumerate(distinct):
+            distinct[piece] = k
+        return entries, np.fromiter(map(distinct.__getitem__, pieces), np.intp, len(pieces))
+
+
+def _certificate_from_text(text: str, limits: ResourceLimits) -> Certificate:
+    """json.loads then `certificate_from_json`, in outcome.  When schema,
+    group, radius and target precede the map, the images are read one at a
+    time, and a check failing meanwhile is raised once the rest of the text
+    has parsed, since a syntax error or a repeated key fails first in
+    json.loads; otherwise the map is decoded whole."""
+    reader = _CertificateText(text)
+    if not text.startswith("{", reader.pos):
+        return certificate_from_json(reader.decode(text), limits)
+    head, hom, failure = {}, None, None
+    for key in reader.members():
+        if (key != "map" or hom or failure or not text.startswith("{", reader.pos)
+                or not {"schema", "group", "ball_radius", "target"} <= head.keys()):
+            head[key] = reader.value()
+            continue
+        keys = reader.members()
+        try:
+            hom = _almost_hom({**head, "map": None}, limits,
+                              lambda kind, n: reader.images(keys, kind, n))
+        except SoficlabError as exc:
+            failure = exc
+            for _ in keys:  # parse the rest of the map
+                pass
+    end = _skip(text, reader.pos).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if failure:
+        raise failure
+    return _certificate(hom, head) if hom else certificate_from_json(head, limits)
+
+
 def load_certificate(path, limits: ResourceLimits | None = None) -> Certificate:
-    """The certificate in the JSON file at `path`, read by `load_json` and
-    validated by `certificate_from_json` under `limits`.  Raises
-    MalformedCertificateError or ResourceCapError as those do."""
-    return load_json(path, lambda doc: certificate_from_json(doc, limits))
+    """The certificate in the JSON file at `path`, under `limits`, read one
+    image at a time; every outcome, value or error, is that of
+    `certificate_from_json` on the file's document."""
+    limits = limits or default_limits()
+    return read_json(path, lambda text: _certificate_from_text(text, limits))

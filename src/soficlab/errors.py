@@ -35,41 +35,52 @@ class BackendMismatchError(SoficlabError):
     """Two objects built over incompatible group backends were combined."""
 
 
-def _unique_keys(pairs: list) -> dict:
+class _DuplicateKey(ValueError):
+    """A repeated key: a parse failure until `read_json` reports it."""
+
+
+def unique_keys(pairs) -> dict:
+    """The JSON object of `pairs`; the object_pairs_hook of every input."""
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
+            raise _DuplicateKey(f"duplicate key {key!r} in a JSON object")
         doc[key] = value
     return doc
 
 
-def load_json(path, build):
-    """`build(doc)` of the JSON document in the file at `path`.
+def read_json(path, parse):
+    """`parse(text)` of the file at `path`; every JSON input is read here.
 
-    Every JSON input (certificates, group tables, coloured and bipartite
-    graphs) is read here.  A repeated key in any object, invalid or too
-    deeply nested JSON raise MalformedCertificateError.  The cyclic garbage
-    collector is paused for the parse and for `build`: a parsed document
-    holds no reference cycle, yet a certificate's hundreds of thousands of
-    `[re, im]` lists would otherwise trigger full collections that rescan
-    all of them.  The document is dropped before the collector is restored
-    to the caller's state, which is never enabled if the caller had it off.
+    A repeated key in any object (`unique_keys`), invalid or too deeply
+    nested JSON and undecodable text raise MalformedCertificateError.
+    The cyclic collector is paused meanwhile: JSON values hold no reference
+    cycle, yet parsing allocates enough lists (a graph's rows, the entries
+    of a certificate image) to trigger full collections that rescan all of
+    them.  It is left as the caller had it, never enabled if it was off.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path) as fh:
-            try:
-                doc = json.load(fh, object_pairs_hook=_unique_keys)
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
-        value = build(doc)
-        del doc
-        return value
+            return parse(fh.read())
+    except _DuplicateKey as exc:
+        raise MalformedCertificateError(str(exc)) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
     finally:
         if enabled:
             gc.enable()
+
+
+def load_json(path, build):
+    """`build(doc)` of the JSON document in the file at `path`, parsed whole."""
+    def parse(text):
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+        del text  # so that `build` allocates in the memory the text held
+        return build(doc)
+
+    return read_json(path, parse)
 
 
 def json_fields(doc, what: str, *keys: str) -> list:

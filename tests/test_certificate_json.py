@@ -1,9 +1,17 @@
-"""Certificate JSON: the streaming writer against the reference document, and
-strict ingest of image entries and map structure."""
+"""Certificate JSON: the streaming writer against the reference document,
+strict ingest of image entries and map structure, the file reader against
+json.loads then `certificate_from_json`, and the CLI's exit codes on damaged
+certificate files."""
 
+import contextlib
 import gc
+import io
 import json
 import math
+import os
+import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +29,7 @@ from soficlab.almosthom import (
 from soficlab.backends import FiniteBackend, free_backend, heisenberg_backend, zpower_backend
 from soficlab.amenability import folner_box
 from soficlab.balls import ball
+from soficlab.cli import main
 from soficlab.constructions import (
     amplify_certificate,
     folner_certificate,
@@ -28,7 +37,8 @@ from soficlab.constructions import (
     lef_to_sofic,
     sofic_to_hyperlinear,
 )
-from soficlab.errors import MalformedCertificateError
+from soficlab.config import ResourceLimits
+from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
 from soficlab.metrics import UnitaryMatrix, random_orthogonal, random_unitary
 
 from oracles import cyclic_backend
@@ -257,3 +267,177 @@ def test_certificate_load_pauses_the_collector(tmp_path):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# The file reader against the whole-document path: `load_certificate` walks
+# the text image by image, and must give what json.loads then
+# `certificate_from_json` give, on any text.
+
+SMALL_LIMITS = ResourceLimits(ball_cap=64, rank_cap=16)
+_rng = np.random.default_rng(16)
+_z1 = ball(zpower_backend(1), 1)
+# every entry of its images distinct
+RANDOM_RANK_16 = Certificate(AlmostHom(_z1, "unitary", 16, np.array(
+    [np.eye(16)] + [random_unitary(16, _rng).entries for _ in range(len(_z1) - 1)])), 0.5, 1.2)
+SPELLINGS = {0.0: ["0", "0.0", "-0.0", "0e0", "0E+0", "-0", "0.000"],
+             1.0: ["1", "1.0", "1e0", "10E-1", "1.00", "0.1e1"]}
+# floats only: respelling an integer field as 1.0 would only make a type error
+_FLOAT = re.compile(r"(?<![\w.+-])-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
+small_values = (st.none() | st.booleans() | st.integers(-2, 4) | st.just(2**70)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+                | st.lists(st.integers(-1, 3), max_size=3))
+
+
+def objects_in(doc) -> list:
+    found, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            found += [node] if node else []
+            node = list(node.values())
+        todo += [child for child in node if isinstance(child, (dict, list))]
+    return found
+
+
+def permutation_matrices(cert: Certificate) -> Certificate:
+    return Certificate(sofic_to_hyperlinear(cert.hom), cert.claimed_defect,
+                       cert.claimed_separation, cert.provenance)
+
+
+@st.composite
+def certificate_texts(draw) -> str:
+    """The text of a valid sym, unitary (permutation matrices up to rank 12
+    among them) or rank-16 random-unitary certificate, with its keys in the
+    writer's order or in any order (map first among them), in the writer's
+    layout, compact, on one line or with tabs; then as it is, with its
+    numbers respelled, with one entry replaced or removed, with a key
+    repeated in one object, or cut short."""
+    cert = draw(sym_certificates() | unitary_certificates() | st.just(RANDOM_RANK_16)
+                | st.builds(permutation_matrices, sym_certificates()))
+    doc = certificate_to_json(cert)
+    if draw(st.booleans()):
+        doc = dict(draw(st.permutations(list(doc.items()))))
+    damage = draw(st.sampled_from(["none", "respell", "mutate", "duplicate", "cut"]))
+    mark = "\x00repeated\x00"
+    if damage == "mutate":
+        node = draw(st.sampled_from(objects_in(doc)))
+        key = draw(st.sampled_from(sorted(node)))
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(small_values)
+    elif damage == "duplicate":
+        node = draw(st.sampled_from(objects_in(doc)))
+        key = draw(st.sampled_from(sorted(node)))
+        value = draw(st.just(node[key]) | small_values)
+        items = list(node.items())
+        items.insert(draw(st.integers(0, len(items))), (mark, value))
+        node.clear()
+        node.update(items)
+    layout = draw(st.sampled_from([{"indent": 1}, {"separators": (",", ":")},
+                                   {"indent": None}, {"indent": "\t"}]))
+    text = json.dumps(doc, **layout) + "\n"  # indent=1 is the writer's layout
+    if damage == "duplicate":
+        text = text.replace(json.dumps(mark), json.dumps(key), 1)
+    elif damage == "respell":
+        pick = random.Random(draw(st.integers(0, 2**32 - 1))).choice
+        text = _FLOAT.sub(lambda m: pick(SPELLINGS.get(float(m[0]), [m[0]])), text)
+    elif damage == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def outcome(read):
+    try:
+        return read()
+    except (MalformedCertificateError, ResourceCapError) as exc:
+        return exc
+
+
+def assert_same_outcome(streamed, whole) -> None:
+    if isinstance(whole, Exception):
+        assert type(streamed) is type(whole), (streamed, whole)
+        if not (str(streamed).startswith("not valid JSON")
+                and str(whole).startswith("not valid JSON")):
+            assert str(streamed) == str(whole)
+        return
+    assert isinstance(streamed, Certificate), streamed
+    a, b = streamed.hom, whole.hom
+    assert (a.target_kind, a.target_n) == (b.target_kind, b.target_n)
+    assert a.domain.radius == b.domain.radius
+    assert a.domain.backend.descriptor() == b.domain.backend.descriptor()
+    # bit patterns, so -0.0 stays apart from 0.0
+    assert a.images.dtype == b.images.dtype and a.images.tobytes() == b.images.tobytes()
+    claims = [(repr(c.claimed_defect), repr(c.claimed_separation), c.provenance)
+              for c in (streamed, whole)]
+    assert claims[0] == claims[1]
+
+
+@pytest.fixture(scope="module")
+def certificate_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "cert.json"
+
+
+def assert_reader_matches(path, text: str) -> None:
+    path.write_text(text)
+    streamed = outcome(lambda: load_certificate(path, SMALL_LIMITS))
+    whole = outcome(lambda: load_json(path, lambda doc: certificate_from_json(doc, SMALL_LIMITS)))
+    assert_same_outcome(streamed, whole)
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_texts())
+def test_file_reader_matches_the_whole_document(certificate_file, text):
+    assert_reader_matches(certificate_file, text)
+
+
+HEAD = ('"schema": "sofic-cert/v1", "group": {"kind": "zpower", "dim": 1}, "ball_radius": 0, '
+        '"target": {"kind": "%s", "n": %d}')
+SYM_ONE = "{" + HEAD % ("sym", 1)
+# images of rank 8 whose 64 texts between "]" are entries but for one: a
+# string holding "]" (63 entries), or a nested entry and two bare numbers
+# (65 entries); the distinct texts alone decode to 3 and 4 entries
+UNITARY_EIGHT = "{" + HEAD % ("unitary", 8) + ', "map": {"": [%s]}}'
+SPLIT_STRING = UNITARY_EIGHT % ",".join(['["]",0.0]'] + ["[0.0,0.0]"] * 62)
+NESTED = UNITARY_EIGHT % ",".join(["[[1.0,0.0],2]", "5", "[0.0,0.0]", "5"] + ["[0.0,0.0]"] * 61)
+
+
+@pytest.mark.parametrize("text", [
+    '{"map": {"": [0]}, ' + HEAD % ("sym", 1) + "}",  # map first
+    # a failing image, then a repeated key or a syntax error: json.loads
+    # reports those first
+    SYM_ONE + ', "map": {"": [1]}, "map": 2}',
+    SYM_ONE + ', "map": {"": [1], "": [0]}}',
+    SYM_ONE + ', "map": {"": [1], "a": [0}',
+    SYM_ONE + ', "map": {"": [1.5]}, "claimed_defect": nul}',
+    SYM_ONE + ', "map": {"": [0]}} []',  # extra data
+    SPLIT_STRING, NESTED, SPLIT_STRING.replace('"]"', "1.0"),
+    " [1, 2] ", "\ufeff{}", '{"schema": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', "", "{",
+])
+def test_file_reader_edge_texts(certificate_file, text):
+    assert_reader_matches(certificate_file, text)
+
+
+COMMANDS = {
+    "verify": lambda cert, out: ["verify", cert, "--eps", "1e-6", "--delta", "0.5", "-o", out],
+    "to-unitary": lambda cert, out: ["to-unitary", cert, "-o", out],
+    "amplify": lambda cert, out: ["amplify", cert, "--times", "1", "-o", out],
+    "graph": lambda cert, out: ["graph", cert, "-o", out],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_texts(), st.sampled_from(sorted(COMMANDS)))
+def test_cli_exit_codes_on_certificate_files(certificate_file, text, command):
+    """Whatever the file, a command exits 0, 1 (only `verify`, for a
+    certificate that misses its thresholds) or 2, and never with a
+    traceback; the caps are small, so a mutated radius or rank is refused."""
+    certificate_file.write_text(text)
+    out = certificate_file.with_name("out.json")
+    err = io.StringIO()
+    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "16"}
+    with mock.patch.dict(os.environ, caps), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in COMMANDS[command](certificate_file, out)])
+    assert code in (0, 1, 2)
+    assert code != 1 or command == "verify"
+    assert "Traceback" not in err.getvalue()
