@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import chain
 
@@ -321,20 +322,39 @@ def _head_text(cert: Certificate) -> str:
     return json.dumps(head, indent=1).replace('"table": 0', '"table": [\n   ' + rows + "\n  ]", 1)
 
 
+_ZERO, _ONE = "[\n    0.0,\n    0.0\n   ]", "[\n    1.0,\n    0.0\n   ]"  # the entries 0 and 1
+_SEP, _OPEN, _CLOSE = ",\n   ", "[\n   ", "\n  ]"  # between, before and after entries
+_STRIDE = len(_ZERO) + len(_SEP)
+
+
+def _permutation_text(columns: list) -> str:
+    """The writer's text of `_permutation_image(columns)`, as json.dump spells it:
+    _ZERO and _ONE have one length, so the row with its 1 at column c is a
+    slice of one template."""
+    n = len(columns)
+    template = _SEP.join([_ZERO] * (n - 1) + [_ONE] + [_ZERO] * (n - 1))
+    starts, width = [(n - 1 - c) * _STRIDE for c in columns], n * _STRIDE - len(_SEP)
+    return _OPEN + _SEP.join([template[s:s + width] for s in starts]) + _CLOSE
+
+
 def _unitary_image_text(u: np.ndarray) -> str:
+    flat = np.ascontiguousarray(u).ravel()
+    parts, columns = flat.view(np.uint64), u.real.argmax(axis=1)  # re, im bits of each entry
+    # a nonzero imaginary part rejects most other images before the full test
+    if not parts[1::2].any() and np.array_equal(
+            parts, _permutation_image(columns).view(np.uint64).ravel()):
+        return _permutation_text(columns.tolist())
     # Each distinct entry (by the bit patterns of its re and im parts) is
     # spelled once, in one C-encoder call that spells every number exactly
     # as json.dump does (repr, NaN, Infinity, -0.0); every entry then looks
-    # its spelling up.  Images built from permutations hold only 0.0 and 1.0.
-    flat = np.ascontiguousarray(u).ravel()
-    parts = flat.view(np.uint64)
+    # its spelling up.
     _, re_index = np.unique(parts[0::2], return_inverse=True)
     im_patterns, im_index = np.unique(parts[1::2], return_inverse=True)
     _, first, index = np.unique(re_index * len(im_patterns) + im_index,
                                 return_index=True, return_inverse=True)
     tokens = json.dumps(flat[first].view(np.float64).tolist())[1:-1].split(", ")
     entries = [f"[\n    {re},\n    {im}\n   ]" for re, im in zip(tokens[0::2], tokens[1::2])]
-    return "[\n   " + ",\n   ".join(map(entries.__getitem__, index.tolist())) + "\n  ]"
+    return _OPEN + _SEP.join(map(entries.__getitem__, index.tolist())) + _CLOSE
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -389,6 +409,11 @@ def _read_image(kind: str, n: int, raw, index=None) -> np.ndarray:
     return (parts if index is None else parts[index]).view(np.complex128).reshape(n, n)
 
 
+def _permutation_image(columns) -> np.ndarray:
+    """The complex128 permutation matrix whose row r holds its 1 at columns[r]."""
+    return np.eye(len(columns), dtype=np.complex128)[columns]
+
+
 def _claim(doc: dict, key: str) -> float:
     value = doc.get(key, 0.0)
     if type(value) not in (int, float):
@@ -401,8 +426,8 @@ def _claim(doc: dict, key: str) -> float:
 
 def _almost_hom(doc: dict, limits: ResourceLimits, entries=None) -> AlmostHom:
     """The checked AlmostHom of a certificate document whose map is a dict,
-    or is read as `entries(kind, n)`: (key, raw, index) per entry, for
-    `_read_image`.  The rows are stacked once every key is read, so nothing
+    or is read as `entries(kind, n)`: (key, read) per entry, read() giving
+    its checked row.  The rows are stacked once every key is read, so nothing
     is allocated for images that the input lacks."""
     try:
         if doc.get("schema") != CERT_SCHEMA:
@@ -420,12 +445,13 @@ def _almost_hom(doc: dict, limits: ResourceLimits, entries=None) -> AlmostHom:
         raise ResourceCapError(f"unitary rank {n} exceeds cap {limits.rank_cap}")
     if entries is None and not isinstance(mapping, dict):
         raise MalformedCertificateError("map must be a JSON object keyed by words")
-    pairs = entries(kind, n) if entries else ((key, raw, None) for key, raw in mapping.items())
+    pairs = entries(kind, n) if entries else (
+        (key, partial(_read_image, kind, n, raw)) for key, raw in mapping.items())
     domain = ball(backend, radius, limits)
     rows: list = [None] * len(domain)
     keys: list = [None] * len(domain)
     alphabet = backend.alphabet
-    for key, raw, index in pairs:
+    for key, read in pairs:
         try:
             elem = backend.normal_form(word_from_str(alphabet, key))
         except ValueError as exc:
@@ -437,7 +463,7 @@ def _almost_hom(doc: dict, limits: ResourceLimits, entries=None) -> AlmostHom:
             raise MalformedCertificateError(
                 f"map keys {keys[idx]!r} and {key!r} name the same element")
         keys[idx] = key
-        rows[idx] = _read_image(kind, n, raw, index)
+        rows[idx] = read()
     if None in keys:
         raise MalformedCertificateError("map does not cover the whole ball")
     images = np.empty((len(rows), *rows[0].shape), rows[0].dtype)
@@ -515,10 +541,29 @@ class _CertificateText:
         unique_keys(zip(keys, keys))  # once the object closes, as in json.loads
 
     def images(self, keys, kind: str, n: int):
-        """(key, raw, index) for each key of the map's `members()`."""
+        """(key, read) per key of the map's `members()`, read() giving its checked row."""
         for key in keys:
+            if kind == "unitary" and (columns := self._permutation_rows(n)):
+                yield key, partial(_permutation_image, columns)
+                continue
             image = self._repeated_entries(n) if kind == "unitary" else None
-            yield (key, *image) if image else (key, self.value(), None)
+            yield key, partial(_read_image, kind, n, *(image or (self.value(),)))
+
+    def _permutation_rows(self, n: int):
+        """The column of each row's 1 if the unitary image at the cursor is
+        spelled exactly as `_permutation_text` spells it, else None, found at
+        the first row whose "1" is out of place.  Such bytes pass `_read_image`."""
+        text, start, columns = self.text, self.pos + len(_OPEN) + _ONE.index("1"), []
+        for lo in range(start, start + n * n * _STRIDE, n * _STRIDE):  # a row's first "1" spot
+            c, off = divmod(text.find("1", lo, lo + n * _STRIDE) - lo, _STRIDE)
+            if off or c < 0:
+                return None
+            columns.append(c)
+        image = _permutation_text(columns)
+        if not text.startswith(image, self.pos):
+            return None
+        self.pos += len(image)
+        return columns
 
     def _repeated_entries(self, n: int):
         """(distinct entries, index) of the unitary image at the cursor if

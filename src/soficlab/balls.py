@@ -41,6 +41,7 @@ class BallTable:
     parents: array  # index of the parent element; -1 at the identity
     letters: array  # signed letter from the parent to the element; 0 at the identity
     succ: np.ndarray
+    limits: ResourceLimits  # the caps the ball was built under
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -92,12 +93,12 @@ class BallTable:
         word g_j is walked from every g_i, one `succ` gather per depth.  A
         free ball walks its own `succ`, exact because g g_p lies in the ball
         whenever g g_p x does in a free group.  Any other ball walks the
-        `succ` of B_2N, built under the default limits: every prefix product
+        `succ` of B_2N, built under the ball's limits: every prefix product
         g_i g_p has length <= 2N, and BFS order makes B_N a prefix of B_2N,
         so an index >= |B_N| lies outside the ball."""
         n = len(self)
         succ = (self.succ if isinstance(self.backend, FreeBackend)
-                else ball(self.backend, 2 * self.radius).succ)
+                else ball(self.backend, 2 * self.radius, self.limits).succ)
         step = max(1, _PRODUCT_CHUNK // n)
         for lo in range(0, n, step):
             block = self.walk(succ, np.arange(lo, min(lo + step, n))).T  # block[i - lo, j] = k
@@ -124,9 +125,9 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    cap = (limits or default_limits()).ball_cap
+    limits = limits or default_limits()
     if isinstance(backend, FreeBackend):
-        return _free_ball(backend, radius, cap)
+        return _free_ball(backend, radius, limits)
     letters = [(s, backend.letter(s)) for s in backend.alphabet.signed_letters()]
     identity = backend.identity()
     elements: list[Canon] = [identity]
@@ -140,9 +141,9 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
             h = backend.multiply(g, letter)
             j = index.get(h, -1)
             if j < 0 and depth <= radius:
-                if len(elements) >= cap:
+                if len(elements) >= limits.ball_cap:
                     raise ResourceCapError(
-                        f"ball at radius {depth} exceeds cap of {cap} elements"
+                        f"ball at radius {depth} exceeds cap of {limits.ball_cap} elements"
                     )
                 j = index[h] = len(elements)
                 elements.append(h)
@@ -153,16 +154,16 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
     succ.extend([-1] * len(letters))
     succ = np.array(succ, dtype=np.int32).reshape(-1, len(letters))
     succ.setflags(write=False)
-    table = BallTable(backend, radius, lengths, parents, steps, succ)
+    table = BallTable(backend, radius, lengths, parents, steps, succ, limits)
     vars(table).update(elements=tuple(elements), index=index)  # seed the cached properties
     return table
 
 
-def _free_ball(backend: FreeBackend, radius: int, cap: int) -> BallTable:
+def _free_ball(backend: FreeBackend, radius: int, limits: ResourceLimits) -> BallTable:
     """The free ball in closed form: depth k + 1 lists each depth-k element
     once per signed letter, in signed order, skipping the inverse of its
     last letter, which steps back to its parent."""
-    rank = backend.rank
+    rank, cap = backend.rank, limits.ball_cap
     size, level = 1, 2 * rank  # free_ball_size depth by depth, up to the first over the cap
     for depth in range(1, radius + 1):
         size += level
@@ -185,7 +186,7 @@ def _free_ball(backend: FreeBackend, radius: int, cap: int) -> BallTable:
     succ.setflags(write=False)
     return BallTable(backend, radius, array("i", lengths.tobytes()), array("i", parents.tobytes()),
                      array("b", letters.astype(np.int8).tobytes()) if rank < 128
-                     else array("i", letters.tobytes()), succ)
+                     else array("i", letters.tobytes()), succ, limits)
 
 
 def _columns(letters: np.ndarray, rank: int) -> np.ndarray:

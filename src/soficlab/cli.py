@@ -151,11 +151,9 @@ def cmd_graph(args) -> int:
 
     cert = load_certificate(args.certificate)
     graph = cert_to_graph(cert.hom)
-    if args.output.endswith(".dot"):
-        with open(args.output, "w") as fh:
-            fh.write(graph.to_dot())
-    else:
-        _emit(graph.to_json(), args.output)
+    text = graph.to_dot() if args.output.endswith(".dot") else graph.json_text() + "\n"
+    with open(args.output, "w") as fh:
+        fh.write(text)
     return EXIT_PASS
 
 

@@ -53,7 +53,7 @@ def read_json(path, parse):
     """`parse(text)` of the file at `path`; every JSON input is read here.
 
     A repeated key in any object (`unique_keys`), invalid or too deeply
-    nested JSON and undecodable text raise MalformedCertificateError.
+    nested JSON and text that is not UTF-8 raise MalformedCertificateError.
     The cyclic collector is paused meanwhile: JSON values hold no reference
     cycle, yet parsing allocates enough lists (a graph's rows, the entries
     of a certificate image) to trigger full collections that rescan all of
@@ -62,7 +62,7 @@ def read_json(path, parse):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
     except _DuplicateKey as exc:
         raise MalformedCertificateError(str(exc)) from exc

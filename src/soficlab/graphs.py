@@ -13,12 +13,13 @@ following every reduced word of length <= N from m is defined and collides
 precisely as the reference group elements do.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .almosthom import AlmostHom
+from .almosthom import AlmostHom, _int_list_text
 from .balls import BallTable, ball
 from .backends import free_backend
 from .config import ResourceLimits
@@ -83,6 +84,15 @@ class ColoredGraph:
                 for c, succ in zip(self.colors, self.successors.tolist())
             },
         }
+
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=1)``, one C-encoder call per row;
+        -1, the only negative entry, is spelled null."""
+        rows = ",\n  ".join(json.dumps(c) + ": " + _int_list_text(row, 3).replace("-1", "null")
+                            for c, row in zip(self.colors, self.successors.tolist()))
+        doc = {"vertexCount": self.vertex_count, "colors": list(self.colors), "successors": {}}
+        head = json.dumps(doc, indent=1)[:-4]  # cut '{}\n}'
+        return head + ("{\n  " + rows + "\n }" if rows else "{}") + "\n}"
 
     @classmethod
     def from_json(cls, doc: dict) -> "ColoredGraph":

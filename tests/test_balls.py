@@ -262,3 +262,15 @@ def test_huge_radius_verify_exits_2_in_memory_linear_in_the_cap(tmp_path):
     assert proc.returncode == 2, err
     assert "exceeds cap of 100000 elements" in err
     assert usage.ru_maxrss < 200 * 1024  # kilobytes
+
+
+def test_products_walk_the_double_ball_under_the_ball_limits():
+    # B_30 of Z fits a cap of 100, yet its products walk B_60 (121 elements),
+    # which must be built under the same cap, not under the default one
+    limits = ResourceLimits(ball_cap=100)
+    table = ball(zpower_backend(1), 30, limits)
+    assert len(table) == 61 and table.limits == limits
+    with pytest.raises(ResourceCapError, match="exceeds cap of 100 elements"):
+        table.products
+    fits = ball(zpower_backend(1), 20, limits)  # B_40 has 81 elements
+    assert np.array_equal(fits.products, ball(zpower_backend(1), 20).products)

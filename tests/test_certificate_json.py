@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soficlab import almosthom
 from soficlab.almosthom import (
     AlmostHom,
     Certificate,
@@ -441,3 +442,120 @@ def test_cli_exit_codes_on_certificate_files(certificate_file, text, command):
     assert code in (0, 1, 2)
     assert code != 1 or command == "verify"
     assert "Traceback" not in err.getvalue()
+
+
+# Permutation-matrix images: the writer spells each row as a slice of one
+# template per rank, and the reader matches that template before anything
+# else, falling back at the first row that differs.
+
+@st.composite
+def permutation_certificates(draw, amplified_degrees=(2, 3)):
+    """Permutation-matrix images of rank 1, 2 or up to 16 over a small ball,
+    or `amplify --times 2` of such a certificate of a degree in
+    `amplified_degrees` (rank 16 or 81)."""
+    amplified = draw(st.booleans())  # measuring separation needs two elements
+    domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](),
+                  draw(st.integers(int(amplified), 1)))
+    n = draw(st.sampled_from(amplified_degrees) if amplified
+             else st.sampled_from([1, 2]) | st.integers(3, 16))
+    perm = st.permutations(range(n))
+    rows = [list(range(n))] + [draw(perm) for _ in range(len(domain) - 1)]
+    hom = sofic_to_hyperlinear(AlmostHom(domain, "sym", n, np.array(rows)))
+    cert = Certificate(hom, draw(claims), draw(claims), draw(provenances))
+    return amplify_certificate(cert, 2) if amplified else cert
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_certificates(), st.sampled_from(["none", "-0.0", "1j"]), st.data())
+def test_writer_matches_reference_permutation(tmp_path_factory, cert, twist, data):
+    """The bytes are the encoder's, whether the images take the row template
+    or, with one part -0.0 or one row times 1j, the distinct-entry path."""
+    if twist != "none":
+        images = np.array(cert.hom.images)
+        k = data.draw(st.integers(0, len(images) - 1))
+        r = data.draw(st.integers(0, cert.hom.target_n - 1))
+        if twist == "1j":
+            images[k, r] *= 1j
+        else:
+            parts = images[k, r].view(np.float64)  # re, im of each entry of row r
+            zeros = np.flatnonzero(parts == 0)
+            parts[zeros[data.draw(st.integers(0, len(zeros) - 1))]] = -0.0
+        cert.hom.images = images
+    assert saved_text(cert, tmp_path_factory.mktemp("c")) == reference_text(cert)
+
+
+def image_span(text: str, key: str) -> tuple[int, int]:
+    """(start, end) of the text of the image of map key `key`."""
+    start = text.index(json.dumps(key) + ": [", text.index('"map": {')) + len(json.dumps(key)) + 2
+    return start, text.index("\n  ]", start) + 4
+
+
+PERMUTATION_MUTATIONS = ["1", "1.00", "1e0", "-0.0", "two ones", "no one", "swap rows",
+                         "separator", "cut"]
+ZERO, ONE, SEP = "[\n    0.0,\n    0.0\n   ]", "[\n    1.0,\n    0.0\n   ]", ",\n   "
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_certificates(amplified_degrees=(2,)), st.sampled_from(PERMUTATION_MUTATIONS),
+       st.data())
+def test_reader_on_mutated_permutation_images(certificate_file, cert, mutation, data):
+    """One image of a writer's permutation certificate, respelled, given two
+    1.0 or none in a row, with two rows swapped, a separator changed or cut
+    inside: the outcome is still that of the whole document."""
+    text = reference_text(cert)
+    n = cert.hom.target_n
+    start, end = image_span(text, data.draw(st.sampled_from(list(certificate_to_json(cert)["map"]))))
+    entries = re.split(SEP + r"(?=\[)", text[start + 5:end - 4])  # SEP also opens an im part
+    assert len(entries) == n * n and set(entries) <= {ZERO, ONE}
+    seps = [SEP] * (n * n - 1)
+    r = data.draw(st.integers(0, n - 1))
+    row = entries[r * n:(r + 1) * n]
+    one = r * n + row.index(ONE)
+    if mutation in ("1", "1.00", "1e0"):
+        entries[one] = ONE.replace("1.0", mutation)
+    elif mutation == "-0.0":
+        k = data.draw(st.integers(r * n, r * n + n - 1))
+        spots = [m.start() for m in re.finditer("0.0", entries[k])]
+        at = data.draw(st.sampled_from(spots))
+        entries[k] = entries[k][:at] + "-" + entries[k][at:]
+    elif mutation == "two ones" and n > 1:
+        entries[data.draw(st.sampled_from([k for k in range(r * n, r * n + n) if k != one]))] = ONE
+    elif mutation in ("two ones", "no one"):
+        entries[one] = ZERO
+    elif mutation == "swap rows":
+        s = data.draw(st.integers(0, n - 1))
+        entries[r * n:(r + 1) * n], entries[s * n:(s + 1) * n] = \
+            entries[s * n:(s + 1) * n], entries[r * n:(r + 1) * n]
+    elif mutation == "separator" and n > 1:
+        seps[data.draw(st.integers(0, len(seps) - 1))] = data.draw(
+            st.sampled_from([",", ", ", ",\n    ", " ,\n   ", "\n   ", ",,\n   ",
+                             ",\n  \t", ",\r\n  ", ";\n   ", " \n   "]))  # the last four keep its length
+    image = "[\n   " + "".join(e + s for e, s in zip(entries, seps + ["\n  ]"]))
+    mutated = text[:start] + image + text[end:]
+    if mutation == "cut":
+        mutated = mutated[:data.draw(st.integers(start + 1, end - 1))]
+    if mutation in ("swap rows", "separator") and n == 1:
+        assert mutated == text
+    assert_reader_matches(certificate_file, mutated)
+
+
+def test_permutation_images_take_the_row_template(tmp_path):
+    """`amplify --times 2` of a rank-4 certificate (rank 256): written
+    without the distinct-entry sort, and read without decoding any image."""
+    z = zpower_backend(1)
+    cert = amplify_certificate(
+        hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 4))), 2)
+    assert cert.hom.target_n == 256
+    path = tmp_path / "amplified.json"
+    with mock.patch.object(almosthom.np, "unique", side_effect=AssertionError("np.unique")):
+        save_certificate(cert, path)
+    assert path.read_text() == reference_text(cert)
+    with (mock.patch.object(almosthom._CertificateText, "_repeated_entries",
+                            side_effect=AssertionError("_repeated_entries")),
+          mock.patch.object(almosthom, "_read_image", side_effect=AssertionError("_read_image"))):
+        loaded = load_certificate(path)
+    assert loaded.hom.images.tobytes() == cert.hom.images.tobytes()
+    # any other spelling of the same images is read as before
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
+    assert load_certificate(compact).hom.images.tobytes() == cert.hom.images.tobytes()

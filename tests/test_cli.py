@@ -604,3 +604,23 @@ def test_paradox_loads_no_certificate_layer():
 def test_only_demo_amplify_loads_numpy_random(argv, draws):
     code, loaded = _footprint(*argv)
     assert code == 0 and ("numpy.random" in loaded) == draws
+
+
+def test_verify_reads_utf8_under_the_c_locale(tmp_path):
+    """JSON text is UTF-8: a certificate whose provenance is raw non-ASCII
+    text verifies in a fresh interpreter under the C locale, with locale
+    coercion and UTF-8 mode off (it was `malformed: not valid JSON: 'ascii'
+    codec can't decode ...` when files were read in the locale's encoding)."""
+    cert = tmp_path / "z.json"
+    assert run(["certify", "--family", "z", "--folner", "4", "--radius", "1", "-o", cert]) == 0
+    doc = json.loads(cert.read_text())
+    doc["provenance"] = "café ✓"
+    cert.write_bytes(json.dumps(doc, indent=1, ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(soficlab.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "soficlab.cli", "verify", str(cert), "--eps", "2", "--delta", "0"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -130,3 +130,31 @@ def test_graph_to_almosthom_backend_mismatch():
     ref = ball(free_backend(2), 1)
     with pytest.raises(BackendMismatchError):
         graph_to_almosthom(cycle_graph(4), ref)
+
+
+def test_graph_text_matches_the_encoder(tmp_path):
+    """`json_text` and the `graph` command write exactly the encoder's
+    indent=1 text, with null for each missing edge."""
+    import json
+
+    from soficlab.almosthom import save_certificate
+    from soficlab.cli import main
+    from soficlab.errors import load_json
+
+    partial = {"vertexCount": 3, "colors": ["a", 'b"é☃'],
+               "successors": {"a": [1, 2, 0], 'b"é☃': [None, 0, None]}}
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(partial))
+    z = zpower_backend(1)
+    graphs = [load_json(path, ColoredGraph.from_json), cycle_graph(1),
+              cayley_ball_graph(free_backend(2), 2),
+              cert_to_graph(folner_certificate(ball(z, 2), folner_box(z, 5)).hom)]
+    for graph in graphs:
+        assert graph.json_text() == json.dumps(graph.to_json(), indent=1, default=str)
+    assert "null" in graphs[0].json_text() and "null" in graphs[2].json_text()
+
+    cert, out = tmp_path / "cert.json", tmp_path / "graph.json"
+    save_certificate(free_sofic_certificate(2), cert)
+    assert main(["graph", str(cert), "-o", str(out)]) == 0
+    graph = load_json(out, ColoredGraph.from_json)
+    assert out.read_text() == json.dumps(graph.to_json(), indent=1, default=str) + "\n"
