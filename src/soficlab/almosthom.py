@@ -11,7 +11,6 @@ advisory and always recomputed on verification.
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -29,9 +28,11 @@ from .errors import (
     MalformedCertificateError,
     ResourceCapError,
     SoficlabError,
+    int_list_text,
     json_int,
     json_ints,
     read_json,
+    spliced_json,
     unique_keys,
 )
 from .metrics import check_unitary
@@ -300,15 +301,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 # map sits at depth 1, its keys at depth 2, image entries at depth 3 and the
 # [re, im] parts of a unitary entry at depth 4; in the head, the rows of a
 # finite group's table sit at depth 3 and their entries at depth 4.
-def _int_list_text(values: list, depth: int) -> str:
-    """A nonempty list of ints whose entries sit at `depth`, in one
-    C-encoder call."""
-    pad = "\n" + " " * depth
-    return "[" + pad + json.dumps(values, separators=("," + pad, ": "))[1:-1] + pad[:-1] + "]"
-
-
 def _sym_image_text(row: np.ndarray) -> str:
-    return _int_list_text(row.tolist(), 3)
+    return int_list_text(row.tolist(), 3)
 
 
 def _head_text(cert: Certificate) -> str:
@@ -318,8 +312,8 @@ def _head_text(cert: Certificate) -> str:
         return json.dumps(head, indent=1)
     # a finite group's table is most of the head; only "group" has a "table" key
     head["group"]["table"] = 0
-    rows = ",\n   ".join(_int_list_text(row, 4) for row in table)
-    return json.dumps(head, indent=1).replace('"table": 0', '"table": [\n   ' + rows + "\n  ]", 1)
+    rows = ",\n   ".join(int_list_text(row, 4) for row in table)
+    return spliced_json(head, "table", "[\n   " + rows + "\n  ]")
 
 
 _ZERO, _ONE = "[\n    0.0,\n    0.0\n   ]", "[\n    1.0,\n    0.0\n   ]"  # the entries 0 and 1
@@ -344,17 +338,11 @@ def _unitary_image_text(u: np.ndarray) -> str:
     if not parts[1::2].any() and np.array_equal(
             parts, _permutation_image(columns).view(np.uint64).ravel()):
         return _permutation_text(columns.tolist())
-    # Each distinct entry (by the bit patterns of its re and im parts) is
-    # spelled once, in one C-encoder call that spells every number exactly
-    # as json.dump does (repr, NaN, Infinity, -0.0); every entry then looks
-    # its spelling up.
-    _, re_index = np.unique(parts[0::2], return_inverse=True)
-    im_patterns, im_index = np.unique(parts[1::2], return_inverse=True)
-    _, first, index = np.unique(re_index * len(im_patterns) + im_index,
-                                return_index=True, return_inverse=True)
-    tokens = json.dumps(flat[first].view(np.float64).tolist())[1:-1].split(", ")
-    entries = [f"[\n    {re},\n    {im}\n   ]" for re, im in zip(tokens[0::2], tokens[1::2])]
-    return _OPEN + _SEP.join(map(entries.__getitem__, index.tolist())) + _CLOSE
+    # one C-encoder call spells every part exactly as json.dump does
+    # (repr, NaN, Infinity, -0.0)
+    tokens = json.dumps(flat.view(np.float64).tolist())[1:-1].split(", ")
+    return _OPEN + _SEP.join([f"[\n    {re},\n    {im}\n   ]"
+                              for re, im in zip(tokens[0::2], tokens[1::2])]) + _CLOSE
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -375,13 +363,11 @@ def save_certificate(cert: Certificate, path) -> None:
         fh.write("\n }," + tail[1:] + "\n")
 
 
-def _read_image(kind: str, n: int, raw, index=None) -> np.ndarray:
+def _read_image(kind: str, n: int, raw) -> np.ndarray:
     """The checked int32 (n,) or complex128 (n, n) row of a JSON image that
-    lists its entries in `raw`, or, given `index`, its distinct entries in
-    first-occurrence order, entry k being raw[index[k]]: every check then
-    fails on the same entry, with the same message, as on the whole list."""
+    lists its entries in `raw`."""
     width = n if kind == "sym" else n * n
-    if index is None and (type(raw) is not list or len(raw) != width):
+    if type(raw) is not list or len(raw) != width:
         raise MalformedCertificateError(f"every image must list {width} entries")
     if kind == "sym":
         flat, dest = json_ints(raw, "permutation entries"), np.empty(n, np.int32)
@@ -405,8 +391,7 @@ def _read_image(kind: str, n: int, raw, index=None) -> np.ndarray:
         raise MalformedCertificateError("unitary entries must be finite")
     if kind == "sym":
         return dest
-    parts = dest.reshape(-1, 2)
-    return (parts if index is None else parts[index]).view(np.complex128).reshape(n, n)
+    return dest.view(np.complex128).reshape(n, n)
 
 
 def _permutation_image(columns) -> np.ndarray:
@@ -497,8 +482,6 @@ def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Ce
 
 
 _skip = json.decoder.WHITESPACE.match
-# the "]" closing a unitary image's last [re, im] entry, then the image's own
-_IMAGE_END = re.compile(r"\][ \t\n\r]*\]")
 
 
 class _CertificateText:
@@ -541,13 +524,13 @@ class _CertificateText:
         unique_keys(zip(keys, keys))  # once the object closes, as in json.loads
 
     def images(self, keys, kind: str, n: int):
-        """(key, read) per key of the map's `members()`, read() giving its checked row."""
+        """(key, read) per key of the map's `members()`, read() giving its
+        checked row: a permutation image in the writer's spelling is built
+        from its columns, any other image is decoded whole."""
         for key in keys:
-            if kind == "unitary" and (columns := self._permutation_rows(n)):
-                yield key, partial(_permutation_image, columns)
-                continue
-            image = self._repeated_entries(n) if kind == "unitary" else None
-            yield key, partial(_read_image, kind, n, *(image or (self.value(),)))
+            columns = self._permutation_rows(n) if kind == "unitary" else None
+            yield key, (partial(_permutation_image, columns) if columns
+                        else partial(_read_image, kind, n, self.value()))
 
     def _permutation_rows(self, n: int):
         """The column of each row's 1 if the unitary image at the cursor is
@@ -564,34 +547,6 @@ class _CertificateText:
             return None
         self.pos += len(image)
         return columns
-
-    def _repeated_entries(self, n: int):
-        """(distinct entries, index) of the unitary image at the cursor if
-        its entry texts repeat, else None.  Split on "]", the distinct entry
-        texts are decoded in one call as [0, entry, entry, ...]: the grammar
-        they have in the image."""
-        text, pos = self.text, self.pos
-        probe = text[pos:pos + 4096].split("]", 64)[1:-1]
-        if 2 * len(set(probe)) > len(probe) or not text.startswith("[", pos):
-            return None  # mostly distinct: decoding the image whole costs no more
-        end = _IMAGE_END.search(text, pos)
-        if not end or text.count("]", pos, end.start()) != n * n - 1:
-            return None  # counted first: a bad image may end far away
-        pieces = text[pos:end.start()].split("]")
-        pieces[0] = "," + pieces[0][1:]
-        distinct = dict.fromkeys(pieces)
-        try:
-            entries = self.decode("[0" + "]".join(distinct) + "]]")[1:]
-        except (ValueError, RecursionError):
-            return None
-        # a flat list per distinct text leaves no "]" inside an entry, so the
-        # image is exactly these entries
-        if len(entries) != len(distinct) or set(map(type, entries)) != {list}:
-            return None
-        self.pos = end.end()
-        for k, piece in enumerate(distinct):
-            distinct[piece] = k
-        return entries, np.fromiter(map(distinct.__getitem__, pieces), np.intp, len(pieces))
 
 
 def _certificate_from_text(text: str, limits: ResourceLimits) -> Certificate:

@@ -1,6 +1,7 @@
 """Exception types and exit codes shared across the library, the one reader
-of JSON input documents, and the checks that reject untrusted JSON with
-MalformedCertificateError."""
+of JSON input documents, the checks that reject untrusted JSON with
+MalformedCertificateError, and the pieces from which the writers spell
+large arrays in the json module's indent=1 layout."""
 
 import gc
 import json
@@ -81,6 +82,22 @@ def load_json(path, build):
         return build(doc)
 
     return read_json(path, parse)
+
+
+def int_list_text(values: list, depth: int) -> str:
+    """The indent=1 text of a nonempty list of ints whose entries sit at
+    `depth` of the document, in one C-encoder call."""
+    pad = "\n" + " " * depth
+    return "[" + pad + json.dumps(values, separators=("," + pad, ": "))[1:-1] + pad[:-1] + "]"
+
+
+def spliced_json(doc: dict, key: str, text: str) -> str:
+    """``json.dumps(doc, indent=1)`` with `text`, the indent=1 text of a
+    value at its depth, in place of the placeholder 0 that the first member
+    named `key` holds in `doc`; a string cannot hold that member's text, as
+    the encoder escapes its quotes."""
+    name = json.dumps(key)
+    return json.dumps(doc, indent=1).replace(f"{name}: 0", f"{name}: {text}", 1)
 
 
 def json_fields(doc, what: str, *keys: str) -> list:

@@ -19,16 +19,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .almosthom import AlmostHom, _int_list_text
+from .almosthom import AlmostHom
 from .balls import BallTable, ball
 from .backends import free_backend
 from .config import ResourceLimits
 from .errors import (
     BackendMismatchError,
     MalformedCertificateError,
+    int_list_text,
     json_fields,
     json_int,
     json_ints,
+    spliced_json,
 )
 from .metrics import canonical_fill
 
@@ -86,13 +88,13 @@ class ColoredGraph:
         }
 
     def json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=1)``, one C-encoder call per row;
-        -1, the only negative entry, is spelled null."""
-        rows = ",\n  ".join(json.dumps(c) + ": " + _int_list_text(row, 3).replace("-1", "null")
+        """``json.dumps(self.to_json(), indent=1)``, one C-encoder call per
+        row.  `__post_init__` admits no entry below -1, so a "-1" in a row's
+        text is a missing edge, which is spelled null."""
+        rows = ",\n  ".join(json.dumps(c) + ": " + int_list_text(row, 3).replace("-1", "null")
                             for c, row in zip(self.colors, self.successors.tolist()))
-        doc = {"vertexCount": self.vertex_count, "colors": list(self.colors), "successors": {}}
-        head = json.dumps(doc, indent=1)[:-4]  # cut '{}\n}'
-        return head + ("{\n  " + rows + "\n }" if rows else "{}") + "\n}"
+        doc = {"vertexCount": self.vertex_count, "colors": list(self.colors), "successors": 0}
+        return spliced_json(doc, "successors", "{\n  " + rows + "\n }" if rows else "{}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ColoredGraph":
