@@ -136,12 +136,13 @@ def _kernels(hom: AlmostHom):
     return images, compose, distance, float
 
 
-def defect_witness(hom: AlmostHom):
+def defect_witness(hom: AlmostHom, kernels=None):
     """(defect, (g_index, h_index)) for the first worst-violated product pair
     in the ball's product order; the witness is None only when the ball
     records no products, which a ball from `ball()` never does.  Pairs are
-    scanned in chunks that keep each temporary under _KERNEL_CHUNK elements."""
-    images, compose, distance, value = _kernels(hom)
+    scanned in chunks that keep each temporary under _KERNEL_CHUNK elements.
+    `kernels` is `_kernels(hom)`, when the caller has derived it already."""
+    images, compose, distance, value = kernels or _kernels(hom)
     products = hom.domain.products
     step = max(1, _KERNEL_CHUNK // images.shape[1])
     worst, witness = 0, None
@@ -161,13 +162,13 @@ def defect(hom: AlmostHom):
     return defect_witness(hom)[0]
 
 
-def separation_witness(hom: AlmostHom):
+def separation_witness(hom: AlmostHom, kernels=None):
     """(separation, (g_index, h_index)) for the first closest pair of images,
     scanning pairs i < j in row-major order: each image against blocks of
-    later ones."""
+    later ones.  `kernels` is as in `defect_witness`."""
     if len(hom.domain) < 2:
         raise ValueError("separation requires a ball with at least 2 elements")
-    images, _, distance, value = _kernels(hom)
+    images, _, distance, value = kernels or _kernels(hom)
     m = len(images)
     rows = max(1, _KERNEL_CHUNK // images.shape[1])
     best, witness = None, None
@@ -184,6 +185,14 @@ def separation(hom: AlmostHom):
     return separation_witness(hom)[0]
 
 
+def _witnesses(hom: AlmostHom):
+    """(defect_witness(hom), separation_witness(hom)), both scanning the
+    rows of one `_kernels` call, which takes milliseconds at rank 256.  The
+    rows are not kept, so reassigning `images` leaves nothing stale."""
+    kernels = _kernels(hom)
+    return defect_witness(hom, kernels), separation_witness(hom, kernels)
+
+
 @dataclass(eq=False)
 class Certificate:
     """An almost homomorphism together with its (advisory) measured claims."""
@@ -195,10 +204,11 @@ class Certificate:
 
 
 def measured_certificate(hom: AlmostHom, provenance: str = "") -> Certificate:
+    (dft, _), (sep, _) = _witnesses(hom)
     return Certificate(
         hom=hom,
-        claimed_defect=float(defect(hom)),
-        claimed_separation=float(separation(hom)),
+        claimed_defect=float(dft),
+        claimed_separation=float(sep),
         provenance=provenance,
     )
 
@@ -246,8 +256,7 @@ def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
     the thresholds must pass `check_thresholds`."""
     check_thresholds(eps, delta)
     hom = cert.hom
-    dft, dft_pair = defect_witness(hom)
-    sep, sep_pair = separation_witness(hom)
+    (dft, dft_pair), (sep, sep_pair) = _witnesses(hom)
     alphabet = hom.domain.backend.alphabet
 
     def pair_words(pair):

@@ -19,9 +19,12 @@ import numpy as np
 
 from .config import ResourceLimits, default_limits
 from .errors import ResourceCapError
-from .metrics import UnitaryMatrix, check_gram, hs_distance, phase_aligned_hs
+from .metrics import UnitaryMatrix, check_gram, gram_defect, hs_distance, phase_aligned_hs
 
 SQRT2 = math.sqrt(2.0)
+# The dense square check's rounding of conj(a) * b - delta and of its
+# modulus, and the bound's own, in units of (1 + e)^2: 16 ulps where a few do
+_SQUARE_SLACK = 16 * float(np.finfo(np.float64).eps)
 
 
 def conj_kron(u: np.ndarray) -> np.ndarray:
@@ -37,10 +40,19 @@ def tensor_square(u: UnitaryMatrix) -> UnitaryMatrix:
 
     The square is checked for unitarity within 10x u's tolerance from the
     Gram matrix G = u*u: (conj(u) (x) u)*(conj(u) (x) u) = conj(G) (x) G for
-    any matrix u, so max |conj(G) (x) G - I| takes n^4 operations where the
-    product of the square with itself takes n^6."""
+    any matrix u, so the dense check is max |conj(G) (x) G - I| <= tol, n^4
+    operations where the product of the square with itself takes n^6.  With
+    E = G - I and e = max |E|, each entry of conj(G) (x) G - I is
+    conj(E_ij) E_kl + conj(E_ij) delta_kl + delta_ij E_kl, of modulus at
+    most 2e + e^2.  When that bound clears tol by more than the dense check's
+    own rounding (_SQUARE_SLACK), the dense check would pass, and the O(n^2)
+    bound replaces it; otherwise (a NaN e included) the dense check runs.
+    Either way the verdict and every error message are the dense check's."""
     tol = 10 * u.unitarity_tolerance
-    check_gram(conj_kron(u.entries.conj().T @ u.entries), tol)
+    gram = u.entries.conj().T @ u.entries
+    e = gram_defect(gram)
+    if not (2 * e + e * e) * (1 + _SQUARE_SLACK) + _SQUARE_SLACK * (1 + e) * (1 + e) <= tol:
+        check_gram(conj_kron(gram), tol)
     return UnitaryMatrix._checked(conj_kron(u.entries), tol)
 
 

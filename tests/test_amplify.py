@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from soficlab import amplify
 from soficlab.amplify import (
     SQRT2,
     amplification_report,
@@ -16,6 +19,8 @@ from soficlab.config import ResourceLimits
 from soficlab.errors import ResourceCapError
 from soficlab.metrics import (
     UnitaryMatrix,
+    check_gram,
+    gram_defect,
     hs_distance,
     normalized_trace,
     phase_aligned_hs,
@@ -84,6 +89,67 @@ def test_tensor_square_rejects_a_non_unitary_square():
     u = UnitaryMatrix._checked(np.diag([1.1, 1.0]).astype(np.complex128), 1e-9)
     with pytest.raises(ValueError, match="not unitary within tolerance 1e-08"):
         tensor_square(u)
+
+
+def _outcome(check):
+    """None when check() passes, else the text of its ValueError."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(["unitary", "permutation", "perturbed"]),
+       st.integers(-16, -1),
+       st.one_of(st.integers(-18, -8).map(lambda k: ("tolerance", 10.0**k)),
+                 st.sampled_from([0.25, 0.5, 0.999999, 1.0, 1.000001, 2.0, 4.0]).map(
+                     lambda r: ("bound ratio", r))),
+       st.integers(0, 2**32 - 1))
+def test_tensor_square_gram_bound_matches_the_dense_check(n, kind, scale, tol_choice, seed):
+    """tensor_square skips the n^4 scan of conj(G) (x) G - I only when the
+    O(n^2) bound 2e + e^2 (e = max |G - I|) clears its tolerance: its outcome
+    and message are always those of check_gram(conj_kron(G), tol), with the
+    tolerance below, at and above the bound, and down to 1e-17."""
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        m = np.eye(n, dtype=np.complex128)[rng.permutation(n)]
+    else:
+        m = random_unitary(n, rng).entries.copy()
+    if kind == "perturbed":
+        m += 10.0**scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    gram = m.conj().T @ m
+    how, value = tol_choice
+    if how == "tolerance":
+        tol = value
+    else:
+        e = gram_defect(gram)
+        tol = value * (2 * e + e * e)
+    u = UnitaryMatrix._checked(m, tol / 10)
+    expected = _outcome(lambda: check_gram(conj_kron(gram), 10 * u.unitarity_tolerance))
+    assert _outcome(lambda: tensor_square(u)) == expected
+    if expected is None:
+        assert np.array_equal(tensor_square(u).entries, conj_kron(m))
+
+
+def test_tensor_square_gram_bound_takes_the_dense_check_when_it_cannot_decide():
+    """A checked input needs no n^4 scan at the default tolerance; below a
+    few ulps the bound cannot clear the tolerance, and the dense scan runs,
+    passing an exact permutation matrix and rejecting a rounded unitary."""
+    rng = np.random.default_rng(5)
+    cases = [(random_unitary(4, rng).entries, 1e-9, 0, None),
+             (np.eye(4, dtype=np.complex128)[[2, 0, 3, 1]], 1e-18, 1, None),
+             (random_unitary(4, rng).entries, 1e-18, 1, "not unitary within tolerance 1e-17")]
+    for m, tol, scans, rejected in cases:
+        u = UnitaryMatrix._checked(m, tol)
+        with mock.patch.object(amplify, "check_gram", wraps=check_gram) as dense:
+            if rejected is None:
+                assert tensor_square(u).n == 16
+            else:
+                with pytest.raises(ValueError, match=rejected):
+                    tensor_square(u)
+        assert dense.call_count == scans
 
 
 def test_amplified_distance_fixed_points_and_range():

@@ -21,6 +21,7 @@ from soficlab.almosthom import (
     defect_witness,
     measured_certificate,
     separation_witness,
+    verify,
 )
 from soficlab.amenability import folner_box
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
@@ -35,6 +36,7 @@ from soficlab.metrics import (
     random_orthogonal,
     random_unitary,
 )
+from soficlab.words import word_to_str
 
 from oracles import complex_unitary_kernels
 
@@ -324,3 +326,30 @@ def test_verify_checks_unitarity_once_per_image(tmp_path, capsys):
     with mock.patch.object(almosthom, "check_unitary", counted):
         assert main(["verify", str(cert), "--eps", "1e-6", "--delta", "1"]) == 0
     assert len(checks) == len(ball(zpower_backend(1), 2)) == 5
+
+
+@pytest.mark.parametrize("to_unitary", [False, True])
+def test_verify_and_measuring_derive_the_scan_rows_once(to_unitary):
+    """measured_certificate and verify each scan defect and separation on the
+    rows of one `_kernels` call, and find the separate scans' witnesses."""
+    backend = zpower_backend(2)
+    hom = folner_to_sofic(ball(backend, 2), folner_box(backend, 5))
+    if to_unitary:
+        hom = sofic_to_hyperlinear(hom)
+    derived = []
+    kernels = almosthom._kernels
+
+    def counted(h):
+        derived.append(h)
+        return kernels(h)
+
+    with mock.patch.object(almosthom, "_kernels", counted):
+        cert = measured_certificate(hom)
+        assert len(derived) == 1
+        report = verify(cert, 0.5, 0.5)
+        assert len(derived) == 2
+    (dft, dft_pair), (sep, sep_pair) = defect_witness(hom), separation_witness(hom)
+    assert (cert.claimed_defect, cert.claimed_separation) == (float(dft), float(sep))
+    assert (report.defect, report.separation) == (float(dft), float(sep))
+    words = [word_to_str(backend.alphabet, hom.domain.word(i)) for i in dft_pair + sep_pair]
+    assert report.worst_defect_pair + report.worst_separation_pair == tuple(words)

@@ -1,14 +1,24 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soficlab import metrics
+from soficlab.almosthom import Certificate
+from soficlab.amenability import folner_box
+from soficlab.backends import zpower_backend
+from soficlab.balls import ball
+from soficlab.constructions import amplify_certificate, folner_to_sofic, sofic_to_hyperlinear
 from soficlab.metrics import (
+    DEFAULT_UNITARITY_TOL,
     Permutation,
     UnitaryMatrix,
+    check_gram,
+    check_unitary,
     hamming,
     hs_distance,
     normalized_trace,
@@ -95,6 +105,78 @@ def test_unitarity_rejection_not_repair():
         UnitaryMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         UnitaryMatrix(np.zeros((2, 3)))
+
+
+def _outcome(check):
+    """None when check() passes, else the text of its ValueError."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _check_both_ways(m, tol, permutation):
+    """check_unitary's outcome equals the dense check's, and the dense
+    product is skipped exactly for permutation matrices at a tol >= 0."""
+    with mock.patch.object(metrics, "check_gram", wraps=check_gram) as dense:
+        got = _outcome(lambda: check_unitary(m, tol))
+    assert got == _outcome(lambda: check_gram(m.conj().T @ m, tol))
+    assert dense.call_count == (0 if permutation and tol >= 0 else 1)
+    return got
+
+
+_ZERO_ONE_SHAPES = ["P", "-0.0 for 0", "-P", "1j*P", "two 1s in a row", "empty row",
+                    "empty column", "NaN entry", "entry 1 + eps"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([np.float64, np.complex128]),
+       st.sampled_from(_ZERO_ONE_SHAPES), st.sampled_from([1e-9, 1e-17, 0.0, -1.0, math.nan]),
+       st.integers(0, 2**32 - 1))
+def test_check_unitary_permutation_shortcut_matches_the_dense_check(n, dtype, shape, tol, seed):
+    """0/1 matrices with one 1 per row and per column pass without the n^3
+    product; -P, 1j*P, 0/1 non-permutations and NaN entries reach the dense
+    check, and every outcome and message is the dense check's."""
+    rng = np.random.default_rng(seed)
+    cols = rng.permutation(n)
+    if shape == "1j*P":
+        dtype = np.complex128
+    m = np.eye(n, dtype=dtype)[cols]
+    if n >= 2 and shape == "two 1s in a row":  # every column still holds one 1
+        m[0, cols[1]], m[1] = 1, 0
+    elif n >= 2 and shape == "empty column":  # every row still holds one 1
+        m[1] = m[0]
+    else:
+        m = {"-0.0 for 0": np.where(m == 0, -0.0, m), "-P": -m, "1j*P": 1j * m}.get(shape, m)
+        if shape == "empty row":
+            m[0] = 0
+        elif shape == "NaN entry":
+            m[0, 0] = math.nan
+        elif shape == "entry 1 + eps":
+            m[0, cols[0]] = 1 + 2.0**-52
+    permutation = shape in ("P", "-0.0 for 0") or (
+        n == 1 and shape in ("two 1s in a row", "empty column"))
+    got = _check_both_ways(m, tol, permutation)
+    if shape in ("P", "-0.0 for 0", "-P") and tol >= 0:
+        assert got is None
+    if shape in ("empty row", "NaN entry") or (n >= 2 and shape in ("two 1s in a row",
+                                                                    "empty column")):
+        assert got is not None
+
+
+def test_check_unitary_amplified_certificate_images_skip_the_dense_product():
+    """The rank-256 images of amplify --times 1, as complex128 and as the
+    float64 real parts AlmostHom checks, are permutation matrices."""
+    backend = zpower_backend(1)
+    hom = sofic_to_hyperlinear(folner_to_sofic(ball(backend, 6), folner_box(backend, 16)))
+    images = amplify_certificate(Certificate(hom, 0.0, 1.0), 1).hom.images
+    assert images.shape == (13, 256, 256)
+    for image in images:
+        for m in (image, np.ascontiguousarray(image.real)):
+            assert _check_both_ways(m, DEFAULT_UNITARITY_TOL, True) is None
+        assert _check_both_ways(-image, DEFAULT_UNITARITY_TOL, False) is None
+        assert _check_both_ways(1j * image, DEFAULT_UNITARITY_TOL, False) is None
 
 
 def test_unitary_entries_frozen():
