@@ -43,6 +43,16 @@ def hs_distance_trace(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     return float(np.sqrt(max(2.0 - 2.0 * cross, 0.0)))
 
 
+def value_error_text(check) -> str | None:
+    """None when check() returns, else the text of the ValueError it raises:
+    a shortcut and the dense check it stands for compare in one assert."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def complex_unitary_kernels(hom: AlmostHom):
     """The unitary `almosthom._kernels` with complex128 arithmetic for every
     certificate, real or not: patched over `_kernels`, it runs the library's

@@ -28,6 +28,8 @@ from soficlab.metrics import (
     random_unitary,
 )
 
+from oracles import value_error_text
+
 # Frozen oracle orbit for d0 = 0.5 (computed independently by iterating
 # d -> d*sqrt(2 - d^2/2) in extended precision).
 ORBIT_FROM_HALF = [0.5, 0.6846531968814576, 0.9097454142506024]
@@ -91,15 +93,6 @@ def test_tensor_square_rejects_a_non_unitary_square():
         tensor_square(u)
 
 
-def _outcome(check):
-    """None when check() passes, else the text of its ValueError."""
-    try:
-        check()
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5), st.sampled_from(["unitary", "permutation", "perturbed"]),
        st.integers(-16, -1),
@@ -127,8 +120,8 @@ def test_tensor_square_gram_bound_matches_the_dense_check(n, kind, scale, tol_ch
         e = gram_defect(gram)
         tol = value * (2 * e + e * e)
     u = UnitaryMatrix._checked(m, tol / 10)
-    expected = _outcome(lambda: check_gram(conj_kron(gram), 10 * u.unitarity_tolerance))
-    assert _outcome(lambda: tensor_square(u)) == expected
+    expected = value_error_text(lambda: check_gram(conj_kron(gram), 10 * u.unitarity_tolerance))
+    assert value_error_text(lambda: tensor_square(u)) == expected
     if expected is None:
         assert np.array_equal(tensor_square(u).entries, conj_kron(m))
 

@@ -30,7 +30,7 @@ from soficlab.metrics import (
     sinfty_transposition_distance,
 )
 
-from oracles import hs_distance_trace
+from oracles import hs_distance_trace, value_error_text
 
 
 def perms(n):
@@ -107,21 +107,12 @@ def test_unitarity_rejection_not_repair():
         UnitaryMatrix(np.zeros((2, 3)))
 
 
-def _outcome(check):
-    """None when check() passes, else the text of its ValueError."""
-    try:
-        check()
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def _check_both_ways(m, tol, permutation):
     """check_unitary's outcome equals the dense check's, and the dense
     product is skipped exactly for permutation matrices at a tol >= 0."""
     with mock.patch.object(metrics, "check_gram", wraps=check_gram) as dense:
-        got = _outcome(lambda: check_unitary(m, tol))
-    assert got == _outcome(lambda: check_gram(m.conj().T @ m, tol))
+        got = value_error_text(lambda: check_unitary(m, tol))
+    assert got == value_error_text(lambda: check_gram(m.conj().T @ m, tol))
     assert dense.call_count == (0 if permutation and tol >= 0 else 1)
     return got
 
