@@ -21,7 +21,7 @@ _EXPORTS = {
                  "certificate_to_json defect load_certificate measured_certificate "
                  "save_certificate separation verify",
     "amenability": "FolnerSet ball_expansion f2_ball_expansion folner_box folner_defect "
-                   "paradox_classify paradox_verify reiter_norm",
+                   "paradox_verify reiter_norm",
     "amplify": "AmplificationReport amplification_report amplified_distance halve_embed "
                "iterate_amplification iterations_to_tolerance tensor_square",
     "backends": "FiniteBackend FreeBackend GroupBackend HeisenbergBackend ZPowerBackend "
@@ -29,10 +29,9 @@ _EXPORTS = {
                 "heisenberg_backend zpower_backend",
     "balls": "BallTable ball free_ball_size",
     "config": "ResourceLimits default_limits",
-    "constructions": "ApproximationSequence amplify_certificate check_sequence "
-                     "folner_certificate folner_to_sofic free_sofic_certificate "
-                     "hyperlinear_certificate lef_to_sofic regular_representation "
-                     "sofic_to_hyperlinear",
+    "constructions": "amplify_certificate folner_certificate folner_to_sofic "
+                     "free_sofic_certificate hyperlinear_certificate lef_to_sofic "
+                     "regular_representation sofic_to_hyperlinear",
     "errors": "BackendMismatchError MalformedCertificateError ResourceCapError SoficlabError",
     "graphs": "ColoredGraph LocalMatchReport cayley_ball_graph cert_to_graph "
               "graph_to_almosthom local_match_fraction",

@@ -45,12 +45,16 @@ CERT_SCHEMA = "sofic-cert/v1"
 _KERNEL_CHUNK = 1 << 18
 
 
-def _arithmetic_rows(images: np.ndarray) -> np.ndarray:
-    """The complex128 unitary images as contiguous float64 real parts when
-    every imaginary part is zero (a -0.0 counts as zero), else unchanged.
-    Permutation matrices and their tensor squares are real orthogonal, and a
-    real product costs a quarter of the flops of a complex one."""
-    return images if images.imag.any() else np.ascontiguousarray(images.real)
+def _permutation_columns(images: np.ndarray) -> np.ndarray | None:
+    """The int32 (m, n) columns of the 1s of a complex128 (m, n, n) stack
+    when every image is a permutation matrix, else None: real parts exactly
+    0 or 1 (-0.0 counts as 0), one 1 per row and per column, imaginary parts
+    zero.  The one test of whether unitary images are permutation matrices."""
+    ones = images == 1
+    if not ((ones | (images == 0)).all() and (ones.sum(axis=-1) == 1).all()
+            and (ones.sum(axis=-2) == 1).all()):
+        return None
+    return ones.argmax(axis=-1).astype(np.int32)
 
 
 @dataclass(eq=False)
@@ -85,8 +89,8 @@ class AlmostHom:
                     raise ValueError(
                         f"image {lo + bad[0]} is not a bijection of {{0,...,{n - 1}}}")
         images = np.ascontiguousarray(images, dtype=np.int32 if sym else np.complex128).view()
-        if not sym:
-            for image in _arithmetic_rows(images):
+        if not sym and _permutation_columns(images) is None:  # else its Gram matrix is exactly I
+            for image in images:
                 check_unitary(image)
         if np.max(np.abs(images[0] - identity)) > 1e-9:
             raise ValueError("ball identity must map to the identity")
@@ -108,29 +112,27 @@ def _kernels(hom: AlmostHom):
     products a*b; distance(a, b), per row the moved-point count (sym and
     permutation matrices) or sqrt(sum |a - b|^2 / n) (any other unitary);
     and value, which turns a row distance into an exact Fraction (sym) or a
-    float (unitary).  Unitary images whose entries are all exactly 0 or 1
-    are permutation matrices, scanned as int32 permutation rows with value
-    hs = sqrt(2k / n) for k moved points; other real images are float64 rows
-    (`_arithmetic_rows`), the rest complex128.  Products are never stored or
-    returned, so unlike images they are not checked for unitarity."""
+    float (unitary).  Permutation matrices (`_permutation_columns`) are
+    scanned as int32 permutation rows with value hs = sqrt(2k / n) for k
+    moved points, any other unitary images as complex128 rows.  Products are
+    never stored or returned, so unlike images they are not checked for
+    unitarity."""
     n = hom.target_n
     if hom.target_kind == "sym":
         return hom.images, _compose_rows, _moved_points, lambda k: Fraction(int(k), n)
 
-    images = _arithmetic_rows(hom.images)
-    if images.dtype == np.float64 and ((images == 0) | (images == 1)).all():
-        # a unitary 0/1 matrix is P_s, its row x holding a 1 at s(x); P_s - P_t
-        # has 2k entries +-1 for the k points s and t send apart, so the dense
-        # scan's sum of squares is exactly 2k and its floats and pairs are these
-        rows = images.argmax(axis=-1).astype(np.int32)
+    rows = _permutation_columns(hom.images)
+    if rows is not None:
+        # P_s - P_t has 2k entries +-1 for the k points s and t send apart, so
+        # the dense scan's sum of squares is exactly 2k and its floats and pairs are these
         return rows, _compose_rows, _moved_points, lambda k: math.sqrt(2 * int(k) / n)
-    images = images.reshape(len(images), -1)
+    images = hom.images.reshape(len(hom.images), -1)
 
     def compose(a, b):
         return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)
 
     def distance(a, b):
-        parts = (a - b).view(np.float64)  # re, im of every entry, or the real entries
+        parts = (a - b).view(np.float64)  # re, im of every entry
         return np.sqrt(np.einsum("...k,...k->...", parts, parts) / n)
 
     return images, compose, distance, float
@@ -310,8 +312,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 # map sits at depth 1, its keys at depth 2, image entries at depth 3 and the
 # [re, im] parts of a unitary entry at depth 4; in the head, the rows of a
 # finite group's table sit at depth 3 and their entries at depth 4.
-def _sym_image_text(row: np.ndarray) -> str:
-    return int_list_text(row.tolist(), 3)
+def _sym_image_pieces(row: np.ndarray) -> list:
+    return [int_list_text(row.tolist(), 3)]
 
 
 def _head_text(cert: Certificate) -> str:
@@ -330,28 +332,28 @@ _SEP, _OPEN, _CLOSE = ",\n   ", "[\n   ", "\n  ]"  # between, before and after e
 _STRIDE = len(_ZERO) + len(_SEP)
 
 
-def _permutation_text(columns: list) -> str:
-    """The writer's text of `_permutation_image(columns)`, as json.dump spells it:
-    _ZERO and _ONE have one length, so the row with its 1 at column c is a
-    slice of one template."""
+def _permutation_pieces(columns: list) -> list:
+    """The writer's text of `_permutation_image(columns)`, as json.dump spells
+    it, one piece per row: _ZERO and _ONE have one length, so the row with
+    its 1 at column c, and the separator after it, is a slice of one template."""
     n = len(columns)
-    template = _SEP.join([_ZERO] * (n - 1) + [_ONE] + [_ZERO] * (n - 1))
-    starts, width = [(n - 1 - c) * _STRIDE for c in columns], n * _STRIDE - len(_SEP)
-    return _OPEN + _SEP.join([template[s:s + width] for s in starts]) + _CLOSE
+    template = _SEP.join([_ZERO] * (n - 1) + [_ONE] + [_ZERO] * n)
+    rows = [template[s:s + n * _STRIDE] for s in [(n - 1 - c) * _STRIDE for c in columns]]
+    rows[-1] = rows[-1][:-len(_SEP)]  # no separator after the last entry
+    return [_OPEN, *rows, _CLOSE]
 
 
-def _unitary_image_text(u: np.ndarray) -> str:
+def _unitary_image_pieces(u: np.ndarray) -> list:
     flat = np.ascontiguousarray(u).ravel()
-    parts, columns = flat.view(np.uint64), u.real.argmax(axis=1)  # re, im bits of each entry
-    # a nonzero imaginary part rejects most other images before the full test
-    if not parts[1::2].any() and np.array_equal(
-            parts, _permutation_image(columns).view(np.uint64).ravel()):
-        return _permutation_text(columns.tolist())
+    columns = _permutation_columns(u[None])
+    # the template spells +0.0 and 1.0 only
+    if columns is not None and not np.signbit(flat.view(np.float64)).any():
+        return _permutation_pieces(columns[0].tolist())
     # one C-encoder call spells every part exactly as json.dump does
     # (repr, NaN, Infinity, -0.0)
     tokens = json.dumps(flat.view(np.float64).tolist())[1:-1].split(", ")
-    return _OPEN + _SEP.join([f"[\n    {re},\n    {im}\n   ]"
-                              for re, im in zip(tokens[0::2], tokens[1::2])]) + _CLOSE
+    return [_OPEN, _SEP.join([f"[\n    {re},\n    {im}\n   ]"
+                              for re, im in zip(tokens[0::2], tokens[1::2])]), _CLOSE]
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -360,14 +362,18 @@ def save_certificate(cert: Certificate, path) -> None:
     without building that document or running the pure-Python encoder."""
     hom = cert.hom
     alphabet = hom.domain.backend.alphabet
-    image_text = _sym_image_text if hom.target_kind == "sym" else _unitary_image_text
+    image_pieces = _sym_image_pieces if hom.target_kind == "sym" else _unitary_image_pieces
     head = _head_text(cert)
     tail = json.dumps(_tail_json(cert), indent=1)
-    with open(path, "w") as fh:
+    # an image is written in pieces, not as one string: at rank 256 each
+    # image-sized temporary (1.8 MB) can be a fresh mmap that faults in 450
+    # pages, and the 1 MiB buffer gathers the pieces into few writes
+    with open(path, "w", buffering=1 << 20) as fh:
         fh.write(head[:-2] + ',\n "map": {')
         sep = "\n  "
         for word, img in zip(map(hom.domain.word, range(len(hom.images))), hom.images):
-            fh.write(sep + json.dumps(word_to_str(alphabet, word)) + ": " + image_text(img))
+            fh.write(sep + json.dumps(word_to_str(alphabet, word)) + ": ")
+            fh.writelines(image_pieces(img))
             sep = ",\n  "
         fh.write("\n }," + tail[1:] + "\n")
 
@@ -404,8 +410,9 @@ def _read_image(kind: str, n: int, raw) -> np.ndarray:
 
 
 def _permutation_image(columns) -> np.ndarray:
-    """The complex128 permutation matrix whose row r holds its 1 at columns[r]."""
-    return np.eye(len(columns), dtype=np.complex128)[columns]
+    """The complex128 permutation matrix whose row r holds its 1 at columns[r],
+    or the stack of them for an (m, n) array of columns."""
+    return np.eye(np.shape(columns)[-1], dtype=np.complex128)[columns]
 
 
 def _claim(doc: dict, key: str) -> float:
@@ -543,7 +550,7 @@ class _CertificateText:
 
     def _permutation_rows(self, n: int):
         """The column of each row's 1 if the unitary image at the cursor is
-        spelled exactly as `_permutation_text` spells it, else None, found at
+        spelled exactly as `_permutation_pieces` spells it, else None, found at
         the first row whose "1" is out of place.  Such bytes pass `_read_image`."""
         text, start, columns = self.text, self.pos + len(_OPEN) + _ONE.index("1"), []
         for lo in range(start, start + n * n * _STRIDE, n * _STRIDE):  # a row's first "1" spot
@@ -551,7 +558,7 @@ class _CertificateText:
             if off or c < 0:
                 return None
             columns.append(c)
-        image = _permutation_text(columns)
+        image = "".join(_permutation_pieces(columns))
         if not text.startswith(image, self.pos):
             return None
         self.pos += len(image)

@@ -12,7 +12,6 @@ from .backends import Canon, GroupBackend, HeisenbergBackend, ZPowerBackend, fre
 from .balls import ball
 from .config import ResourceLimits, default_limits
 from .errors import ResourceCapError
-from .words import Word, is_reduced
 
 
 # Points and translations stay within (-2^31, 2^31), so every translated
@@ -182,20 +181,6 @@ def reiter_norm(phi: FolnerSet, g: Canon) -> Fraction:
 
 PARADOX_PIECES = ("E", "WA", "WAinv", "WB", "WBinv")
 _PIECE_OF_FIRST_LETTER = {1: "WA", -1: "WAinv", 2: "WB", -2: "WBinv"}
-
-
-def paradox_classify(word: Word) -> str:
-    """Classify a reduced rank-2 word by its first letter into the pieces of
-    the paradoxical decomposition: identity, or words starting with a, a^-1,
-    b, b^-1."""
-    if not is_reduced(word):
-        raise ValueError("word must be freely reduced")
-    if not word:
-        return "E"
-    first = word[0]
-    if abs(first) > 2:
-        raise ValueError("rank-2 alphabet required")
-    return _PIECE_OF_FIRST_LETTER[first]
 
 
 @dataclass(frozen=True)

@@ -254,8 +254,12 @@ def cmd_paradox(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.what == "sinfty":
+        from .config import default_limits
         from .metrics import sinfty_demo
 
+        ball_cap = default_limits().ball_cap
+        if args.k > ball_cap:  # before 2^k is built: the points 1, ..., k + 1 are moved
+            raise ResourceCapError(f"k = {args.k} exceeds the point cap {ball_cap}")
         dx, dconj = sinfty_demo(args.k)
         print(f"{float(dx)}")
         print(f"{float(dconj)}")

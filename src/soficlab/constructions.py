@@ -1,15 +1,14 @@
 """Certificate constructions: Folner sets to symmetric-group certificates,
 local monomorphisms through regular representations, free-group certificates
-via mod-p matrix images, the sofic-to-hyperlinear conversion, certificate
-amplification, and finite-stage approximation sequences.
+via mod-p matrix images, the sofic-to-hyperlinear conversion and certificate
+amplification.
 """
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .almosthom import AlmostHom, Certificate, defect, measured_certificate, separation
+from .almosthom import AlmostHom, Certificate, _permutation_image, measured_certificate
 from .backends import FiniteBackend, free_backend
 from .balls import BallTable, ball
 from .config import ResourceLimits, default_limits
@@ -135,7 +134,7 @@ def sofic_to_hyperlinear(hom: AlmostHom) -> AlmostHom:
     if n > rank_cap:
         raise ResourceCapError(f"unitary rank {n} exceeds cap {rank_cap}")
     return AlmostHom(domain=hom.domain, target_kind="unitary", target_n=n,
-                     images=np.eye(n, dtype=np.complex128)[hom.images])
+                     images=_permutation_image(hom.images))
 
 
 def hyperlinear_certificate(cert: Certificate) -> Certificate:
@@ -148,8 +147,9 @@ def hyperlinear_certificate(cert: Certificate) -> Certificate:
 def amplify_certificate(cert: Certificate, times: int,
                         limits: ResourceLimits | None = None) -> Certificate:
     """Pass every image through the tensor square `times` times.  Pairwise
-    separations follow the iterated distance map; the rank grows to
-    n^(2^k) and is checked against the rank cap up front."""
+    separations follow the iterated distance map.  `times` is held to the
+    iteration cap and the rank, n^(2^times), to the rank cap, both before
+    any image is squared."""
     from .amplify import conj_kron
 
     if times < 1:
@@ -158,72 +158,19 @@ def amplify_certificate(cert: Certificate, times: int,
     if hom.target_kind != "unitary":
         raise ValueError("unitary target required")
     limits = limits or default_limits()
-    final_rank = hom.target_n ** (2 ** times)
-    if final_rank > limits.rank_cap:
-        raise ResourceCapError(
-            f"amplified rank {final_rank} exceeds cap {limits.rank_cap}"
-        )
+    if times > limits.iteration_cap:
+        raise ResourceCapError(f"{times} amplification steps exceed cap {limits.iteration_cap}")
+    rank = hom.target_n
+    for _ in range(times):  # stepwise: no rank past the first one over the cap is formed
+        rank *= rank
+        if rank > limits.rank_cap:
+            raise ResourceCapError(f"amplified rank {rank} exceeds cap {limits.rank_cap}")
     images = hom.images
     for _ in range(times):
         images = conj_kron(images)
     out = AlmostHom(domain=hom.domain, target_kind="unitary",
-                    target_n=final_rank, images=images)
+                    target_n=rank, images=images)
     return measured_certificate(
         out, provenance=cert.provenance + f" | amplified x{times}"
     )
 
-
-@dataclass(eq=False)
-class ApproximationSequence:
-    """Certificates over one backend with strictly growing ball radii and a
-    common separation floor."""
-
-    certificates: tuple[Certificate, ...]
-    separation_floor: float
-
-    def __post_init__(self) -> None:
-        if not self.certificates:
-            raise ValueError("sequence must be nonempty")
-        radii = [c.hom.domain.radius for c in self.certificates]
-        if any(a >= b for a, b in zip(radii, radii[1:])):
-            raise ValueError("ball radii must be strictly increasing")
-        descriptors = {str(c.hom.domain.backend.descriptor()) for c in self.certificates}
-        if len(descriptors) != 1:
-            raise BackendMismatchError("sequence must use a single backend")
-        if self.separation_floor <= 0:
-            raise ValueError("separation floor must be positive")
-
-
-@dataclass(frozen=True)
-class SequenceReport:
-    passed: bool
-    defects: tuple[float, ...]
-    separations: tuple[float, ...]
-    schedule: tuple[float, ...]
-    first_failure: int | None
-
-
-def check_sequence(seq: ApproximationSequence, schedule: list[float]) -> SequenceReport:
-    """Pass iff every stage's recomputed defect sits below its (decreasing)
-    schedule entry and every separation clears the floor."""
-    if len(schedule) != len(seq.certificates):
-        raise ValueError("schedule length must match the sequence")
-    if any(a <= b for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
-    defects = []
-    separations = []
-    first_failure = None
-    for k, cert in enumerate(seq.certificates):
-        d = float(defect(cert.hom))
-        s = float(separation(cert.hom))
-        defects.append(d)
-        separations.append(s)
-        if (d > schedule[k] or s < seq.separation_floor) and first_failure is None:
-            first_failure = k
-    return SequenceReport(
-        passed=first_failure is None,
-        defects=tuple(defects),
-        separations=tuple(separations),
-        schedule=tuple(schedule),
-        first_failure=first_failure,
-    )

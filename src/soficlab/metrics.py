@@ -80,23 +80,10 @@ def hamming(s: Permutation, t: Permutation) -> Fraction:
 def check_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> None:
     """Raise ValueError unless m is a nonempty square matrix with
     max |m*m - I| <= tol; the one unitarity check of single matrices and of
-    certificate images.  A matrix whose entries are all exactly 0 or 1, one
-    1 in each row and each column, is a permutation matrix: each entry of
-    its Gram matrix sums products of 0s and 1s with at most one nonzero
-    term, so the dense check reads a defect of exactly 0 there, and any
-    tol >= 0 accepts it in O(n^2) without the n^3 product.  Every other
-    matrix (-P, 1j*P, a NaN, two 1s in a row) takes the dense check."""
+    certificate images that are not permutation matrices."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("entries must be a nonempty square matrix")
-    if tol >= 0 and _is_permutation_matrix(m):
-        return
     check_gram(m.conj().T @ m, tol)
-
-
-def _is_permutation_matrix(m: np.ndarray) -> bool:
-    ones = m == 1
-    return bool((ones | (m == 0)).all() and (ones.sum(axis=0) == 1).all()
-                and (ones.sum(axis=1) == 1).all())
 
 
 def gram_defect(gram: np.ndarray) -> float:

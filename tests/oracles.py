@@ -24,7 +24,7 @@ from soficlab.matching import (
 )
 from soficlab.metrics import UnitaryMatrix
 from soficlab.sl2 import is_prime
-from soficlab.words import Word, word_to_str
+from soficlab.words import Word, is_reduced, word_to_str
 
 
 def predicted_amplified(d: float, times: int) -> float:
@@ -466,6 +466,20 @@ def table_is_associative(table) -> bool:
 # lookups.  soficlab.amenability and soficlab.matching read the ball's
 # successor arrays instead and must give equal reports.
 _PIECE_OF_FIRST_LETTER = {1: "WA", -1: "WAinv", 2: "WB", -2: "WBinv"}
+
+
+def paradox_classify(word: Word) -> str:
+    """Classify a reduced rank-2 word by its first letter into the pieces of
+    the paradoxical decomposition: identity, or words starting with a, a^-1,
+    b, b^-1."""
+    if not is_reduced(word):
+        raise ValueError("word must be freely reduced")
+    if not word:
+        return "E"
+    first = word[0]
+    if abs(first) > 2:
+        raise ValueError("rank-2 alphabet required")
+    return _PIECE_OF_FIRST_LETTER[first]
 
 
 def paradox_verify(radius: int) -> ParadoxReport:

@@ -550,8 +550,8 @@ def test_permutation_images_take_the_row_template(tmp_path):
         hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 4))), 2)
     assert cert.hom.target_n == 256
     path = tmp_path / "amplified.json"
-    with mock.patch.object(almosthom, "_permutation_text",
-                           wraps=almosthom._permutation_text) as template:
+    with mock.patch.object(almosthom, "_permutation_pieces",
+                           wraps=almosthom._permutation_pieces) as template:
         save_certificate(cert, path)
     assert template.call_count == len(cert.hom.images)
     assert path.read_text() == reference_text(cert)

@@ -194,6 +194,36 @@ def test_demo_sinfty(capsys):
     assert lines == ["0.1875", "0.5625"]
 
 
+def test_demo_sinfty_respects_the_ball_cap(capsys, monkeypatch):
+    # 2^k is an exact integer, so k counts against the point cap before it is built
+    assert run(["demo", "sinfty", "--k", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k = 100000000000 exceeds the point cap 1000000" in err
+    assert "Traceback" not in err
+    monkeypatch.setenv("SOFICLAB_BALL_CAP", "50")
+    assert run(["demo", "sinfty", "--k", "51"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k = 51 exceeds the point cap 50" in captured.err
+    assert run(["demo", "sinfty", "--k", "50"]) == 0
+
+
+def test_amplify_refuses_large_times_at_once(tmp_path, capsys, monkeypatch):
+    # the steps are held to the iteration cap and the rank squared stepwise,
+    # so neither 4^(2^40) nor 10^9 squarings of a rank-1 image is attempted
+    monkeypatch.setenv("SOFICLAB_RANK_CAP", "16")
+    for side, times, message in ((4, 40, "amplified rank 256 exceeds cap 16"),
+                                 (1, 10**9, "1000000000 amplification steps exceed cap 200")):
+        cert, unitary = tmp_path / f"z{side}.json", tmp_path / f"z{side}_unitary.json"
+        assert run(["certify", "--family", "z", "--folner", side, "--radius", "1",
+                    "-o", cert]) == 0
+        assert run(["to-unitary", cert, "-o", unitary]) == 0
+        capsys.readouterr()
+        assert run(["amplify", unitary, "--times", times, "-o", tmp_path / "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_demo_amplify_deterministic(capsys):
     assert run(["demo", "amplify", "--rank", "2", "--pairs", "3", "--seed", "5"]) == 0
     first = capsys.readouterr().out

@@ -11,10 +11,9 @@ from soficlab.amenability import folner_box
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import main
+from soficlab.config import ResourceLimits
 from soficlab.constructions import (
-    ApproximationSequence,
     amplify_certificate,
-    check_sequence,
     folner_certificate,
     folner_to_sofic,
     free_sofic_certificate,
@@ -244,40 +243,22 @@ def test_amplify_certificate_matches_prediction():
         amplify_certificate(ucert, 0)
 
 
-def test_approximation_sequence_validation():
-    b = zpower_backend(1)
-    certs = [
-        folner_certificate(ball(b, r), folner_box(b, L))
-        for r, L in ((1, 10), (2, 20), (3, 30))
-    ]
-    seq = ApproximationSequence(tuple(certs), separation_floor=1.0)
-    report = check_sequence(seq, [1e-6, 1e-7, 1e-8])
-    assert report.passed and report.first_failure is None
-    assert report.defects == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        ApproximationSequence((certs[1], certs[0]), 1.0)  # radii not increasing
-    with pytest.raises(ValueError):
-        ApproximationSequence(tuple(certs), 0.0)
-    with pytest.raises(ValueError):
-        ApproximationSequence((), 1.0)
-    mixed = [certs[0], free_sofic_certificate(2)]
-    with pytest.raises(BackendMismatchError):
-        ApproximationSequence(tuple(mixed), 1.0)
-    with pytest.raises(ValueError):
-        check_sequence(seq, [1e-6, 1e-7])  # wrong length
-    with pytest.raises(ValueError):
-        check_sequence(seq, [1e-6, 1e-6, 1e-8])  # not strictly decreasing
-
-
-def test_check_sequence_reports_failure():
-    b = heisenberg_backend()
-    domain1 = ball(b, 1)
-    domain2 = ball(b, 2)
-    certs = (
-        folner_certificate(domain1, folner_box(b, 4)),
-        folner_certificate(domain2, folner_box(b, 6)),
-    )
-    seq = ApproximationSequence(certs, separation_floor=0.5)
-    report = check_sequence(seq, [1e-9, 1e-10])  # second stage has defect 29/54
-    assert not report.passed
-    assert report.first_failure == 1
+def test_amplify_certificate_refuses_before_squaring():
+    """Over the iteration cap, or at the first square over the rank cap, the
+    refusal comes before any image is squared: n^(2^times) is never formed,
+    so --times 40 at rank 4 and 10^9 steps at rank 1 are refused at once."""
+    z = zpower_backend(1)
+    rank4 = hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 4)))
+    rank1 = hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 1)))
+    small = ResourceLimits(rank_cap=16, iteration_cap=5)
+    with mock.patch("soficlab.amplify.conj_kron", side_effect=AssertionError("squared")):
+        with pytest.raises(ResourceCapError, match="^amplified rank 256 exceeds cap 16$"):
+            amplify_certificate(rank4, 2, small)
+        with pytest.raises(ResourceCapError, match="^amplified rank 65536 exceeds cap 256$"):
+            amplify_certificate(rank4, 40)
+        with pytest.raises(ResourceCapError, match="^6 amplification steps exceed cap 5$"):
+            amplify_certificate(rank1, 6, small)
+        with pytest.raises(ResourceCapError, match="^1000000000 amplification steps exceed"):
+            amplify_certificate(rank1, 10**9)
+    assert amplify_certificate(rank4, 1, small).hom.target_n == 16
+    assert amplify_certificate(rank1, 5, small).hom.target_n == 1

@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 from soficlab import almosthom
 from soficlab.almosthom import (
     AlmostHom,
+    Certificate,
     defect_witness,
+    load_certificate,
     measured_certificate,
+    save_certificate,
     separation_witness,
     verify,
 )
@@ -232,10 +235,9 @@ def test_unitary_kernels_exact_on_permutation_matrices(hom, chunk):
 
 @st.composite
 def real_unitary_homs(draw):
-    """(kind, hom) for real unitary images: permutation matrices, their
-    tensor squares once or twice (final rank <= 256; still permutation
-    matrices), or random orthogonal matrices; .conj() puts -0.0 among the
-    imaginary parts."""
+    """Real unitary images: permutation matrices, their tensor squares once
+    or twice (final rank <= 256; still permutation matrices), or random
+    orthogonal matrices; .conj() puts -0.0 among the imaginary parts."""
     kind = draw(st.sampled_from(["permutation", "amplified", "orthogonal"]))
     if kind == "orthogonal":
         domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](), draw(st.integers(0, 2)))
@@ -250,7 +252,7 @@ def real_unitary_homs(draw):
             hom = amplify_certificate(measured_certificate(hom), times).hom
     if draw(st.booleans()):
         hom = AlmostHom(hom.domain, "unitary", hom.target_n, hom.images.conj())
-    return kind, hom
+    return hom
 
 
 def witnesses(hom: AlmostHom) -> tuple:
@@ -263,69 +265,55 @@ def oracle_witnesses(hom: AlmostHom) -> tuple:
         return witnesses(hom)
 
 
-def oracle_distance(hom: AlmostHom, pair, product: bool) -> float:
-    images, compose, distance, _ = complex_unitary_kernels(hom)
-    a, b = images[[pair[0]]], images[[pair[1]]]
-    if product:
-        a, b = compose(a, b), images[[product_table(hom)[pair]]]
-    return float(distance(a, b)[0])
-
-
-def assert_real_rows(hom: AlmostHom) -> None:
+def assert_scan_rows(hom: AlmostHom) -> None:
     """Entries exactly 0 or 1 (-0.0 included) make permutation matrices,
-    scanned as int32 permutation rows; other real images as float64 rows."""
+    scanned as int32 permutation rows; any other images as complex128 rows."""
     zero_one = ((hom.images == 0) | (hom.images == 1)).all()
-    assert almosthom._kernels(hom)[0].dtype == (np.int32 if zero_one else np.float64)
-
-
-def assert_matches_complex_oracle(kind: str, hom: AlmostHom) -> None:
-    (dft, sep), (want_dft, want_sep) = witnesses(hom), oracle_witnesses(hom)
-    if kind == "orthogonal":  # float64 and complex128 sums round apart
-        assert_close_to_reference(dft, want_dft, lambda p: oracle_distance(hom, p, True))
-        if sep is not None:
-            assert_close_to_reference(sep, want_sep, lambda p: oracle_distance(hom, p, False))
-    else:  # integer entries: every arithmetic is exact
-        assert (dft, sep) == (want_dft, want_sep)
+    assert almosthom._kernels(hom)[0].dtype == (np.int32 if zero_one else np.complex128)
 
 
 @settings(max_examples=60, deadline=None)
 @given(real_unitary_homs(), st.sampled_from([1, 3, 1 << 18]))
-def test_real_unitary_kernels_match_complex_oracle(case, chunk):
-    kind, hom = case
-    assert_real_rows(hom)
+def test_real_unitary_kernels_match_complex_oracle(hom, chunk):
+    """Permutation rows give the complex scan's values and pairs exactly,
+    since every arithmetic on 0/1 entries is exact; every other image is
+    scanned in complex128, so it gives them exactly too."""
+    assert_scan_rows(hom)
     with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
-        assert_matches_complex_oracle(kind, hom)
+        assert witnesses(hom) == oracle_witnesses(hom)
         if len(hom.domain) >= 2:
-            # one image times -1 stays real, and unless it was -1 (a 1 x 1
-            # orthogonal draw) it is no permutation matrix: the float64 path
-            images = hom.images.copy()
-            images[-1] *= -1
-            negated = AlmostHom(hom.domain, "unitary", hom.target_n, images)
-            assert_real_rows(negated)
-            assert_matches_complex_oracle(kind, negated)
-            # one image times 1j makes the certificate complex: the complex path
-            images = hom.images.copy()
-            images[-1] *= 1j
-            twisted = AlmostHom(hom.domain, "unitary", hom.target_n, images)
-            assert almosthom._kernels(twisted)[0].dtype == np.complex128
-            assert witnesses(twisted) == oracle_witnesses(twisted)
+            # one image times -1, unless it was -1 (a 1 x 1 orthogonal draw),
+            # or times 1j is no permutation matrix: the complex path
+            for twist in (-1, 1j):
+                images = hom.images.copy()
+                images[-1] *= twist
+                twisted = AlmostHom(hom.domain, "unitary", hom.target_n, images)
+                assert_scan_rows(twisted)
+                assert witnesses(twisted) == oracle_witnesses(twisted)
 
 
-def test_verify_checks_unitarity_once_per_image(tmp_path, capsys):
-    cert = tmp_path / "z.json"
+def test_verify_checks_unitarity_once_per_image(tmp_path):
+    """verify runs no dense unitarity check on a permutation certificate and
+    exactly one per image once any image is -P."""
+    cert, twisted = tmp_path / "z.json", tmp_path / "twisted.json"
     assert main(["certify", "--family", "z", "--folner", "10", "--radius", "2",
                  "-o", str(cert)]) == 0
     assert main(["to-unitary", str(cert), "-o", str(cert)]) == 0
-    checks = []
-    check_unitary = almosthom.check_unitary
+    hom = load_certificate(cert).hom
+    images = hom.images.copy()
+    images[-1] *= -1
+    save_certificate(Certificate(AlmostHom(hom.domain, "unitary", 10, images), 0.0, 0.0), twisted)
+    for path, want, code in ((cert, 0, 0), (twisted, len(ball(zpower_backend(1), 2)), 1)):
+        checks = []
+        check_unitary = almosthom.check_unitary
 
-    def counted(m, *args):
-        checks.append(m)
-        check_unitary(m, *args)
+        def counted(m, *args):
+            checks.append(m)
+            check_unitary(m, *args)
 
-    with mock.patch.object(almosthom, "check_unitary", counted):
-        assert main(["verify", str(cert), "--eps", "1e-6", "--delta", "1"]) == 0
-    assert len(checks) == len(ball(zpower_backend(1), 2)) == 5
+        with mock.patch.object(almosthom, "check_unitary", counted):
+            assert main(["verify", str(path), "--eps", "1e-6", "--delta", "1"]) == code
+        assert len(checks) == want
 
 
 @pytest.mark.parametrize("to_unitary", [False, True])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab import metrics
-from soficlab.almosthom import Certificate
+from soficlab import almosthom, metrics
+from soficlab.almosthom import AlmostHom, Certificate
 from soficlab.amenability import folner_box
 from soficlab.backends import zpower_backend
 from soficlab.balls import ball
@@ -107,31 +107,14 @@ def test_unitarity_rejection_not_repair():
         UnitaryMatrix(np.zeros((2, 3)))
 
 
-def _check_both_ways(m, tol, permutation):
-    """check_unitary's outcome equals the dense check's, and the dense
-    product is skipped exactly for permutation matrices at a tol >= 0."""
-    with mock.patch.object(metrics, "check_gram", wraps=check_gram) as dense:
-        got = value_error_text(lambda: check_unitary(m, tol))
-    assert got == value_error_text(lambda: check_gram(m.conj().T @ m, tol))
-    assert dense.call_count == (0 if permutation and tol >= 0 else 1)
-    return got
+_ZERO_ONE_SHAPES = ["P", "-0.0 for 0", "-0.0 imaginary parts", "-P", "1j*P", "two 1s in a row",
+                    "empty row", "empty column", "NaN entry", "entry 1 + eps"]
 
 
-_ZERO_ONE_SHAPES = ["P", "-0.0 for 0", "-P", "1j*P", "two 1s in a row", "empty row",
-                    "empty column", "NaN entry", "entry 1 + eps"]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9), st.sampled_from([np.float64, np.complex128]),
-       st.sampled_from(_ZERO_ONE_SHAPES), st.sampled_from([1e-9, 1e-17, 0.0, -1.0, math.nan]),
-       st.integers(0, 2**32 - 1))
-def test_check_unitary_permutation_shortcut_matches_the_dense_check(n, dtype, shape, tol, seed):
-    """0/1 matrices with one 1 per row and per column pass without the n^3
-    product; -P, 1j*P, 0/1 non-permutations and NaN entries reach the dense
-    check, and every outcome and message is the dense check's."""
-    rng = np.random.default_rng(seed)
+def _shaped(n, dtype, shape, rng):
+    """A random n x n permutation matrix of the dtype, changed as `shape` says."""
     cols = rng.permutation(n)
-    if shape == "1j*P":
+    if shape in ("1j*P", "-0.0 imaginary parts"):
         dtype = np.complex128
     m = np.eye(n, dtype=dtype)[cols]
     if n >= 2 and shape == "two 1s in a row":  # every column still holds one 1
@@ -139,35 +122,81 @@ def test_check_unitary_permutation_shortcut_matches_the_dense_check(n, dtype, sh
     elif n >= 2 and shape == "empty column":  # every row still holds one 1
         m[1] = m[0]
     else:
-        m = {"-0.0 for 0": np.where(m == 0, -0.0, m), "-P": -m, "1j*P": 1j * m}.get(shape, m)
+        m = {"-0.0 for 0": np.where(m == 0, -0.0, m), "-0.0 imaginary parts": m.conj(),
+             "-P": -m, "1j*P": 1j * m}.get(shape, m)
         if shape == "empty row":
             m[0] = 0
         elif shape == "NaN entry":
             m[0, 0] = math.nan
         elif shape == "entry 1 + eps":
             m[0, cols[0]] = 1 + 2.0**-52
-    permutation = shape in ("P", "-0.0 for 0") or (
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([np.float64, np.complex128]),
+       st.sampled_from(_ZERO_ONE_SHAPES), st.sampled_from([1e-9, 1e-17, 0.0, -1.0, math.nan]),
+       st.integers(0, 2**32 - 1))
+def test_check_unitary_permutation_shortcut_matches_the_dense_check(n, dtype, shape, tol, seed):
+    """check_unitary is the dense check for every matrix and tolerance.  The
+    permutation shortcut is AlmostHom's: it takes an image with one 1 per
+    row and column, its other entries 0, without the dense check, and any
+    other image (-P, 1j*P, 0/1 non-permutations, NaN) through it, with the
+    dense check's verdict and message."""
+    m = _shaped(n, dtype, shape, np.random.default_rng(seed))
+    with mock.patch.object(metrics, "check_gram", wraps=check_gram) as dense:
+        got = value_error_text(lambda: check_unitary(m, tol))
+    assert got == value_error_text(lambda: check_gram(m.conj().T @ m, tol))
+    assert dense.call_count == 1
+    u = m.astype(np.complex128)
+    images = np.array([np.eye(n), u, np.eye(n)])  # over the ball e, a, a^-1 of Z
+    with mock.patch.object(metrics, "check_gram", wraps=check_gram) as dense:
+        got = value_error_text(lambda: AlmostHom(ball(zpower_backend(1), 1), "unitary", n, images))
+    assert got == value_error_text(lambda: check_gram(u.conj().T @ u, DEFAULT_UNITARITY_TOL))
+    permutation = shape in ("P", "-0.0 for 0", "-0.0 imaginary parts") or (
         n == 1 and shape in ("two 1s in a row", "empty column"))
-    got = _check_both_ways(m, tol, permutation)
-    if shape in ("P", "-0.0 for 0", "-P") and tol >= 0:
+    assert (dense.call_count == 0) == permutation
+    if shape in ("P", "-0.0 for 0", "-P", "1j*P"):
         assert got is None
     if shape in ("empty row", "NaN entry") or (n >= 2 and shape in ("two 1s in a row",
                                                                     "empty column")):
         assert got is not None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.lists(st.sampled_from(_ZERO_ONE_SHAPES), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_permutation_columns_accepts_exactly_the_unitary_zero_one_stacks(n, shapes, seed):
+    """`_permutation_columns` accepts a stack exactly when every image is a
+    0/1 matrix that passes the dense check_unitary, and then returns the
+    int32 columns whose `_permutation_image` is the stack."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([_shaped(n, np.complex128, shape, rng) for shape in shapes])
+    columns = almosthom._permutation_columns(stack)
+    zero_one = bool(((stack == 0) | (stack == 1)).all())
+    unitary = all(value_error_text(lambda m=m: check_unitary(m)) is None for m in stack)
+    assert (columns is not None) == (zero_one and unitary)
+    if columns is not None:
+        assert columns.dtype == np.int32 and columns.shape == (len(shapes), n)
+        assert np.array_equal(almosthom._permutation_image(columns), stack)
+
+
 def test_check_unitary_amplified_certificate_images_skip_the_dense_product():
-    """The rank-256 images of amplify --times 1, as complex128 and as the
-    float64 real parts AlmostHom checks, are permutation matrices."""
+    """The rank-256 images of amplify --times 1 are permutation matrices:
+    AlmostHom takes them without a dense check.  With one of them -P or 1j*P
+    the stack is not, and each of the 13 images passes the dense check."""
     backend = zpower_backend(1)
     hom = sofic_to_hyperlinear(folner_to_sofic(ball(backend, 6), folner_box(backend, 16)))
     images = amplify_certificate(Certificate(hom, 0.0, 1.0), 1).hom.images
     assert images.shape == (13, 256, 256)
-    for image in images:
-        for m in (image, np.ascontiguousarray(image.real)):
-            assert _check_both_ways(m, DEFAULT_UNITARITY_TOL, True) is None
-        assert _check_both_ways(-image, DEFAULT_UNITARITY_TOL, False) is None
-        assert _check_both_ways(1j * image, DEFAULT_UNITARITY_TOL, False) is None
+    columns = almosthom._permutation_columns(images)
+    assert np.array_equal(columns, images.real.argmax(axis=-1))
+    for twist in (1, -1, 1j):
+        twisted = images.copy()
+        twisted[-1] *= twist
+        with mock.patch.object(metrics, "check_gram", wraps=check_gram) as dense:
+            AlmostHom(hom.domain, "unitary", 256, twisted)
+        assert dense.call_count == (0 if twist == 1 else 13)
 
 
 def test_unitary_entries_frozen():

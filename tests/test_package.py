@@ -12,7 +12,7 @@ import pytest
 import soficlab
 
 EXPORTS = {
-    'AlmostHom', 'AmplificationReport', 'ApproximationSequence', 'BackendMismatchError',
+    'AlmostHom', 'AmplificationReport', 'BackendMismatchError',
     'BallTable', 'BipartiteGraph', 'Certificate', 'ColoredGraph', 'DeficiencyWitness',
     'FiniteBackend', 'FolnerSet', 'FreeBackend', 'GeneratorAlphabet', 'GroupBackend',
     'HeisenbergBackend', 'LocalMatchReport', 'MalformedCertificateError', 'Permutation',
@@ -20,14 +20,14 @@ EXPORTS = {
     'UnitaryMatrix', 'VerificationReport', 'ZPowerBackend', 'amplification_report',
     'amplified_distance', 'amplify_certificate', 'backend_from_descriptor', 'ball',
     'ball_expansion', 'cayley_ball_graph', 'cert_to_graph', 'certificate_from_json',
-    'certificate_to_json', 'check_sequence', 'default_limits', 'defect',
+    'certificate_to_json', 'default_limits', 'defect',
     'f2_ball_expansion', 'finite_backend_from_json', 'folner_box', 'folner_certificate',
     'folner_defect', 'folner_to_sofic', 'free_backend', 'free_ball_size',
     'free_sofic_certificate', 'graph_to_almosthom', 'halve_embed', 'hamming',
     'heisenberg_backend', 'hs_distance', 'hyperlinear_certificate',
     'iterate_amplification', 'iterations_to_tolerance', 'lef_to_sofic',
     'lef_witness_free', 'load_certificate', 'local_match_fraction',
-    'measured_certificate', 'normalized_trace', 'paradox_classify',
+    'measured_certificate', 'normalized_trace',
     'paradox_from_matching', 'paradox_verify', 'perm_matrix', 'phase_aligned_hs',
     'random_orthogonal', 'random_unitary', 'reduce_word', 'regular_representation',
     'reiter_norm', 'save_certificate', 'separation', 'sinfty_demo', 'sl2_ball_images',
