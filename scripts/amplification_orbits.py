@@ -17,7 +17,7 @@ from soficlab.amplify import (
     iterate_amplification,
     iterations_to_tolerance,
 )
-from soficlab.metrics import random_unitary
+from soficlab.metrics import random_unitaries
 
 
 def main() -> None:
@@ -35,12 +35,8 @@ def main() -> None:
         shown = ", ".join(f"{d:.6f}" for d in orbit[: min(6, len(orbit))])
         print(f"  d0 = {d0:4.2f}: {steps:2d} steps   [{shown}{', ...' if len(orbit) > 6 else ''}]")
 
-    rng = np.random.default_rng(args.seed)
-    pairs = [
-        (random_unitary(args.rank, rng), random_unitary(args.rank, rng))
-        for _ in range(args.pairs)
-    ]
-    report = amplification_report(pairs)
+    us = random_unitaries(args.rank, 2 * args.pairs, np.random.default_rng(args.seed))
+    report = amplification_report(list(zip(us[::2], us[1::2])))
     print(f"\none amplification step, U({args.rank}) -> U({args.rank ** 2}), seed {args.seed}")
     print(f"  {'d_in':>10} {'predicted':>10} {'measured':>10} {'error':>9}")
     for d_in, pred, meas in report.pairs:

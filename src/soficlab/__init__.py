@@ -38,7 +38,7 @@ _EXPORTS = {
     "matching": "BipartiteGraph DeficiencyWitness TwoOneMatching paradox_from_matching "
                 "two_one_matching",
     "metrics": "Permutation UnitaryMatrix hamming hs_distance normalized_trace perm_matrix "
-               "phase_aligned_hs random_orthogonal random_unitary sinfty_demo",
+               "phase_aligned_hs random_unitaries random_unitary sinfty_demo",
     "sl2": "lef_witness_free sl2_ball_images",
     "words": "GeneratorAlphabet reduce_word word_from_str word_to_str",
 }

@@ -27,15 +27,17 @@ SQRT2 = math.sqrt(2.0)
 _SQUARE_SLACK = 16 * float(np.finfo(np.float64).eps)
 
 
-def conj_kron(u: np.ndarray) -> np.ndarray:
+def conj_kron(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """conj(u) (x) u, entry [i*n + k, j*n + l] = conj(u[i, j]) * u[k, l], for
-    one (n, n) matrix or for each matrix of an (..., n, n) stack."""
+    one (n, n) matrix or for each matrix of an (..., n, n) stack; written
+    into out (C-contiguous complex128, the result's shape) when given."""
     n = u.shape[-1]
-    out = u.conj()[..., :, None, :, None] * u[..., None, :, None, :]
+    out = None if out is None else out.reshape(*u.shape[:-2], n, n, n, n)
+    out = np.multiply(u.conj()[..., :, None, :, None], u[..., None, :, None, :], out=out)
     return out.reshape(*u.shape[:-2], n * n, n * n)
 
 
-def tensor_square(u: UnitaryMatrix) -> UnitaryMatrix:
+def tensor_square(u: UnitaryMatrix, out: np.ndarray | None = None) -> UnitaryMatrix:
     """Amplify one step: rank n -> n^2, normalized trace -> |trace|^2.
 
     The square is checked for unitarity within 10x u's tolerance from the
@@ -47,13 +49,15 @@ def tensor_square(u: UnitaryMatrix) -> UnitaryMatrix:
     most 2e + e^2.  When that bound clears tol by more than the dense check's
     own rounding (_SQUARE_SLACK), the dense check would pass, and the O(n^2)
     bound replaces it; otherwise (a NaN e included) the dense check runs.
-    Either way the verdict and every error message are the dense check's."""
+    Either way the verdict and every error message are the dense check's.
+    With out, conj_kron writes the square there, and the result is a
+    read-only view of out, valid until out is written again."""
     tol = 10 * u.unitarity_tolerance
     gram = u.entries.conj().T @ u.entries
     e = gram_defect(gram)
     if not (2 * e + e * e) * (1 + _SQUARE_SLACK) + _SQUARE_SLACK * (1 + e) * (1 + e) <= tol:
         check_gram(conj_kron(gram), tol)
-    return UnitaryMatrix._checked(conj_kron(u.entries), tol)
+    return UnitaryMatrix._checked(conj_kron(u.entries, out), tol)
 
 
 def amplified_distance(d: float) -> float:
@@ -138,14 +142,17 @@ class AmplificationReport:
 
 def amplification_report(pairs: list[tuple[UnitaryMatrix, UnitaryMatrix]]) -> AmplificationReport:
     """Amplify each pair once and compare the measured output distance with
-    the closed-form prediction."""
+    the closed-form prediction.  Both squares and their difference are
+    written into three rank-n^2 buffers allocated once for all pairs."""
     if not pairs:
         raise ValueError("at least one pair required")
     n = pairs[0][0].n
+    square_u, square_v, diff = np.empty((3, n * n, n * n), dtype=np.complex128)
     rows = []
     for u, v in pairs:
         if u.n != n or v.n != n:
             raise ValueError("all pairs must share one rank")
         d_in = phase_aligned_hs(u, v)
-        rows.append((d_in, amplified_distance(d_in), hs_distance(tensor_square(u), tensor_square(v))))
+        measured = hs_distance(tensor_square(u, square_u), tensor_square(v, square_v), diff)
+        rows.append((d_in, amplified_distance(d_in), measured))
     return AmplificationReport(input_rank=n, output_rank=n * n, pairs=tuple(rows))

@@ -267,17 +267,18 @@ def cmd_demo(args) -> int:
     if args.what == "amplify":
         from .amplify import amplification_report
         from .config import default_limits
-        from .metrics import random_unitary
+        from .metrics import random_unitaries
 
-        rank_cap = default_limits().rank_cap
-        if args.rank**2 > rank_cap:  # before drawing: the tensor square has rank^4 entries
-            raise ResourceCapError(f"amplified rank {args.rank**2} exceeds cap {rank_cap}")
-        rng = np.random.default_rng(args.seed)
-        pairs = [
-            (random_unitary(args.rank, rng), random_unitary(args.rank, rng))
-            for _ in range(args.pairs)
-        ]
-        _emit(amplification_report(pairs).to_json(), args.output)
+        limits = default_limits()
+        if args.rank**2 > limits.rank_cap:  # before drawing: the tensor square has rank^4 entries
+            raise ResourceCapError(f"amplified rank {args.rank**2} exceeds cap {limits.rank_cap}")
+        if args.pairs < 1:
+            raise ValueError("at least one pair required")
+        drawn = 2 * args.pairs * args.rank**2
+        if drawn > limits.ball_cap:  # before drawing: the Gaussian entries of all pairs
+            raise ResourceCapError(f"{drawn} drawn entries exceed the ball cap {limits.ball_cap}")
+        us = random_unitaries(args.rank, 2 * args.pairs, np.random.default_rng(args.seed))
+        _emit(amplification_report(list(zip(us[::2], us[1::2]))).to_json(), args.output)
         return EXIT_PASS
     raise SoficlabError(f"unknown demo {args.what!r}")
 

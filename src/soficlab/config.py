@@ -18,8 +18,9 @@ class ResourceLimits:
     """Hard caps on the size of constructed objects.
 
     ball_cap: maximum number of elements in an enumerated word-metric ball,
-        of points in a Folner box (checked before the box is built), and of
-        the point k of `demo sinfty` (checked before 2^k is built).
+        of points in a Folner box (checked before the box is built), of
+        the point k of `demo sinfty` (checked before 2^k is built), and of
+        the 2 * pairs * rank^2 entries `demo amplify` draws.
     rank_cap: maximum rank of a unitary matrix (amplification grows rank fast).
     prime_ceiling: largest prime scanned when searching for mod-p witnesses.
     iteration_cap: maximum number of amplification iterations per request.

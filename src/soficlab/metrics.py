@@ -147,12 +147,13 @@ def normalized_trace(u: UnitaryMatrix) -> complex:
     return complex(np.trace(u.entries) / u.n)
 
 
-def hs_distance(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
+def hs_distance(u: UnitaryMatrix, v: UnitaryMatrix, out: np.ndarray | None = None) -> float:
     """Normalized Hilbert-Schmidt distance sqrt((1/n) sum |u - v|^2) in
-    [0, 2]; exactly 0 for equal matrices, exact for 0/1 matrices."""
+    [0, 2]; exactly 0 for equal matrices, exact for 0/1 matrices.  u - v is
+    written into out when given."""
     if u.n != v.n:
         raise ValueError("rank mismatch")
-    diff = u.entries - v.entries
+    diff = np.subtract(u.entries, v.entries, out=out)
     return float(np.sqrt(np.vdot(diff, diff).real / u.n))
 
 
@@ -177,28 +178,27 @@ def perm_matrix(s: Permutation) -> UnitaryMatrix:
     return UnitaryMatrix(np.eye(s.n, dtype=np.complex128)[list(s.images)])
 
 
-def _gram_schmidt(z: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of z in order (modified Gram-Schmidt)."""
-    q = np.zeros_like(z)
-    for k in range(z.shape[1]):
-        v = z[:, k].copy()
+def random_unitaries(n: int, count: int, rng: "np.random.Generator") -> list[UnitaryMatrix]:
+    """count random unitaries, each a complex Gaussian matrix (real parts,
+    then imaginary parts) orthonormalized column by column by modified
+    Gram-Schmidt, drawn and orthonormalized as one stack.  Bit-identical to
+    count per-matrix draws: each coefficient is a stacked (1, n) @ (n, 1)
+    product, the per-vector BLAS dot, and each norm is sqrt(re.re + im.im)
+    over the strided real and imaginary views, as np.linalg.norm computes it."""
+    g = rng.normal(size=(count, 2, n, n))
+    q = g[:, 0] + 1j * g[:, 1]
+    for k in range(n):
+        v = q[:, :, k].copy()
         for j in range(k):
-            v -= (q[:, j].conj() @ v) * q[:, j]
-        q[:, k] = v / np.linalg.norm(v)
-    return q
+            v -= (q[:, None, :, j].conj() @ v[:, :, None])[:, 0] * q[:, :, j]
+        re, im = v.real, v.imag
+        q[:, :, k] = v / np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0]
+    return [UnitaryMatrix(m) for m in q]
 
 
 def random_unitary(n: int, rng: "np.random.Generator") -> UnitaryMatrix:
-    """Random unitary: complex Gaussian matrix orthonormalized column by
-    column (modified Gram-Schmidt)."""
-    return UnitaryMatrix(_gram_schmidt(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
-
-
-def random_orthogonal(n: int, rng: "np.random.Generator") -> UnitaryMatrix:
-    """Random real orthogonal matrix; a unitary whose relative traces with
-    other real matrices are real, so the amplification recurrence applies to
-    the plain Hilbert-Schmidt distance."""
-    return UnitaryMatrix(_gram_schmidt(rng.normal(size=(n, n))).astype(np.complex128))
+    """One draw of random_unitaries."""
+    return random_unitaries(n, 1, rng)[0]
 
 
 def sinfty_transposition_distance(a: dict[int, int], b: dict[int, int]) -> Fraction:

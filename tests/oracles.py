@@ -43,6 +43,32 @@ def hs_distance_trace(u: UnitaryMatrix, v: UnitaryMatrix) -> float:
     return float(np.sqrt(max(2.0 - 2.0 * cross, 0.0)))
 
 
+def gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of z in order (modified Gram-Schmidt), one
+    matrix and one column pair at a time: the reference that the stacked
+    `metrics.random_unitaries` must match bit for bit."""
+    q = np.zeros_like(z)
+    for k in range(z.shape[1]):
+        v = z[:, k].copy()
+        for j in range(k):
+            v -= (q[:, j].conj() @ v) * q[:, j]
+        q[:, k] = v / np.linalg.norm(v)
+    return q
+
+
+def reference_unitary(n: int, rng: "np.random.Generator") -> np.ndarray:
+    """One random unitary drawn as `metrics.random_unitary` once drew it: real
+    then imaginary Gaussian parts, then gram_schmidt."""
+    return gram_schmidt(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+def random_orthogonal(n: int, rng: "np.random.Generator") -> UnitaryMatrix:
+    """Random real orthogonal matrix; a unitary whose relative traces with
+    other real matrices are real, so the amplification recurrence applies to
+    the plain Hilbert-Schmidt distance."""
+    return UnitaryMatrix(gram_schmidt(rng.normal(size=(n, n))).astype(np.complex128))
+
+
 def value_error_text(check) -> str | None:
     """None when check() returns, else the text of the ValueError it raises:
     a shortcut and the dense check it stands for compare in one assert."""

@@ -24,11 +24,11 @@ from soficlab.metrics import (
     hs_distance,
     normalized_trace,
     phase_aligned_hs,
-    random_orthogonal,
+    random_unitaries,
     random_unitary,
 )
 
-from oracles import value_error_text
+from oracles import random_orthogonal, value_error_text
 
 # Frozen oracle orbit for d0 = 0.5 (computed independently by iterating
 # d -> d*sqrt(2 - d^2/2) in extended precision).
@@ -143,6 +143,52 @@ def test_tensor_square_gram_bound_takes_the_dense_check_when_it_cannot_decide():
                 with pytest.raises(ValueError, match=rejected):
                     tensor_square(u)
         assert dense.call_count == scans
+
+
+def test_tensor_square_into_a_buffer_returns_a_read_only_view_of_it():
+    u = random_unitary(3, np.random.default_rng(2))
+    out = np.empty((9, 9), dtype=np.complex128)
+    square = tensor_square(u, out)
+    assert np.shares_memory(square.entries, out) and not square.entries.flags.writeable
+    assert out.flags.writeable
+    assert np.array_equal(square.entries.view(np.uint64), tensor_square(u).entries.view(np.uint64))
+
+
+def _report_rows_oracle(pairs):
+    """One fresh square per matrix and one fresh difference per pair."""
+    rows = []
+    for u, v in pairs:
+        d_in = phase_aligned_hs(u, v)
+        rows.append((d_in, amplified_distance(d_in), hs_distance(tensor_square(u), tensor_square(v))))
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_amplification_report_rows_match_fresh_squares_bit_for_bit(n, count, seed):
+    drawn = random_unitaries(n, 2 * count, np.random.default_rng(seed))
+    pairs = list(zip(drawn[::2], drawn[1::2]))
+    rows = np.array(amplification_report(pairs).pairs)
+    assert np.array_equal(rows.view(np.uint64), _report_rows_oracle(pairs).view(np.uint64))
+
+
+def test_amplification_report_reused_buffers_keep_the_dense_check():
+    """A pair whose Gram bound cannot clear its tolerance takes the n^4 scan
+    between buffered pairs, with rows bit-equal to fresh squares; a
+    non-unitary input raises the fresh squares' message."""
+    drawn = random_unitaries(4, 4, np.random.default_rng(6))
+    exact = [UnitaryMatrix._checked(np.eye(4, dtype=np.complex128)[p], 1e-18)
+             for p in ([2, 0, 3, 1], [1, 0, 3, 2])]
+    pairs = [(drawn[0], drawn[1]), tuple(exact), (drawn[2], drawn[3])]
+    with mock.patch.object(amplify, "check_gram", wraps=check_gram) as dense:
+        rows = np.array(amplification_report(pairs).pairs)
+    assert dense.call_count == 2
+    assert np.array_equal(rows.view(np.uint64), _report_rows_oracle(pairs).view(np.uint64))
+    bad = UnitaryMatrix._checked(np.diag([1.1, 1, 1, 1]).astype(np.complex128), 1e-9)
+    pairs.insert(1, (drawn[0], bad))
+    expected = value_error_text(lambda: _report_rows_oracle(pairs))
+    assert expected is not None and "not unitary within tolerance 1e-08" in expected
+    assert value_error_text(lambda: amplification_report(pairs)) == expected
 
 
 def test_amplified_distance_fixed_points_and_range():

@@ -40,9 +40,9 @@ from soficlab.constructions import (
 )
 from soficlab.config import ResourceLimits
 from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
-from soficlab.metrics import UnitaryMatrix, random_orthogonal, random_unitary
+from soficlab.metrics import UnitaryMatrix, random_unitary
 
-from oracles import cyclic_backend
+from oracles import cyclic_backend, random_orthogonal
 
 BACKENDS = {
     "z": lambda: zpower_backend(1),

@@ -244,6 +244,38 @@ def test_demo_amplify_respects_the_rank_cap(capsys):
     assert json.loads(capsys.readouterr().out)["output_rank"] == 256
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (["--pairs", "0"], 2, "error: at least one pair required\n"),
+    (["--pairs", "-3"], 2, "error: at least one pair required\n"),
+    (["--rank", "0"], 2, "error: entries must be a nonempty square matrix\n"),
+    (["--rank", "-2"], 2, "error: negative dimensions are not allowed\n"),
+    (["--rank", "1"], 0, ""),
+])
+def test_demo_amplify_degenerate_arguments(capsys, argv, code, err):
+    assert run(["demo", "amplify", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        doc = json.loads(captured.out)
+        assert (doc["input_rank"], doc["output_rank"], len(doc["pairs"])) == (1, 1, 10)
+    else:
+        assert captured.out == ""
+
+
+def test_demo_amplify_holds_the_drawn_entries_to_the_ball_cap(capsys, monkeypatch):
+    # 2 * pairs * rank^2 Gaussian entries are drawn, checked before any is
+    with mock.patch("soficlab.metrics.random_unitaries", side_effect=AssertionError("drawn")):
+        assert run(["demo", "amplify", "--rank", "2", "--pairs", "100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 800000000000 drawn entries exceed the ball cap 1000000\n"
+        monkeypatch.setenv("SOFICLAB_BALL_CAP", "64")
+        assert run(["demo", "amplify", "--rank", "2", "--pairs", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "72 drawn entries exceed the ball cap 64" in captured.err
+    assert run(["demo", "amplify", "--rank", "2", "--pairs", "8"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["pairs"]) == 8
+
+
 def test_certify_finite_family(tmp_path, capsys):
     table = tmp_path / "c5.json"
     table.write_text(json.dumps({

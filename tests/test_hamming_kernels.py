@@ -36,12 +36,11 @@ from soficlab.metrics import (
     UnitaryMatrix,
     hamming,
     hs_distance,
-    random_orthogonal,
     random_unitary,
 )
 from soficlab.words import word_to_str
 
-from oracles import complex_unitary_kernels
+from oracles import complex_unitary_kernels, random_orthogonal
 
 
 def as_permutations(hom: AlmostHom) -> list:

@@ -24,13 +24,13 @@ from soficlab.metrics import (
     normalized_trace,
     perm_matrix,
     phase_aligned_hs,
-    random_orthogonal,
+    random_unitaries,
     random_unitary,
     sinfty_demo,
     sinfty_transposition_distance,
 )
 
-from oracles import hs_distance_trace, value_error_text
+from oracles import hs_distance_trace, random_orthogonal, reference_unitary, value_error_text
 
 
 def perms(n):
@@ -212,6 +212,32 @@ def test_random_unitary_and_orthogonal():
     o = random_orthogonal(4, rng)
     assert np.max(np.abs(o.entries.imag)) == 0.0
     assert np.max(np.abs(o.entries.T @ o.entries - np.eye(4))) < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_random_unitaries_match_successive_per_matrix_draws_bit_for_bit(n, count, seed):
+    """The stacked draw equals count successive one-matrix draws, each
+    orthonormalized on its own by the per-column oracle, in every bit, and
+    leaves the generator where they leave it."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = random_unitaries(n, count, rng)
+    assert len(drawn) == count
+    for u in drawn:
+        expected = reference_unitary(n, reference_rng)
+        assert np.array_equal(u.entries.view(np.uint64), expected.view(np.uint64))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_random_unitaries_check_each_matrix_once():
+    rng = np.random.default_rng(3)
+    with mock.patch.object(metrics, "check_unitary", wraps=check_unitary) as dense:
+        drawn = random_unitaries(5, 7, rng)
+    assert dense.call_count == 7 and all(isinstance(u, UnitaryMatrix) for u in drawn)
+    reference_rng = np.random.default_rng(3)
+    for _ in range(7):
+        reference_unitary(5, reference_rng)
+    assert np.array_equal(random_unitary(5, rng).entries, reference_unitary(5, reference_rng))
 
 
 @settings(max_examples=30)

@@ -29,7 +29,7 @@ EXPORTS = {
     'lef_witness_free', 'load_certificate', 'local_match_fraction',
     'measured_certificate', 'normalized_trace',
     'paradox_from_matching', 'paradox_verify', 'perm_matrix', 'phase_aligned_hs',
-    'random_orthogonal', 'random_unitary', 'reduce_word', 'regular_representation',
+    'random_unitaries', 'random_unitary', 'reduce_word', 'regular_representation',
     'reiter_norm', 'save_certificate', 'separation', 'sinfty_demo', 'sl2_ball_images',
     'sofic_to_hyperlinear', 'tensor_square', 'two_one_matching', 'verify',
     'word_from_str', 'word_to_str', 'zpower_backend',
