@@ -22,7 +22,7 @@ _EXPORTS = {
                  "save_certificate separation verify",
     "amenability": "FolnerSet ball_expansion f2_ball_expansion folner_box folner_defect "
                    "paradox_verify reiter_norm",
-    "amplify": "AmplificationReport amplification_report amplified_distance halve_embed "
+    "amplify": "AmplificationReport amplification_report amplified_distance "
                "iterate_amplification iterations_to_tolerance tensor_square",
     "backends": "FiniteBackend FreeBackend GroupBackend HeisenbergBackend ZPowerBackend "
                 "backend_from_descriptor finite_backend_from_json free_backend "
@@ -37,7 +37,7 @@ _EXPORTS = {
               "graph_to_almosthom local_match_fraction",
     "matching": "BipartiteGraph DeficiencyWitness TwoOneMatching paradox_from_matching "
                 "two_one_matching",
-    "metrics": "Permutation UnitaryMatrix hamming hs_distance normalized_trace perm_matrix "
+    "metrics": "Permutation UnitaryMatrix hamming hs_distance perm_matrix "
                "phase_aligned_hs random_unitaries random_unitary sinfty_demo",
     "sl2": "lef_witness_free sl2_ball_images",
     "words": "GeneratorAlphabet reduce_word word_from_str word_to_str",

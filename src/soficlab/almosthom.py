@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     MalformedCertificateError,
     ResourceCapError,
     SoficlabError,
-    int_list_text,
+    int_row_texts,
     json_int,
     json_ints,
     read_json,
@@ -89,7 +89,8 @@ class AlmostHom:
                     raise ValueError(
                         f"image {lo + bad[0]} is not a bijection of {{0,...,{n - 1}}}")
         images = np.ascontiguousarray(images, dtype=np.int32 if sym else np.complex128).view()
-        if not sym and _permutation_columns(images) is None:  # else its Gram matrix is exactly I
+        self._columns = images, None if sym else _permutation_columns(images)
+        if not sym and self._columns[1] is None:  # else its Gram matrix is exactly I
             for image in images:
                 check_unitary(image)
         if np.max(np.abs(images[0] - identity)) > 1e-9:
@@ -98,8 +99,13 @@ class AlmostHom:
         self.images = images
 
 
-def _compose_rows(a, b):  # (s * t)(x) = t(s(x))
-    return np.take_along_axis(b, a, axis=1)
+def _columns(hom: AlmostHom) -> np.ndarray | None:
+    """`_permutation_columns(hom.images)`, as AlmostHom found it if it still holds `images`."""
+    return hom._columns[1] if hom._columns[0] is hom.images else _permutation_columns(hom.images)
+
+
+def _compose_rows(images, i, j):  # (s * t)(x) = t(s(x)), read off the flat rows
+    return images.ravel().take(images[i] + j.astype(np.intp)[:, None] * images.shape[1])
 
 
 def _moved_points(a, b):
@@ -108,11 +114,11 @@ def _moved_points(a, b):
 
 def _kernels(hom: AlmostHom):
     """(images, compose, distance, value) for the defect/separation scans:
-    the images as rows of one (|B|, w) array; compose(a, b), the row-wise
-    products a*b; distance(a, b), per row the moved-point count (sym and
-    permutation matrices) or sqrt(sum |a - b|^2 / n) (any other unitary);
+    the images as rows of one (|B|, w) array; compose(images, i, j), the
+    products of rows i by rows j; distance(a, b), per row the moved-point
+    count (sym and permutation matrices) or sqrt(sum |a - b|^2 / n) (any other unitary);
     and value, which turns a row distance into an exact Fraction (sym) or a
-    float (unitary).  Permutation matrices (`_permutation_columns`) are
+    float (unitary).  Permutation matrices (`_columns`) are
     scanned as int32 permutation rows with value hs = sqrt(2k / n) for k
     moved points, any other unitary images as complex128 rows.  Products are
     never stored or returned, so unlike images they are not checked for
@@ -121,15 +127,15 @@ def _kernels(hom: AlmostHom):
     if hom.target_kind == "sym":
         return hom.images, _compose_rows, _moved_points, lambda k: Fraction(int(k), n)
 
-    rows = _permutation_columns(hom.images)
+    rows = _columns(hom)
     if rows is not None:
         # P_s - P_t has 2k entries +-1 for the k points s and t send apart, so
         # the dense scan's sum of squares is exactly 2k and its floats and pairs are these
         return rows, _compose_rows, _moved_points, lambda k: math.sqrt(2 * int(k) / n)
     images = hom.images.reshape(len(hom.images), -1)
 
-    def compose(a, b):
-        return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)
+    def compose(images, i, j):
+        return (images[i].reshape(-1, n, n) @ images[j].reshape(-1, n, n)).reshape(len(i), -1)
 
     def distance(a, b):
         parts = (a - b).view(np.float64)  # re, im of every entry
@@ -152,7 +158,7 @@ def defect_witness(hom: AlmostHom, kernels=None):
         i, j, k = products[lo:lo + step].T
         # holding `product` until the next chunk replaces it keeps malloc from
         # trimming and re-faulting the heap every chunk (1.5x at n = 3600)
-        product = compose(images[i], images[j])
+        product = compose(images, i, j)
         d = distance(product, images[k])
         a = int(d.argmax())
         if witness is None or d[a] > worst:
@@ -312,10 +318,6 @@ def certificate_to_json(cert: Certificate) -> dict:
 # map sits at depth 1, its keys at depth 2, image entries at depth 3 and the
 # [re, im] parts of a unitary entry at depth 4; in the head, the rows of a
 # finite group's table sit at depth 3 and their entries at depth 4.
-def _sym_image_pieces(row: np.ndarray) -> list:
-    return [int_list_text(row.tolist(), 3)]
-
-
 def _head_text(cert: Certificate) -> str:
     head = _head_json(cert)
     table = head["group"].get("table")
@@ -323,7 +325,7 @@ def _head_text(cert: Certificate) -> str:
         return json.dumps(head, indent=1)
     # a finite group's table is most of the head; only "group" has a "table" key
     head["group"]["table"] = 0
-    rows = ",\n   ".join(int_list_text(row, 4) for row in table)
+    rows = ",\n   ".join(int_row_texts(table, len(table), 4))
     return spliced_json(head, "table", "[\n   " + rows + "\n  ]")
 
 
@@ -343,12 +345,11 @@ def _permutation_pieces(columns: list) -> list:
     return [_OPEN, *rows, _CLOSE]
 
 
-def _unitary_image_pieces(u: np.ndarray) -> list:
+def _unitary_image_pieces(u: np.ndarray, columns: np.ndarray | None) -> list:
     flat = np.ascontiguousarray(u).ravel()
-    columns = _permutation_columns(u[None])
     # the template spells +0.0 and 1.0 only
     if columns is not None and not np.signbit(flat.view(np.float64)).any():
-        return _permutation_pieces(columns[0].tolist())
+        return _permutation_pieces(columns.tolist())
     # one C-encoder call spells every part exactly as json.dump does
     # (repr, NaN, Infinity, -0.0)
     tokens = json.dumps(flat.view(np.float64).tolist())[1:-1].split(", ")
@@ -362,7 +363,11 @@ def save_certificate(cert: Certificate, path) -> None:
     without building that document or running the pure-Python encoder."""
     hom = cert.hom
     alphabet = hom.domain.backend.alphabet
-    image_pieces = _sym_image_pieces if hom.target_kind == "sym" else _unitary_image_pieces
+    if hom.target_kind == "sym":  # one piece per image
+        pieces = zip(int_row_texts(hom.images, hom.target_n, 3))
+    else:
+        columns = _columns(hom)
+        pieces = map(_unitary_image_pieces, hom.images, repeat(None) if columns is None else columns)
     head = _head_text(cert)
     tail = json.dumps(_tail_json(cert), indent=1)
     # an image is written in pieces, not as one string: at rank 256 each
@@ -371,9 +376,9 @@ def save_certificate(cert: Certificate, path) -> None:
     with open(path, "w", buffering=1 << 20) as fh:
         fh.write(head[:-2] + ',\n "map": {')
         sep = "\n  "
-        for word, img in zip(map(hom.domain.word, range(len(hom.images))), hom.images):
+        for word, image in zip(map(hom.domain.word, range(len(hom.images))), pieces):
             fh.write(sep + json.dumps(word_to_str(alphabet, word)) + ": ")
-            fh.writelines(image_pieces(img))
+            fh.writelines(image)
             sep = ",\n  "
         fh.write("\n }," + tail[1:] + "\n")
 
@@ -540,18 +545,47 @@ class _CertificateText:
         unique_keys(zip(keys, keys))  # once the object closes, as in json.loads
 
     def images(self, keys, kind: str, n: int):
-        """(key, read) per key of the map's `members()`, read() giving its
-        checked row: a permutation image in the writer's spelling is built
-        from its columns, any other image is decoded whole."""
+        """(key, read) per key of the map's `members()`, read() giving its checked
+        row: `_digit_row` or `_permutation_rows` reads an image in the writer's
+        spelling, and any other is decoded whole."""
+        spelled = self._digit_row if kind == "sym" else self._permutation_rows
         for key in keys:
-            columns = self._permutation_rows(n) if kind == "unitary" else None
-            yield key, (partial(_permutation_image, columns) if columns
-                        else partial(_read_image, kind, n, self.value()))
+            yield key, spelled(n) or partial(_read_image, kind, n, self.value())
+
+    def _digit_row(self, n: int):
+        """read() of the sym image at the cursor if its text is `int_row_texts`
+        of n values in [0, n) at depth 3, else None: ASCII to the first "]" that
+        np.fromstring reads as such values, with the writer's ends and length,
+        a _SEP where the values' decimal widths end each value but the last,
+        and digits elsewhere.  Each value then has as many digits as its
+        canonical decimal, the only shortest spelling."""
+        if not self.text.startswith("[", self.pos):
+            return None
+        try:
+            body = self.text[self.pos + 1:self.text.index("]", self.pos)]
+            data = body.encode("ascii")  # the image alone, never the whole text
+            row = np.fromstring(data, dtype=np.int64, sep=",")
+        except ValueError:  # no "]", UnicodeEncodeError, or text numpy cannot read
+            return None
+        if len(row) != n or not ((row >= 0).all() and (row < n).all()):
+            return None
+        spans = np.full(n, len(_SEP) + 1)  # each value's digit count, plus the _SEP before it
+        for k in range(1, len(str(n))):
+            spans += row >= 10 ** k
+        ends = np.cumsum(spans) - 1  # the offset after each value's digits
+        raw = np.frombuffer(data, np.uint8)
+        if not (len(raw) == ends[-1] + len(_CLOSE) - 1
+                and body.startswith(_OPEN[1:]) and body.endswith(_CLOSE[:-1])
+                and all((raw[ends[:-1] + k] == ord(c)).all() for k, c in enumerate(_SEP))
+                and np.count_nonzero(raw - ord("0") < 10) == ends[-1] + 1 - len(_SEP) * n):
+            return None
+        self.pos += len(body) + 2
+        return partial(np.asarray, row, np.int32)
 
     def _permutation_rows(self, n: int):
-        """The column of each row's 1 if the unitary image at the cursor is
-        spelled exactly as `_permutation_pieces` spells it, else None, found at
-        the first row whose "1" is out of place.  Such bytes pass `_read_image`."""
+        """read() of the unitary image at the cursor if it is spelled exactly
+        as `_permutation_pieces` spells it, else None, found at the first row
+        whose "1" is out of place; such bytes pass `_read_image`."""
         text, start, columns = self.text, self.pos + len(_OPEN) + _ONE.index("1"), []
         for lo in range(start, start + n * n * _STRIDE, n * _STRIDE):  # a row's first "1" spot
             c, off = divmod(text.find("1", lo, lo + n * _STRIDE) - lo, _STRIDE)
@@ -562,7 +596,7 @@ class _CertificateText:
         if not text.startswith(image, self.pos):
             return None
         self.pos += len(image)
-        return columns
+        return partial(_permutation_image, columns)
 
 
 def _certificate_from_text(text: str, limits: ResourceLimits) -> Certificate:

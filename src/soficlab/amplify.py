@@ -100,15 +100,6 @@ def iterations_to_tolerance(d0: float, tol: float,
     )
 
 
-def halve_embed(u: UnitaryMatrix) -> UnitaryMatrix:
-    """Block-diagonal embedding u -> diag(u, I_n); a homomorphism scaling
-    all Hilbert-Schmidt distances by exactly 1/sqrt(2)."""
-    n = u.n
-    out = np.eye(2 * n, dtype=np.complex128)
-    out[:n, :n] = u.entries
-    return UnitaryMatrix(out, u.unitarity_tolerance)
-
-
 @dataclass(frozen=True)
 class AmplificationReport:
     """Measured vs predicted distances for one amplification step.

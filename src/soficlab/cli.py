@@ -270,6 +270,8 @@ def cmd_demo(args) -> int:
         from .metrics import random_unitaries
 
         limits = default_limits()
+        if args.rank < 1:
+            raise ValueError("rank of at least 1 required")
         if args.rank**2 > limits.rank_cap:  # before drawing: the tensor square has rank^4 entries
             raise ResourceCapError(f"amplified rank {args.rank**2} exceeds cap {limits.rank_cap}")
         if args.pairs < 1:

@@ -6,6 +6,8 @@ large arrays in the json module's indent=1 layout."""
 import gc
 import json
 
+import numpy as np
+
 # Process exit codes: pass, verification failure, malformed input or usage.
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -84,11 +86,12 @@ def load_json(path, build):
     return read_json(path, parse)
 
 
-def int_list_text(values: list, depth: int) -> str:
-    """The indent=1 text of a nonempty list of ints whose entries sit at
-    `depth` of the document, in one C-encoder call."""
+def int_row_texts(rows, n: int, depth: int):
+    """The indent=1 text of each nonempty row of ints in [-1, n) at `depth`, in one join
+    of one digit table's strings; -1, a coloured graph's missing edge, is null."""
+    digits = np.array([*map(str, range(n)), "null"], dtype=object)
     pad = "\n" + " " * depth
-    return "[" + pad + json.dumps(values, separators=("," + pad, ": "))[1:-1] + pad[:-1] + "]"
+    return ("[" + pad + ("," + pad).join(digits[row].tolist()) + pad[:-1] + "]" for row in rows)
 
 
 def spliced_json(doc: dict, key: str, text: str) -> str:

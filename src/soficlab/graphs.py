@@ -26,7 +26,7 @@ from .config import ResourceLimits
 from .errors import (
     BackendMismatchError,
     MalformedCertificateError,
-    int_list_text,
+    int_row_texts,
     json_fields,
     json_int,
     json_ints,
@@ -88,11 +88,9 @@ class ColoredGraph:
         }
 
     def json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=1)``, one C-encoder call per
-        row.  `__post_init__` admits no entry below -1, so a "-1" in a row's
-        text is a missing edge, which is spelled null."""
-        rows = ",\n  ".join(json.dumps(c) + ": " + int_list_text(row, 3).replace("-1", "null")
-                            for c, row in zip(self.colors, self.successors.tolist()))
+        """``json.dumps(self.to_json(), indent=1)``, from `int_row_texts`."""
+        texts = int_row_texts(self.successors, self.vertex_count, 3)
+        rows = ",\n  ".join(json.dumps(c) + ": " + t for c, t in zip(self.colors, texts))
         doc = {"vertexCount": self.vertex_count, "colors": list(self.colors), "successors": 0}
         return spliced_json(doc, "successors", "{\n  " + rows + "\n }" if rows else "{}")
 

@@ -48,9 +48,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def is_fixed_point_free(self) -> bool:
-        return all(self.images[i] != i for i in range(self.n))
-
 
 def canonical_fill(partial: np.ndarray) -> np.ndarray:
     """Extend a partial injection of {0, ..., n-1}, given as a length-n
@@ -140,11 +137,6 @@ class UnitaryMatrix:
             raise ValueError("rank mismatch")
         tol = max(self.unitarity_tolerance, other.unitarity_tolerance)
         return UnitaryMatrix(self.entries @ other.entries, 10 * tol)
-
-
-def normalized_trace(u: UnitaryMatrix) -> complex:
-    """(1/n) * trace; modulus at most 1 for unitary input."""
-    return complex(np.trace(u.entries) / u.n)
 
 
 def hs_distance(u: UnitaryMatrix, v: UnitaryMatrix, out: np.ndarray | None = None) -> float:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from soficlab.almosthom import AlmostHom
+from soficlab.almosthom import AlmostHom, _kernels
 from soficlab.amenability import PARADOX_PIECES, FolnerSet, ParadoxReport
 from soficlab.amplify import amplified_distance
 from soficlab.backends import FiniteBackend, free_backend
@@ -22,7 +22,7 @@ from soficlab.matching import (
     MatchingParadoxReport,
     two_one_matching,
 )
-from soficlab.metrics import UnitaryMatrix
+from soficlab.metrics import Permutation, UnitaryMatrix
 from soficlab.sl2 import is_prime
 from soficlab.words import Word, is_reduced, word_to_str
 
@@ -86,14 +86,43 @@ def complex_unitary_kernels(hom: AlmostHom):
     n = hom.target_n
     images = hom.images.reshape(len(hom.images), -1)
 
-    def compose(a, b):
-        return (a.reshape(-1, n, n) @ b.reshape(-1, n, n)).reshape(len(a), -1)
+    def compose(images, i, j):
+        return (images[i].reshape(-1, n, n) @ images[j].reshape(-1, n, n)).reshape(len(i), -1)
 
     def distance(a, b):
         parts = (a - b).view(np.float64)  # re, im of every entry
         return np.sqrt(np.einsum("...k,...k->...", parts, parts) / n)
 
     return images, compose, distance, float
+
+
+def take_along_axis_kernels(hom: AlmostHom):
+    """`almosthom._kernels` with the library's earlier permutation-row
+    composition: rows i and j gathered into two copies, then composed by
+    `take_along_axis`.  The flat-index composition must match it exactly."""
+    images, compose, distance, value = _kernels(hom)
+    if images.dtype == np.int32:
+        def compose(images, i, j):  # (s * t)(x) = t(s(x))
+            return np.take_along_axis(images[j], images[i], axis=1)
+    return images, compose, distance, value
+
+
+def is_fixed_point_free(s: Permutation) -> bool:
+    return all(s.images[i] != i for i in range(s.n))
+
+
+def normalized_trace(u: UnitaryMatrix) -> complex:
+    """(1/n) * trace; modulus at most 1 for unitary input."""
+    return complex(np.trace(u.entries) / u.n)
+
+
+def halve_embed(u: UnitaryMatrix) -> UnitaryMatrix:
+    """Block-diagonal embedding u -> diag(u, I_n); a homomorphism scaling
+    all Hilbert-Schmidt distances by exactly 1/sqrt(2)."""
+    n = u.n
+    out = np.eye(2 * n, dtype=np.complex128)
+    out[:n, :n] = u.entries
+    return UnitaryMatrix(out, u.unitarity_tolerance)
 
 
 def hall_condition_holds(graph: BipartiteGraph) -> bool:

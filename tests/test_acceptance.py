@@ -16,7 +16,6 @@ from soficlab.almosthom import defect, separation, verify
 from soficlab.amplify import (
     SQRT2,
     amplified_distance,
-    halve_embed,
     iterate_amplification,
     tensor_square,
 )
@@ -33,7 +32,6 @@ from soficlab.metrics import (
     Permutation,
     hamming,
     hs_distance,
-    normalized_trace,
     perm_matrix,
     phase_aligned_hs,
     random_unitary,
@@ -43,7 +41,9 @@ from soficlab.sl2 import is_prime, lef_witness_free
 
 from oracles import (
     hall_condition_holds,
+    halve_embed,
     matching_exists_bruteforce,
+    normalized_trace,
     sl2_images_injective,
     sl2_word_image,
 )

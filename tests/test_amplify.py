@@ -10,7 +10,6 @@ from soficlab.amplify import (
     amplification_report,
     amplified_distance,
     conj_kron,
-    halve_embed,
     iterate_amplification,
     iterations_to_tolerance,
     tensor_square,
@@ -22,13 +21,12 @@ from soficlab.metrics import (
     check_gram,
     gram_defect,
     hs_distance,
-    normalized_trace,
     phase_aligned_hs,
     random_unitaries,
     random_unitary,
 )
 
-from oracles import random_orthogonal, value_error_text
+from oracles import halve_embed, normalized_trace, random_orthogonal, value_error_text
 
 # Frozen oracle orbit for d0 = 0.5 (computed independently by iterating
 # d -> d*sqrt(2 - d^2/2) in extended precision).

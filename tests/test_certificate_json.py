@@ -39,7 +39,12 @@ from soficlab.constructions import (
     sofic_to_hyperlinear,
 )
 from soficlab.config import ResourceLimits
-from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
+from soficlab.errors import (
+    MalformedCertificateError,
+    ResourceCapError,
+    int_row_texts,
+    load_json,
+)
 from soficlab.metrics import UnitaryMatrix, random_unitary
 
 from oracles import cyclic_backend, random_orthogonal
@@ -562,3 +567,141 @@ def test_permutation_images_take_the_row_template(tmp_path):
     compact = tmp_path / "compact.json"
     compact.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
     assert load_certificate(compact).hom.images.tobytes() == cert.hom.images.tobytes()
+
+
+# Sym images: the writer spells each row from one digit table, and the
+# reader parses a row with numpy when its text is exactly that spelling,
+# falling back to the json module's decoder for any other text.
+
+@st.composite
+def digit_certificates(draw):
+    """Random bijective rows of one, two or three digits per entry over a
+    small ball."""
+    domain = ball(BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))](), draw(st.integers(0, 1)))
+    n = draw(st.integers(1, 12) | st.integers(95, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [np.arange(n)] + [rng.permutation(n) for _ in range(len(domain) - 1)]
+    return Certificate(AlmostHom(domain, "sym", n, np.array(rows)), 0.0, 1.0, "")
+
+
+SYM_MUTATIONS = ["none", "0", "+", "-0", "1e0", ".0", "space", "newline", "n", "2**31",
+                 "2**64", "too many", "too few", "trailing comma", "no ]", "non-ASCII key",
+                 "non-ASCII digit"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_certificates(), st.sampled_from(SYM_MUTATIONS), st.data())
+def test_reader_on_mutated_sym_images(certificate_file, cert, mutation, data):
+    """One token of one image of a writer's sym certificate respelled (a
+    leading zero, +, -0, 1e0 or 1.0), given an extra space or newline,
+    replaced by n, 2^31 or a value beyond int64, an entry added or removed,
+    a trailing comma or no "]", or a non-ASCII key elsewhere in the file:
+    the outcome is still that of the whole document."""
+    text = reference_text(cert)
+    start, end = image_span(text, data.draw(st.sampled_from(list(certificate_to_json(cert)["map"]))))
+    tokens = text[start + 5:end - 4].split(",\n   ")
+    assert tokens == list(map(str, json.loads(text[start:end])))
+    k = data.draw(st.integers(0, len(tokens) - 1))
+    seps = [",\n   "] * (len(tokens) - 1) + ["\n  "]
+    respelled = {"0": "0" + tokens[k], "+": "+" + tokens[k], "-0": "-0", "1e0": tokens[k] + "e0",
+                 ".0": tokens[k] + ".0", "n": str(cert.hom.target_n), "2**31": str(2**31),
+                 "2**64": str(2**64 + int(tokens[k])), "non-ASCII digit": "١"}
+    if mutation in respelled:
+        tokens[k] = respelled[mutation]
+    elif mutation in ("space", "newline"):
+        at = data.draw(st.integers(0, len(seps) - 1))
+        cut = data.draw(st.integers(0, len(seps[at])))
+        seps[at] = seps[at][:cut] + {"space": " ", "newline": "\n"}[mutation] + seps[at][cut:]
+    elif mutation == "too many":
+        tokens.insert(k, tokens[k])
+        seps.insert(k, ",\n   ")
+    elif mutation == "too few" and len(tokens) > 1:
+        del tokens[k], seps[min(k, len(seps) - 2)]
+    elif mutation == "trailing comma":
+        seps[-1] = "," + seps[-1]
+    image = "[\n   " + "".join(t + s for t, s in zip(tokens, seps)) + "]"
+    if mutation == "no ]":
+        image = image[:-1]
+    mutated = text[:start] + image + text[end:]
+    if mutation == "non-ASCII key":
+        mutated = '{\n "é☃": 0,' + mutated[1:]
+    with exact_digit_rows() as parsed:
+        assert_reader_matches(certificate_file, mutated)
+    assert parsed.call_count >= (mutation in ("none", "non-ASCII key"))
+
+
+def spelled(row, n: int) -> str:
+    return next(int_row_texts([row], n, 3))
+
+
+@contextlib.contextmanager
+def exact_digit_rows():
+    """Assert that every sym image the reader parses with numpy is spelled
+    exactly as the writer spells its row; yields the wrapped parser."""
+    parse = almosthom._CertificateText._digit_row
+
+    def exact(reader, n):
+        start = reader.pos
+        read = parse(reader, n)
+        if read is not None:
+            assert reader.text[start:reader.pos] == spelled(read(), n)
+            parsed(n)
+        return read
+
+    parsed = mock.Mock()
+    with mock.patch.object(almosthom._CertificateText, "_digit_row", exact):
+        yield parsed
+
+
+# sym images of degree 1 or 3: the writer's spelling but for one change that
+# numpy alone does not see, which the reader must decode whole (from the sign
+# on, json.loads refuses them or reads other values), then the writer's own
+# spellings, which it must parse with numpy
+DIGIT_EDGES = [
+    "[\n   0,\n   1,\n   2 \n  ]",  # one byte too many
+    "[\n  \t0,\n   1,\n   2\n  ]",  # other whitespace before the values
+    "[\n   0,\n   1,\n   2\t  ]",  # and after them
+    "[\n   0, \n  1,\n   2\n  ]",  # and in a separator
+    "[\n  +0,\n   1,\n   2\n  ]",  # a sign
+    "[\n   00,\n   ,\n   2\n  ]",  # numpy reads the empty entry as 0
+    "[\n   0,\n   1,\n   2,\n ]",  # numpy drops a trailing comma
+    "[\n    \n  ]",  # numpy reads whitespace as [0]
+    "(\n   0\n  ]",  # no "["
+    "[]",
+    "[\n   0\n  ]",  # the writer's degree-1 spelling
+    "[\n   0,\n   1,\n   2\n  ]",  # and degree-3 spelling
+]
+
+
+@pytest.mark.parametrize("image", DIGIT_EDGES)
+def test_reader_on_sym_image_edges(certificate_file, image):
+    n = 1 if image.count(",") == 0 else 3
+    text = "{" + HEAD % ("sym", n) + ', "map": {"": ' + image + "}}"
+    with exact_digit_rows() as parsed:
+        assert_reader_matches(certificate_file, text)
+    assert parsed.call_count == (image == spelled(range(n), n))
+
+
+def test_reader_allocates_nothing_for_a_claimed_sym_degree(certificate_file):
+    """A header may claim any degree n; the reader sizes nothing by it
+    before an image of n entries has been read."""
+    text = "{" + HEAD % ("sym", 10**15) + ', "map": {"": [\n   0\n  ]}}'
+    with exact_digit_rows():
+        assert_reader_matches(certificate_file, text)
+
+
+def test_sym_images_take_the_digit_path(tmp_path):
+    """A writer's sym certificate is read without decoding any image, and
+    any other spelling of it is decoded to the same rows."""
+    h = heisenberg_backend()
+    cert = folner_certificate(ball(h, 1), folner_box(h, 5))
+    path = tmp_path / "heisenberg.json"
+    save_certificate(cert, path)
+    assert path.read_text() == reference_text(cert)
+    with mock.patch.object(almosthom, "_read_image", side_effect=AssertionError("_read_image")):
+        assert load_certificate(path).hom.images.tobytes() == cert.hom.images.tobytes()
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
+    with mock.patch.object(almosthom, "_read_image", wraps=almosthom._read_image) as decoded:
+        assert load_certificate(compact).hom.images.tobytes() == cert.hom.images.tobytes()
+    assert decoded.call_count == len(cert.hom.images)

@@ -26,6 +26,7 @@ from soficlab.errors import BackendMismatchError, ResourceCapError
 from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance
 from oracles import (
     cyclic_backend,
+    is_fixed_point_free,
     lef_to_sofic_refusal,
     predicted_amplified,
     sl2_elements,
@@ -41,7 +42,7 @@ def test_regular_representation_is_injective_homomorphism():
     for g in range(6):
         for h in range(6):
             assert rep[g] * rep[h] == rep[b.multiply(g, h)]
-    assert all(rep[g].is_fixed_point_free() for g in range(6) if g != b.identity_index)
+    assert all(is_fixed_point_free(rep[g]) for g in range(6) if g != b.identity_index)
 
 
 def test_folner_to_sofic_z_is_exact_torus_shift():

