@@ -28,7 +28,7 @@ from .errors import (
     MalformedCertificateError,
     ResourceCapError,
     SoficlabError,
-    int_row_texts,
+    int_row_speller,
     json_int,
     json_ints,
     read_json,
@@ -109,7 +109,7 @@ def _compose_rows(images, i, j):  # (s * t)(x) = t(s(x)), read off the flat rows
 
 
 def _moved_points(a, b):
-    return np.count_nonzero(a != b, axis=-1)
+    return (a != b).sum(axis=-1, dtype=np.int32)
 
 
 def _kernels(hom: AlmostHom):
@@ -144,13 +144,12 @@ def _kernels(hom: AlmostHom):
     return images, compose, distance, float
 
 
-def defect_witness(hom: AlmostHom, kernels=None):
+def defect_witness(hom: AlmostHom):
     """(defect, (g_index, h_index)) for the first worst-violated product pair
     in the ball's product order; the witness is None only when the ball
     records no products, which a ball from `ball()` never does.  Pairs are
-    scanned in chunks that keep each temporary under _KERNEL_CHUNK elements.
-    `kernels` is `_kernels(hom)`, when the caller has derived it already."""
-    images, compose, distance, value = kernels or _kernels(hom)
+    scanned in chunks that keep each temporary under _KERNEL_CHUNK elements."""
+    images, compose, distance, value = _kernels(hom)
     products = hom.domain.products
     step = max(1, _KERNEL_CHUNK // images.shape[1])
     worst, witness = 0, None
@@ -170,13 +169,13 @@ def defect(hom: AlmostHom):
     return defect_witness(hom)[0]
 
 
-def separation_witness(hom: AlmostHom, kernels=None):
+def separation_witness(hom: AlmostHom):
     """(separation, (g_index, h_index)) for the first closest pair of images,
     scanning pairs i < j in row-major order: each image against blocks of
-    later ones.  `kernels` is as in `defect_witness`."""
+    later ones."""
     if len(hom.domain) < 2:
         raise ValueError("separation requires a ball with at least 2 elements")
-    images, _, distance, value = kernels or _kernels(hom)
+    images, _, distance, value = _kernels(hom)
     m = len(images)
     rows = max(1, _KERNEL_CHUNK // images.shape[1])
     best, witness = None, None
@@ -193,14 +192,6 @@ def separation(hom: AlmostHom):
     return separation_witness(hom)[0]
 
 
-def _witnesses(hom: AlmostHom):
-    """(defect_witness(hom), separation_witness(hom)), both scanning the
-    rows of one `_kernels` call, which takes milliseconds at rank 256.  The
-    rows are not kept, so reassigning `images` leaves nothing stale."""
-    kernels = _kernels(hom)
-    return defect_witness(hom, kernels), separation_witness(hom, kernels)
-
-
 @dataclass(eq=False)
 class Certificate:
     """An almost homomorphism together with its (advisory) measured claims."""
@@ -212,11 +203,10 @@ class Certificate:
 
 
 def measured_certificate(hom: AlmostHom, provenance: str = "") -> Certificate:
-    (dft, _), (sep, _) = _witnesses(hom)
     return Certificate(
         hom=hom,
-        claimed_defect=float(dft),
-        claimed_separation=float(sep),
+        claimed_defect=float(defect(hom)),
+        claimed_separation=float(separation(hom)),
         provenance=provenance,
     )
 
@@ -264,7 +254,8 @@ def verify(cert: Certificate, eps: float, delta: float) -> VerificationReport:
     the thresholds must pass `check_thresholds`."""
     check_thresholds(eps, delta)
     hom = cert.hom
-    (dft, dft_pair), (sep, sep_pair) = _witnesses(hom)
+    dft, dft_pair = defect_witness(hom)
+    sep, sep_pair = separation_witness(hom)
     alphabet = hom.domain.backend.alphabet
 
     def pair_words(pair):
@@ -325,7 +316,7 @@ def _head_text(cert: Certificate) -> str:
         return json.dumps(head, indent=1)
     # a finite group's table is most of the head; only "group" has a "table" key
     head["group"]["table"] = 0
-    rows = ",\n   ".join(int_row_texts(table, len(table), 4))
+    rows = ",\n   ".join(map(int_row_speller(len(table), 4), table))
     return spliced_json(head, "table", "[\n   " + rows + "\n  ]")
 
 
@@ -364,7 +355,7 @@ def save_certificate(cert: Certificate, path) -> None:
     hom = cert.hom
     alphabet = hom.domain.backend.alphabet
     if hom.target_kind == "sym":  # one piece per image
-        pieces = zip(int_row_texts(hom.images, hom.target_n, 3))
+        pieces = zip(map(int_row_speller(hom.target_n, 3), hom.images))
     else:
         columns = _columns(hom)
         pieces = map(_unitary_image_pieces, hom.images, repeat(None) if columns is None else columns)
@@ -510,7 +501,7 @@ class _CertificateText:
     the json module's scanners: a malformed text fails as in json.loads."""
 
     def __init__(self, text: str):
-        self.text, self.pos = text, _skip(text, 0).end()
+        self.text, self.pos, self.spell = text, _skip(text, 0).end(), None
         decoder = json.JSONDecoder(object_pairs_hook=unique_keys)
         self.decode, self.decode_at = decoder.decode, decoder.raw_decode
 
@@ -552,51 +543,47 @@ class _CertificateText:
         for key in keys:
             yield key, spelled(n) or partial(_read_image, kind, n, self.value())
 
+    def _spelled(self, pieces, read):
+        """`read` if the text at the cursor is `pieces`, joined, moving the
+        cursor past it; else None, leaving the cursor in place."""
+        pos = self.pos
+        for piece in pieces:
+            if not self.text.startswith(piece, pos):
+                return None
+            pos += len(piece)
+        self.pos = pos
+        return read
+
     def _digit_row(self, n: int):
-        """read() of the sym image at the cursor if its text is `int_row_texts`
-        of n values in [0, n) at depth 3, else None: ASCII to the first "]" that
-        np.fromstring reads as such values, with the writer's ends and length,
-        a _SEP where the values' decimal widths end each value but the last,
-        and digits elsewhere.  Each value then has as many digits as its
-        canonical decimal, the only shortest spelling."""
-        if not self.text.startswith("[", self.pos):
+        """read() of the sym image at the cursor if its text is the writer's
+        spelling of the row np.fromstring reads from it up to the first "]",
+        n values in [0, n), else None: numpy also reads `01`, `+1` or a
+        trailing comma.  The speller is built at the first such row, never
+        for a claimed n alone."""
+        text, pos = self.text, self.pos
+        end = text.find("]", pos) if text.startswith("[", pos) else -1
+        if end < 0:
             return None
-        try:
-            body = self.text[self.pos + 1:self.text.index("]", self.pos)]
-            data = body.encode("ascii")  # the image alone, never the whole text
-            row = np.fromstring(data, dtype=np.int64, sep=",")
-        except ValueError:  # no "]", UnicodeEncodeError, or text numpy cannot read
+        try:  # the image alone, never the rest of the text
+            row = np.fromstring(text[pos + 1:end].encode("ascii"), dtype=np.int64, sep=",")
+        except ValueError:  # UnicodeEncodeError, or text numpy cannot read
             return None
         if len(row) != n or not ((row >= 0).all() and (row < n).all()):
             return None
-        spans = np.full(n, len(_SEP) + 1)  # each value's digit count, plus the _SEP before it
-        for k in range(1, len(str(n))):
-            spans += row >= 10 ** k
-        ends = np.cumsum(spans) - 1  # the offset after each value's digits
-        raw = np.frombuffer(data, np.uint8)
-        if not (len(raw) == ends[-1] + len(_CLOSE) - 1
-                and body.startswith(_OPEN[1:]) and body.endswith(_CLOSE[:-1])
-                and all((raw[ends[:-1] + k] == ord(c)).all() for k, c in enumerate(_SEP))
-                and np.count_nonzero(raw - ord("0") < 10) == ends[-1] + 1 - len(_SEP) * n):
-            return None
-        self.pos += len(body) + 2
-        return partial(np.asarray, row, np.int32)
+        self.spell = self.spell or int_row_speller(n, 3)
+        return self._spelled([self.spell(row)], partial(np.asarray, row, np.int32))
 
     def _permutation_rows(self, n: int):
-        """read() of the unitary image at the cursor if it is spelled exactly
-        as `_permutation_pieces` spells it, else None, found at the first row
-        whose "1" is out of place; such bytes pass `_read_image`."""
+        """read() of the unitary image at the cursor if it is `_permutation_pieces`
+        of the columns of its rows' first "1"s, else None, found at the first
+        row whose "1" is out of place; such bytes pass `_read_image`."""
         text, start, columns = self.text, self.pos + len(_OPEN) + _ONE.index("1"), []
         for lo in range(start, start + n * n * _STRIDE, n * _STRIDE):  # a row's first "1" spot
             c, off = divmod(text.find("1", lo, lo + n * _STRIDE) - lo, _STRIDE)
             if off or c < 0:
                 return None
             columns.append(c)
-        image = "".join(_permutation_pieces(columns))
-        if not text.startswith(image, self.pos):
-            return None
-        self.pos += len(image)
-        return partial(_permutation_image, columns)
+        return self._spelled(_permutation_pieces(columns), partial(_permutation_image, columns))
 
 
 def _certificate_from_text(text: str, limits: ResourceLimits) -> Certificate:

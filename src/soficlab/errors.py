@@ -86,12 +86,13 @@ def load_json(path, build):
     return read_json(path, parse)
 
 
-def int_row_texts(rows, n: int, depth: int):
-    """The indent=1 text of each nonempty row of ints in [-1, n) at `depth`, in one join
-    of one digit table's strings; -1, a coloured graph's missing edge, is null."""
+def int_row_speller(n: int, depth: int):
+    """row -> the indent=1 text of a nonempty row of ints in [-1, n) at `depth`,
+    in one join of one digit table's strings; -1, a coloured graph's missing
+    edge, is null.  The one spelling of every int row the library writes."""
     digits = np.array([*map(str, range(n)), "null"], dtype=object)
     pad = "\n" + " " * depth
-    return ("[" + pad + ("," + pad).join(digits[row].tolist()) + pad[:-1] + "]" for row in rows)
+    return lambda row: "[" + pad + ("," + pad).join(digits[row].tolist()) + pad[:-1] + "]"
 
 
 def spliced_json(doc: dict, key: str, text: str) -> str:

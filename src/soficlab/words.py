@@ -6,7 +6,7 @@ reduced, i.e. no adjacent pair ``(s, -s)`` survives.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -70,10 +70,6 @@ def reduce_word(letters: Iterable[int], rank: int | None = None) -> Word:
     return tuple(stack)
 
 
-def is_reduced(letters: Sequence[int]) -> bool:
-    return all(letters[i] != -letters[i + 1] for i in range(len(letters) - 1))
-
-
 def word_inverse(word: Word) -> Word:
     return tuple(-s for s in reversed(word))
 
@@ -104,6 +100,4 @@ def word_from_str(alphabet: GeneratorAlphabet, text: str) -> Word:
         except ValueError:
             raise ValueError(f"unknown generator name {token!r}") from None
         letters.append(sign * idx)
-    if not is_reduced(letters):
-        return reduce_word(letters)
-    return tuple(letters)
+    return reduce_word(letters)

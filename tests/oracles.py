@@ -24,7 +24,11 @@ from soficlab.matching import (
 )
 from soficlab.metrics import Permutation, UnitaryMatrix
 from soficlab.sl2 import is_prime
-from soficlab.words import Word, is_reduced, word_to_str
+from soficlab.words import Word, word_to_str
+
+
+def is_reduced(letters) -> bool:
+    return all(letters[i] != -letters[i + 1] for i in range(len(letters) - 1))
 
 
 def predicted_amplified(d: float, times: int) -> float:

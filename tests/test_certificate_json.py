@@ -42,7 +42,7 @@ from soficlab.config import ResourceLimits
 from soficlab.errors import (
     MalformedCertificateError,
     ResourceCapError,
-    int_row_texts,
+    int_row_speller,
     load_json,
 )
 from soficlab.metrics import UnitaryMatrix, random_unitary
@@ -631,7 +631,7 @@ def test_reader_on_mutated_sym_images(certificate_file, cert, mutation, data):
 
 
 def spelled(row, n: int) -> str:
-    return next(int_row_texts([row], n, 3))
+    return int_row_speller(n, 3)(row)
 
 
 @contextlib.contextmanager
@@ -688,6 +688,15 @@ def test_reader_allocates_nothing_for_a_claimed_sym_degree(certificate_file):
     text = "{" + HEAD % ("sym", 10**15) + ', "map": {"": [\n   0\n  ]}}'
     with exact_digit_rows():
         assert_reader_matches(certificate_file, text)
+
+
+def test_reader_hands_numpy_no_image_without_its_bracket(certificate_file):
+    """A sym image with no "]" after it is decoded whole, as json.loads fails
+    on it, and np.fromstring is never given the rest of the text."""
+    text = "{" + HEAD % ("sym", 3) + ', "map": {"": [\n   0,\n   1,\n   2\n  }}'
+    with mock.patch.object(np, "fromstring", wraps=np.fromstring) as parsed:
+        assert_reader_matches(certificate_file, text)
+    assert parsed.call_count == 0
 
 
 def test_sym_images_take_the_digit_path(tmp_path):

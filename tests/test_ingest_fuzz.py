@@ -8,11 +8,15 @@ it into a traceback or an "error:" line instead of "malformed:").  Documents
 are valid ones with one entry replaced or removed, plus arbitrary JSON
 values.  The same holds for files read through `load_json`, whose texts
 are valid documents with a key duplicated or cut short, and arbitrary short
-strings; the reader leaves the cyclic collector as it found it.
+strings; the reader leaves the cyclic collector as it found it.  The CLI
+commands that read group tables and graphs, given such documents as files
+under small caps, return 0, 1 or 2 and raise nothing.
 """
 
 import gc
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +25,7 @@ from soficlab.almosthom import certificate_from_json, certificate_to_json
 from soficlab.amenability import folner_box
 from soficlab.backends import finite_backend_from_json, zpower_backend
 from soficlab.balls import ball
+from soficlab.cli import main
 from soficlab.config import ResourceLimits
 from soficlab.constructions import folner_certificate, hyperlinear_certificate
 from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
@@ -202,3 +207,31 @@ def test_reader_fuzz(json_file, text, collector_on):
     json_file.write_text(text, errors="surrogateescape")
     read_through_each_builder(json_file, collector_on)
 
+
+# argv of each CLI command that reads one of the documents above, with "IN"
+# for the document's file and "OUT" for the output file
+CLI_COMMANDS = {
+    "certify": (C3_TABLE, ["certify", "--family", "finite", "--radius", "2",
+                           "--table", "IN", "-o", "OUT"]),
+    "match-fraction": (PARTIAL_GRAPH, ["match-fraction", "IN", "--family", "free",
+                                       "--radius", "1", "-o", "OUT"]),
+    "hall": (HALL_GRAPH, ["hall", "IN", "-o", "OUT"]),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("cli")
+    return {"IN": str(folder / "input.json"), "OUT": str(folder / "output.json")}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz(cli_files, command, data):
+    base, argv = CLI_COMMANDS[command]
+    with open(cli_files["IN"], "w", encoding="utf-8") as fh:
+        json.dump(data.draw(mutated(base) | json_values), fh)
+    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "8"}
+    with mock.patch.dict(os.environ, caps):
+        assert main([cli_files.get(arg, arg) for arg in argv]) in (0, 1, 2)

@@ -1,9 +1,9 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from oracles import is_reduced
 from soficlab.words import (
     GeneratorAlphabet,
-    is_reduced,
     reduce_word,
     word_concat,
     word_from_str,
