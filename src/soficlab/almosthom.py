@@ -25,9 +25,9 @@ from .errors import (
     EXIT_FAIL,
     EXIT_MALFORMED,
     EXIT_PASS,
+    DuplicateKeyError,
     MalformedCertificateError,
     ResourceCapError,
-    SoficlabError,
     int_row_speller,
     json_int,
     json_ints,
@@ -511,21 +511,21 @@ class _CertificateText:
 
     def members(self):
         """Yield each key of the object at the cursor, leaving the cursor at
-        its value, and skip a value left unread."""
-        text, keys = self.text, []
+        its value for the caller to read; a repeated key fails at once."""
+        text, keys = self.text, set()
         pos = _skip(text, self.pos + 1).end()
         while keys or not text.startswith("}", pos):
             if not text.startswith('"', pos):
                 raise json.JSONDecodeError("Expecting property name", text, pos)
             key, pos = json.decoder.scanstring(text, pos + 1)
+            if key in keys:
+                raise DuplicateKeyError(key)
             pos = _skip(text, pos).end()
             if not text.startswith(":", pos):
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-            self.pos = start = _skip(text, pos + 1).end()
-            keys.append(key)
+            self.pos = _skip(text, pos + 1).end()
+            keys.add(key)
             yield key
-            if self.pos == start:
-                self.value()
             pos = _skip(text, self.pos).end()
             if not text.startswith(",", pos):
                 break
@@ -533,14 +533,13 @@ class _CertificateText:
         if not text.startswith("}", pos):
             raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
         self.pos = pos + 1
-        unique_keys(zip(keys, keys))  # once the object closes, as in json.loads
 
-    def images(self, keys, kind: str, n: int):
-        """(key, read) per key of the map's `members()`, read() giving its checked
-        row: `_digit_row` or `_permutation_rows` reads an image in the writer's
-        spelling, and any other is decoded whole."""
+    def images(self, kind: str, n: int):
+        """(key, read) per key of the map at the cursor, read() giving its
+        checked row: `_digit_row` or `_permutation_rows` reads an image in the
+        writer's spelling, and any other is decoded whole."""
         spelled = self._digit_row if kind == "sym" else self._permutation_rows
-        for key in keys:
+        for key in self.members():
             yield key, spelled(n) or partial(_read_image, kind, n, self.value())
 
     def _spelled(self, pieces, read):
@@ -561,7 +560,7 @@ class _CertificateText:
         trailing comma.  The speller is built at the first such row, never
         for a claimed n alone."""
         text, pos = self.text, self.pos
-        end = text.find("]", pos) if text.startswith("[", pos) else -1
+        end = text.find("]", pos) if text.startswith(_OPEN, pos) else -1
         if end < 0:
             return None
         try:  # the image alone, never the rest of the text
@@ -587,39 +586,28 @@ class _CertificateText:
 
 
 def _certificate_from_text(text: str, limits: ResourceLimits) -> Certificate:
-    """json.loads then `certificate_from_json`, in outcome.  When schema,
-    group, radius and target precede the map, the images are read one at a
-    time, and a check failing meanwhile is raised once the rest of the text
-    has parsed, since a syntax error or a repeated key fails first in
-    json.loads; otherwise the map is decoded whole."""
+    """json.loads then `certificate_from_json`, in outcome, when json.loads
+    accepts `text`.  A map after schema, group, radius and target is read an
+    image at a time, and any other text fails at its first defect: a JSON error
+    or repeated key where it occurs, a check once its value or the map is read."""
     reader = _CertificateText(text)
     if not text.startswith("{", reader.pos):
         return certificate_from_json(reader.decode(text), limits)
-    head, hom, failure = {}, None, None
+    head, hom = {}, None
     for key in reader.members():
-        if (key != "map" or hom or failure or not text.startswith("{", reader.pos)
-                or not {"schema", "group", "ball_radius", "target"} <= head.keys()):
+        if (key == "map" and text.startswith("{", reader.pos)
+                and {"schema", "group", "ball_radius", "target"} <= head.keys()):
+            hom = _almost_hom({**head, "map": None}, limits, reader.images)
+        else:
             head[key] = reader.value()
-            continue
-        keys = reader.members()
-        try:
-            hom = _almost_hom({**head, "map": None}, limits,
-                              lambda kind, n: reader.images(keys, kind, n))
-        except SoficlabError as exc:
-            failure = exc
-            for _ in keys:  # parse the rest of the map
-                pass
     end = _skip(text, reader.pos).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    if failure:
-        raise failure
     return _certificate(hom, head) if hom else certificate_from_json(head, limits)
 
 
 def load_certificate(path, limits: ResourceLimits | None = None) -> Certificate:
-    """The certificate in the JSON file at `path`, under `limits`, read one
-    image at a time; every outcome, value or error, is that of
-    `certificate_from_json` on the file's document."""
-    limits = limits or default_limits()
-    return read_json(path, lambda text: _certificate_from_text(text, limits))
+    """The certificate in the JSON file at `path`, under `limits`: as
+    `certificate_from_json` on a document that json.loads accepts, else refused
+    at the text's first defect, so a cap refuses right after the head."""
+    return read_json(path, partial(_certificate_from_text, limits=limits or default_limits()))

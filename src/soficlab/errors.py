@@ -38,8 +38,11 @@ class BackendMismatchError(SoficlabError):
     """Two objects built over incompatible group backends were combined."""
 
 
-class _DuplicateKey(ValueError):
-    """A repeated key: a parse failure until `read_json` reports it."""
+class DuplicateKeyError(ValueError):
+    """A repeated key in a JSON object: a parse failure until `read_json` reports it."""
+
+    def __init__(self, key: str):
+        super().__init__(f"duplicate key {key!r} in a JSON object")
 
 
 def unique_keys(pairs) -> dict:
@@ -47,7 +50,7 @@ def unique_keys(pairs) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise _DuplicateKey(f"duplicate key {key!r} in a JSON object")
+            raise DuplicateKeyError(key)
         doc[key] = value
     return doc
 
@@ -67,7 +70,7 @@ def read_json(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except _DuplicateKey as exc:
+    except DuplicateKeyError as exc:
         raise MalformedCertificateError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc

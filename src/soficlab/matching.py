@@ -119,8 +119,8 @@ def _max_flow_two_one(graph: BipartiteGraph):
     sources are kept as an ascending list, scanned lazily, and visits are
     marked with the search's epoch instead of fresh parent arrays.
     """
-    na, nb = graph.left_count, graph.right_count
-    adjacency = graph.adjacency
+    na, adjacency = graph.left_count, graph.adjacency
+    nb = max((nbrs[-1] + 1 for nbrs in adjacency if nbrs), default=0)  # no other b is reached
     source_residual = [2] * na  # remaining capacity source -> a
     live = list(range(na))  # ascending: the a with source_residual[a] > 0
     matched_to = [-1] * nb  # which a feeds b (b -> sink saturated iff != -1)

@@ -44,6 +44,7 @@ from soficlab.errors import (
     ResourceCapError,
     int_row_speller,
     load_json,
+    read_json,
 )
 from soficlab.metrics import UnitaryMatrix, random_unitary
 
@@ -257,7 +258,9 @@ def test_certificate_load_pauses_the_collector(tmp_path):
 
     text = path.read_text()
     duplicate = tmp_path / "dup.json"
-    duplicate.write_text(text.replace('"map": {', '"map": {\n  "": [],', 1))
+    # a copy of the real image, so the repeated key is the file's only defect
+    start, end = image_span(text, "")
+    duplicate.write_text(text.replace('"map": {', '"map": {\n  "": ' + text[start:end] + ",", 1))
     truncated = tmp_path / "cut.json"
     truncated.write_text(text[:len(text) // 2])
     for bad, match in ((duplicate, "duplicate key ''"), (truncated, "not valid JSON")):
@@ -384,10 +387,25 @@ def certificate_file(tmp_path_factory):
     return tmp_path_factory.mktemp("reader") / "cert.json"
 
 
+def first_value_kept(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        doc.setdefault(key, value)
+    return doc
+
+
 def assert_reader_matches(path, text: str) -> None:
+    """The reader's outcome is that of the whole document; for a text with a
+    repeated key, it is the duplicate-key error or, as the reader stops at
+    its first defect, that of the document with each key's first value."""
     path.write_text(text)
     streamed = outcome(lambda: load_certificate(path, SMALL_LIMITS))
     whole = outcome(lambda: load_json(path, lambda doc: certificate_from_json(doc, SMALL_LIMITS)))
+    if (isinstance(whole, MalformedCertificateError) and str(whole).startswith("duplicate key")
+            and str(streamed) != str(whole)):
+        whole = outcome(lambda: read_json(path, lambda text: certificate_from_json(
+            json.loads(text, object_pairs_hook=first_value_kept), SMALL_LIMITS)))
+        assert isinstance(whole, Exception), streamed
     assert_same_outcome(streamed, whole)
 
 
@@ -408,20 +426,80 @@ SPLIT_STRING = UNITARY_EIGHT % ",".join(['["]",0.0]'] + ["[0.0,0.0]"] * 62)
 NESTED = UNITARY_EIGHT % ",".join(["[[1.0,0.0],2]", "5", "[0.0,0.0]", "5"] + ["[0.0,0.0]"] * 61)
 
 
+# a failing image, then a repeated key or a syntax error, which json.loads
+# reports instead: the reader stops at the image's own error
+IMAGE_FIRST = {
+    SYM_ONE + ', "map": {"": [1]}, "map": 2}': "image 0 is not a bijection",
+    SYM_ONE + ', "map": {"": [1.5]}, "claimed_defect": nul}': "permutation entries must be JSON",
+}
+
+
 @pytest.mark.parametrize("text", [
     '{"map": {"": [0]}, ' + HEAD % ("sym", 1) + "}",  # map first
-    # a failing image, then a repeated key or a syntax error: json.loads
-    # reports those first
-    SYM_ONE + ', "map": {"": [1]}, "map": 2}',
-    SYM_ONE + ', "map": {"": [1], "": [0]}}',
+    *IMAGE_FIRST,
+    SYM_ONE + ', "map": {"": [1], "": [0]}}',  # the repeated key comes before the map closes
     SYM_ONE + ', "map": {"": [1], "a": [0}',
-    SYM_ONE + ', "map": {"": [1.5]}, "claimed_defect": nul}',
     SYM_ONE + ', "map": {"": [0]}} []',  # extra data
     SPLIT_STRING, NESTED, SPLIT_STRING.replace('"]"', "1.0"),
     " [1, 2] ", "\ufeff{}", '{"schema": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', "", "{",
 ])
 def test_file_reader_edge_texts(certificate_file, text):
-    assert_reader_matches(certificate_file, text)
+    if text in IMAGE_FIRST:
+        certificate_file.write_text(text)
+        with pytest.raises(MalformedCertificateError, match=IMAGE_FIRST[text]):
+            load_certificate(certificate_file, SMALL_LIMITS)
+    else:
+        assert_reader_matches(certificate_file, text)
+
+
+@contextlib.contextmanager
+def no_image_read(text: str):
+    """Fail on any read of an image of `text`: by numpy's digit parser, the
+    permutation-matrix path, `_read_image`, or a value decoded past the
+    map's opening."""
+    opening = text.index('"map": {')
+    value = almosthom._CertificateText.value
+
+    def head_value(reader):
+        assert reader.pos < opening, "a value past the map's opening was decoded"
+        return value(reader)
+
+    fail = mock.Mock(side_effect=AssertionError("an image was read"))
+    with mock.patch.object(almosthom, "_read_image", fail), \
+            mock.patch.object(almosthom, "_permutation_image", fail), \
+            mock.patch.object(np, "fromstring", fail), \
+            mock.patch.object(almosthom._CertificateText, "value", head_value):
+        yield
+
+
+def test_caps_refuse_before_any_image_is_read(tmp_path):
+    """A ball cap below the ball, or a rank cap below the target's rank,
+    refuses a writer's certificate right after its head."""
+    z = zpower_backend(1)
+    sym = folner_certificate(ball(z, 2), folner_box(z, 8))
+    amplified = amplify_certificate(hyperlinear_certificate(sym), 1)
+    path = tmp_path / "cert.json"
+    for cert, limits, match in [(sym, ResourceLimits(ball_cap=4), "ball at radius"),
+                                (amplified, ResourceLimits(rank_cap=16), "unitary rank 64")]:
+        save_certificate(cert, path)
+        with no_image_read(path.read_text()), pytest.raises(ResourceCapError, match=match):
+            load_certificate(path, limits)
+
+
+def test_reader_stops_at_a_malformed_first_image(tmp_path):
+    """A sym certificate whose first image holds a float is refused with that
+    image's error after reading it alone: the text may end right after it."""
+    h = heisenberg_backend()
+    text = reference_text(folner_certificate(ball(h, 1), folner_box(h, 3)))
+    start, end = image_span(text, "")
+    first = "[\n   0,"
+    assert text[start:end].startswith(first)
+    path = tmp_path / "cert.json"
+    path.write_text(text[:start] + "[\n   0.0," + text[start + len(first):end] + ",\n  ")
+    with mock.patch.object(almosthom, "_read_image", wraps=almosthom._read_image) as decoded, \
+            pytest.raises(MalformedCertificateError, match="permutation entries must be JSON"):
+        load_certificate(path)
+    assert decoded.call_count == 1
 
 
 COMMANDS = {
@@ -711,6 +789,7 @@ def test_sym_images_take_the_digit_path(tmp_path):
         assert load_certificate(path).hom.images.tobytes() == cert.hom.images.tobytes()
     compact = tmp_path / "compact.json"
     compact.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
-    with mock.patch.object(almosthom, "_read_image", wraps=almosthom._read_image) as decoded:
+    with mock.patch.object(almosthom, "_read_image", wraps=almosthom._read_image) as decoded, \
+            mock.patch.object(np, "fromstring", side_effect=AssertionError("np.fromstring")):
         assert load_certificate(compact).hom.images.tobytes() == cert.hom.images.tobytes()
     assert decoded.call_count == len(cert.hom.images)

@@ -182,6 +182,20 @@ def test_hall_command(tmp_path, capsys):
     assert doc["witness"] == [0]
 
 
+def test_hall_sizes_its_flow_by_the_adjacent_right_vertices(tmp_path, capsys):
+    """Right vertices no edge reaches change nothing, so a right count of
+    2^70 gives the report of the same edges with no such vertex; the flow's
+    lists were sized by the count, which raised OverflowError."""
+    reports = []
+    for right_count in (4, 2**70):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(
+            {"left_count": 2, "right_count": right_count, "adjacency": [[0, 1], [1, 2, 3]]}))
+        assert run(["hall", graph]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_paradox_commands(capsys):
     assert run(["paradox", "--radius", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

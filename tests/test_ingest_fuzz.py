@@ -10,10 +10,13 @@ values.  The same holds for files read through `load_json`, whose texts
 are valid documents with a key duplicated or cut short, and arbitrary short
 strings; the reader leaves the cyclic collector as it found it.  The CLI
 commands that read group tables and graphs, given such documents as files
-under small caps, return 0, 1 or 2 and raise nothing.
+under small caps, return 0, 1 or 2 and raise nothing; so does `main()` on
+argv drawn from a grammar of its subcommands, families, flags and integers.
 """
 
+import contextlib
 import gc
+import io
 import json
 import os
 from unittest import mock
@@ -25,11 +28,11 @@ from soficlab.almosthom import certificate_from_json, certificate_to_json
 from soficlab.amenability import folner_box
 from soficlab.backends import finite_backend_from_json, zpower_backend
 from soficlab.balls import ball
-from soficlab.cli import main
+from soficlab.cli import FAMILIES, main
 from soficlab.config import ResourceLimits
 from soficlab.constructions import folner_certificate, hyperlinear_certificate
 from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
-from soficlab.graphs import ColoredGraph
+from soficlab.graphs import ColoredGraph, cert_to_graph
 from soficlab.matching import BipartiteGraph
 
 C3_TABLE = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0,
@@ -235,3 +238,90 @@ def test_cli_fuzz(cli_files, command, data):
     caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "8"}
     with mock.patch.dict(os.environ, caps):
         assert main([cli_files.get(arg, arg) for arg in argv]) in (0, 1, 2)
+
+
+# argv grammar: each subcommand with each of its options present or absent,
+# in the order drawn; a value is a family, an integer (negative, 0, small or
+# 10^12), a threshold, an input file (mostly of the kind the command reads,
+# or a missing one) or an output file, and a token may be dropped or an
+# unknown one added
+INTEGERS = st.integers(1, 4) | st.sampled_from([-1, 0, 10**12])
+THRESHOLDS = st.sampled_from(["1e-6", "0.5", "1.4", "0", "-1", "nan", "inf"])
+INPUTS = st.sampled_from(["sym.json", "unitary.json", "table.json", "graph.json",
+                          "bipartite.json", "missing.json"])
+VALUES = {
+    "--family": st.sampled_from([*FAMILIES, "klein"]),
+    "--table": st.just("table.json") | INPUTS, "--eps": THRESHOLDS, "--delta": THRESHOLDS,
+    "-o": st.sampled_from(["out.json", "out.dot"]),
+    "CERTIFICATE": st.sampled_from(["sym.json", "unitary.json"]) | INPUTS,
+    "GRAPH": st.just("graph.json") | INPUTS, "BIPARTITE": st.just("bipartite.json") | INPUTS,
+    "WHAT": st.sampled_from(["sinfty", "amplify", "tour"]),
+}
+SUBCOMMANDS = {
+    "ball": ["--family", "--rank", "--table", "--radius", "-o"],
+    "certify": ["--family", "--rank", "--table", "--radius", "--folner", "-o"],
+    "verify": ["CERTIFICATE", "--eps", "--delta", "-o"],
+    "amplify": ["CERTIFICATE", "--times", "-o"],
+    "to-unitary": ["CERTIFICATE", "-o"],
+    "graph": ["CERTIFICATE", "-o"],
+    "match-fraction": ["GRAPH", "--family", "--rank", "--table", "--radius", "-o"],
+    "folner": ["--family", "--rank", "--table", "-L", "-o"],
+    "hall": ["BIPARTITE", "-o"],
+    "paradox": ["--radius", "--spread", "-o"],
+    "demo": ["WHAT", "--k", "--rank", "--pairs", "--seed", "-o"],
+}
+
+
+@st.composite
+def argvs(draw) -> list:
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for option in draw(st.permutations(SUBCOMMANDS[command])):
+        if draw(st.integers(0, 4)):  # present four times in five
+            value = str(draw(VALUES.get(option, INTEGERS)))
+            argv += [option, value] if option.startswith("-") else [value]
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ["--radius", "--bogus", "-h", "--version", "1"])))
+    return argv
+
+
+# the files that drawn argv name, rewritten before each draw, as a drawn
+# -o may name one of them
+ARGV_INPUTS = {
+    "sym.json": json.dumps(SYM_CERT, indent=1) + "\n",
+    "unitary.json": json.dumps(UNITARY_CERT, indent=1) + "\n",
+    "graph.json": cert_to_graph(_Z_CERT.hom).json_text() + "\n",
+    "table.json": json.dumps(C3_TABLE), "bipartite.json": json.dumps(HALL_GRAPH),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_cli_argv_fuzz(argv_folder, argv):
+    """`main()` on any drawn argv, run in a temporary folder that takes
+    every output, under small caps, exits 0, 1 or 2 (argparse's SystemExit
+    counted by its code) and prints no traceback."""
+    for name, text in ARGV_INPUTS.items():
+        (argv_folder / name).write_text(text)
+    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "16", "SOFICLAB_PRIME_CEILING": "50"}
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(argv_folder)  # contextlib.chdir needs Python 3.11
+    try:
+        with mock.patch.dict(os.environ, caps), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
