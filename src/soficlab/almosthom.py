@@ -20,7 +20,7 @@ import numpy as np
 
 from .backends import backend_from_descriptor
 from .balls import BallTable, ball
-from .config import ResourceLimits, default_limits
+from .config import default_limits
 from .errors import (
     EXIT_FAIL,
     EXIT_MALFORMED,
@@ -421,11 +421,12 @@ def _claim(doc: dict, key: str) -> float:
         raise MalformedCertificateError(f"{key} out of range: {exc}") from exc
 
 
-def _almost_hom(doc: dict, limits: ResourceLimits, entries=None) -> AlmostHom:
+def _almost_hom(doc: dict, entries=None) -> AlmostHom:
     """The checked AlmostHom of a certificate document whose map is a dict,
     or is read as `entries(kind, n)`: (key, read) per entry, read() giving
     its checked row.  The rows are stacked once every key is read, so nothing
     is allocated for images that the input lacks."""
+    rank_cap = default_limits().rank_cap
     try:
         if doc.get("schema") != CERT_SCHEMA:
             raise MalformedCertificateError(f"unknown schema {doc.get('schema')!r}")
@@ -438,13 +439,13 @@ def _almost_hom(doc: dict, limits: ResourceLimits, entries=None) -> AlmostHom:
         raise MalformedCertificateError(f"bad certificate structure: {exc}") from exc
     if kind not in ("sym", "unitary"):
         raise MalformedCertificateError(f"unknown target kind {kind!r}")
-    if kind == "unitary" and n > limits.rank_cap:
-        raise ResourceCapError(f"unitary rank {n} exceeds cap {limits.rank_cap}")
+    if kind == "unitary" and n > rank_cap:
+        raise ResourceCapError(f"unitary rank {n} exceeds cap {rank_cap}")
     if entries is None and not isinstance(mapping, dict):
         raise MalformedCertificateError("map must be a JSON object keyed by words")
     pairs = entries(kind, n) if entries else (
         (key, partial(_read_image, kind, n, raw)) for key, raw in mapping.items())
-    domain = ball(backend, radius, limits)
+    domain = ball(backend, radius)
     rows: list = [None] * len(domain)
     keys: list = [None] * len(domain)
     alphabet = backend.alphabet
@@ -481,16 +482,16 @@ def _certificate(hom: AlmostHom, doc: dict) -> Certificate:
     )
 
 
-def certificate_from_json(doc: dict, limits: ResourceLimits | None = None) -> Certificate:
+def certificate_from_json(doc: dict) -> Certificate:
     """Parse and structurally validate a certificate document.
 
     Raises MalformedCertificateError on any structural violation; this is a
     different failure mode than verification failure.  A unitary rank above
-    limits.rank_cap raises ResourceCapError before any image is read.
+    the rank cap raises ResourceCapError before any image is read.
     """
     if not isinstance(doc, dict):
         raise MalformedCertificateError("certificate document must be a JSON object")
-    return _certificate(_almost_hom(doc, limits or default_limits()), doc)
+    return _certificate(_almost_hom(doc), doc)
 
 
 _skip = json.decoder.WHITESPACE.match
@@ -535,12 +536,19 @@ class _CertificateText:
         self.pos = pos + 1
 
     def images(self, kind: str, n: int):
-        """(key, read) per key of the map at the cursor, read() giving its
-        checked row: `_digit_row` or `_permutation_rows` reads an image in the
-        writer's spelling, and any other is decoded whole."""
+        """(key, read) per key of the map at the cursor, read() moving the
+        cursor past the key's value and giving its checked row, so a key is
+        checked before its image is read: `_digit_row` or `_permutation_rows`
+        reads an image in the writer's spelling, and any other is decoded
+        whole."""
         spelled = self._digit_row if kind == "sym" else self._permutation_rows
+
+        def read():
+            fast = spelled(n)
+            return fast() if fast else _read_image(kind, n, self.value())
+
         for key in self.members():
-            yield key, spelled(n) or partial(_read_image, kind, n, self.value())
+            yield key, read
 
     def _spelled(self, pieces, read):
         """`read` if the text at the cursor is `pieces`, joined, moving the
@@ -585,29 +593,30 @@ class _CertificateText:
         return self._spelled(_permutation_pieces(columns), partial(_permutation_image, columns))
 
 
-def _certificate_from_text(text: str, limits: ResourceLimits) -> Certificate:
+def _certificate_from_text(text: str) -> Certificate:
     """json.loads then `certificate_from_json`, in outcome, when json.loads
     accepts `text`.  A map after schema, group, radius and target is read an
     image at a time, and any other text fails at its first defect: a JSON error
     or repeated key where it occurs, a check once its value or the map is read."""
     reader = _CertificateText(text)
     if not text.startswith("{", reader.pos):
-        return certificate_from_json(reader.decode(text), limits)
+        return certificate_from_json(reader.decode(text))
     head, hom = {}, None
     for key in reader.members():
         if (key == "map" and text.startswith("{", reader.pos)
                 and {"schema", "group", "ball_radius", "target"} <= head.keys()):
-            hom = _almost_hom({**head, "map": None}, limits, reader.images)
+            hom = _almost_hom({**head, "map": None}, reader.images)
         else:
             head[key] = reader.value()
     end = _skip(text, reader.pos).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    return _certificate(hom, head) if hom else certificate_from_json(head, limits)
+    return _certificate(hom, head) if hom else certificate_from_json(head)
 
 
-def load_certificate(path, limits: ResourceLimits | None = None) -> Certificate:
-    """The certificate in the JSON file at `path`, under `limits`: as
-    `certificate_from_json` on a document that json.loads accepts, else refused
-    at the text's first defect, so a cap refuses right after the head."""
-    return read_json(path, partial(_certificate_from_text, limits=limits or default_limits()))
+def load_certificate(path) -> Certificate:
+    """The certificate in the JSON file at `path`: as `certificate_from_json`
+    on a document that json.loads accepts, else refused at the text's first
+    defect, so a cap refuses right after the head."""
+    default_limits()  # a malformed cap in the environment fails before the file is opened
+    return read_json(path, _certificate_from_text)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .backends import Canon, GroupBackend, HeisenbergBackend, ZPowerBackend, free_backend
 from .balls import ball
-from .config import ResourceLimits, default_limits
+from .config import default_limits
 from .errors import ResourceCapError
 
 
@@ -149,12 +149,11 @@ def generator_folner_defect(phi: FolnerSet) -> Fraction:
     return folner_defect(phi, [b.letter(s) for s in b.alphabet.signed_letters()])
 
 
-def folner_box(backend: GroupBackend, side: int,
-               limits: ResourceLimits | None = None) -> FolnerSet:
+def folner_box(backend: GroupBackend, side: int) -> FolnerSet:
     """Standard box witnesses: [0, L)^d for Z^d; a, b in [0, L) and
     c in [0, L^2) for the Heisenberg group.  Free and finite backends are
     rejected (finite groups use the whole group as their Folner set).  A box
-    of more than limits.ball_cap points raises ResourceCapError before
+    of more points than the ball cap raises ResourceCapError before
     anything is allocated."""
     if side < 1:
         raise ValueError("side must be >= 1")
@@ -164,7 +163,7 @@ def folner_box(backend: GroupBackend, side: int,
         shape = (side, side, side * side)
     else:
         raise ValueError(f"no box construction for backend kind {backend.kind!r}")
-    cap = (limits or default_limits()).ball_cap
+    cap = default_limits().ball_cap
     size = math.prod(shape)
     if size > cap:
         raise ResourceCapError(f"Folner box of {size} points exceeds cap of {cap} elements")
@@ -196,7 +195,7 @@ class ParadoxReport:
         return self.a_identity_holds and self.b_identity_holds and self.partition_ok
 
 
-def paradox_verify(radius: int, limits: ResourceLimits | None = None) -> ParadoxReport:
+def paradox_verify(radius: int) -> ParadoxReport:
     """Check, over the free ball B_N, the two translation identities behind
     the paradoxical decomposition of the rank-2 free group: every nonempty
     word lies in exactly one of {w(a), a*w(a^-1)} and exactly one of
@@ -208,7 +207,7 @@ def paradox_verify(radius: int, limits: ResourceLimits | None = None) -> Paradox
     none), both identities are array comparisons."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    table = ball(free_backend(2), radius, limits)
+    table = ball(free_backend(2), radius)
     parents, letters = np.asarray(table.parents), np.asarray(table.letters)
     first, second = np.zeros_like(letters), np.zeros_like(letters)
     for depth, (lo, hi) in enumerate(table.levels(), 1):
@@ -232,8 +231,7 @@ def paradox_verify(radius: int, limits: ResourceLimits | None = None) -> Paradox
     )
 
 
-def ball_expansion(backend: GroupBackend, radius: int,
-                   limits: ResourceLimits | None = None) -> Fraction:
+def ball_expansion(backend: GroupBackend, radius: int) -> Fraction:
     """min over signed generators g of |g B_N symdiff B_N| / |B_N|.  The
     ball is symmetric, so b -> b^-1 maps {b : g b in B_N} onto
     {c : c g^-1 in B_N}, and |g B_N intersect B_N| is the count of defined
@@ -241,11 +239,11 @@ def ball_expansion(backend: GroupBackend, radius: int,
 
     For free groups this stays bounded away from 0 as N grows; for Z^d it
     decays to 0, the amenable contrast case."""
-    table = ball(backend, radius, limits)
+    table = ball(backend, radius)
     n = len(table)
     inside = np.count_nonzero(table.succ[:-1] >= 0, axis=0).tolist()
     return min(Fraction(2 * (n - k), n) for k in inside)
 
 
-def f2_ball_expansion(radius: int, limits: ResourceLimits | None = None) -> Fraction:
-    return ball_expansion(free_backend(2), radius, limits)
+def f2_ball_expansion(radius: int) -> Fraction:
+    return ball_expansion(free_backend(2), radius)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ResourceLimits, default_limits
+from .config import ITERATION_CAP
 from .errors import ResourceCapError
 from .metrics import UnitaryMatrix, check_gram, gram_defect, hs_distance, phase_aligned_hs
 
@@ -85,18 +85,16 @@ def iterate_amplification(d0: float, k: int) -> list[float]:
     return orbit
 
 
-def iterations_to_tolerance(d0: float, tol: float,
-                            limits: ResourceLimits | None = None) -> int:
+def iterations_to_tolerance(d0: float, tol: float) -> int:
     """First index k (0-based along the orbit) with |orbit_k - sqrt(2)| < tol."""
-    limits = limits or default_limits()
     d = d0
-    for k in range(limits.iteration_cap + 1):
+    for k in range(ITERATION_CAP + 1):
         if abs(d - SQRT2) < tol:
             return k
         d = amplified_distance(d)
     raise ResourceCapError(
         f"orbit from {d0} did not reach tolerance {tol} within "
-        f"{limits.iteration_cap} iterations"
+        f"{ITERATION_CAP} iterations"
     )
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .backends import Canon, FreeBackend, GroupBackend
-from .config import ResourceLimits, default_limits
+from .config import default_limits
 from .errors import ResourceCapError
 from .words import Word
 
@@ -41,7 +41,6 @@ class BallTable:
     parents: array  # index of the parent element; -1 at the identity
     letters: array  # signed letter from the parent to the element; 0 at the identity
     succ: np.ndarray
-    limits: ResourceLimits  # the caps the ball was built under
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -93,12 +92,12 @@ class BallTable:
         word g_j is walked from every g_i, one `succ` gather per depth.  A
         free ball walks its own `succ`, exact because g g_p lies in the ball
         whenever g g_p x does in a free group.  Any other ball walks the
-        `succ` of B_2N, built under the ball's limits: every prefix product
+        `succ` of B_2N, held to the ball cap in force: every prefix product
         g_i g_p has length <= 2N, and BFS order makes B_N a prefix of B_2N,
         so an index >= |B_N| lies outside the ball."""
         n = len(self)
         succ = (self.succ if isinstance(self.backend, FreeBackend)
-                else ball(self.backend, 2 * self.radius, self.limits).succ)
+                else ball(self.backend, 2 * self.radius).succ)
         step = max(1, _PRODUCT_CHUNK // n)
         for lo in range(0, n, step):
             block = self.walk(succ, np.arange(lo, min(lo + step, n))).T  # block[i - lo, j] = k
@@ -115,19 +114,20 @@ class BallTable:
         return rows
 
 
-def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = None) -> BallTable:
+def ball(backend: GroupBackend, radius: int) -> BallTable:
     """Enumerate the radius-N ball around the identity.
 
     For finite-table backends the radius may exceed the diameter, in which
     case the ball saturates at the whole group.  Raises ResourceCapError if
-    the element count would exceed the configured cap; a free ball is
-    checked against the cap before anything is allocated.
+    the element count would exceed the ball cap, read from the environment
+    at each call; a free ball is checked against it before anything is
+    allocated.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    limits = limits or default_limits()
+    cap = default_limits().ball_cap
     if isinstance(backend, FreeBackend):
-        return _free_ball(backend, radius, limits)
+        return _free_ball(backend, radius, cap)
     letters = [(s, backend.letter(s)) for s in backend.alphabet.signed_letters()]
     identity = backend.identity()
     elements: list[Canon] = [identity]
@@ -141,10 +141,8 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
             h = backend.multiply(g, letter)
             j = index.get(h, -1)
             if j < 0 and depth <= radius:
-                if len(elements) >= limits.ball_cap:
-                    raise ResourceCapError(
-                        f"ball at radius {depth} exceeds cap of {limits.ball_cap} elements"
-                    )
+                if len(elements) >= cap:
+                    raise ResourceCapError(f"ball at radius {depth} exceeds cap of {cap} elements")
                 j = index[h] = len(elements)
                 elements.append(h)
                 lengths.append(depth)
@@ -154,16 +152,16 @@ def ball(backend: GroupBackend, radius: int, limits: ResourceLimits | None = Non
     succ.extend([-1] * len(letters))
     succ = np.array(succ, dtype=np.int32).reshape(-1, len(letters))
     succ.setflags(write=False)
-    table = BallTable(backend, radius, lengths, parents, steps, succ, limits)
+    table = BallTable(backend, radius, lengths, parents, steps, succ)
     vars(table).update(elements=tuple(elements), index=index)  # seed the cached properties
     return table
 
 
-def _free_ball(backend: FreeBackend, radius: int, limits: ResourceLimits) -> BallTable:
+def _free_ball(backend: FreeBackend, radius: int, cap: int) -> BallTable:
     """The free ball in closed form: depth k + 1 lists each depth-k element
     once per signed letter, in signed order, skipping the inverse of its
     last letter, which steps back to its parent."""
-    rank, cap = backend.rank, limits.ball_cap
+    rank = backend.rank
     size, level = 1, 2 * rank  # free_ball_size depth by depth, up to the first over the cap
     for depth in range(1, radius + 1):
         size += level
@@ -186,7 +184,7 @@ def _free_ball(backend: FreeBackend, radius: int, limits: ResourceLimits) -> Bal
     succ.setflags(write=False)
     return BallTable(backend, radius, array("i", lengths.tobytes()), array("i", parents.tobytes()),
                      array("b", letters.astype(np.int8).tobytes()) if rank < 128
-                     else array("i", letters.tobytes()), succ, limits)
+                     else array("i", letters.tobytes()), succ)
 
 
 def _columns(letters: np.ndarray, rank: int) -> np.ndarray:

@@ -58,10 +58,9 @@ def _emit(doc, path=None) -> None:
 
 def cmd_ball(args) -> int:
     from .balls import ball
-    from .config import default_limits
 
     backend = _backend_for(args)
-    table = ball(backend, args.radius, default_limits())
+    table = ball(backend, args.radius)
     by_length = dict(enumerate(np.bincount(table.lengths).tolist()))
     _emit(
         {
@@ -79,17 +78,15 @@ def cmd_ball(args) -> int:
 def cmd_certify(args) -> int:
     from .almosthom import measured_certificate, save_certificate
     from .balls import ball
-    from .config import default_limits
     from .constructions import folner_certificate, free_sofic_certificate, lef_to_sofic
 
-    limits = default_limits()
     if args.family == "free":
         if args.rank != 2:
             raise SoficlabError(f"--family free certifies rank 2 only, not --rank {args.rank}")
-        cert = free_sofic_certificate(args.radius, limits)
+        cert = free_sofic_certificate(args.radius)
     elif args.family == "finite":
         backend = _backend_for(args)
-        domain = ball(backend, args.radius, limits)
+        domain = ball(backend, args.radius)
         identity_mono = {i: g for i, g in enumerate(domain.elements)}
         hom = lef_to_sofic(domain, backend, identity_mono)
         cert = measured_certificate(hom, provenance=f"finite regular rep, radius={args.radius}")
@@ -99,7 +96,7 @@ def cmd_certify(args) -> int:
         from .amenability import folner_box
 
         backend = _backend_for(args)
-        domain = ball(backend, args.radius, limits)
+        domain = ball(backend, args.radius)
         cert = folner_certificate(domain, folner_box(backend, args.folner))
     save_certificate(cert, args.output)
     print(
@@ -122,11 +119,10 @@ def cmd_verify(args) -> int:
 
 def cmd_amplify(args) -> int:
     from .almosthom import load_certificate, save_certificate
-    from .config import default_limits
     from .constructions import amplify_certificate
 
     cert = load_certificate(args.certificate)
-    out = amplify_certificate(cert, args.times, default_limits())
+    out = amplify_certificate(cert, args.times)
     save_certificate(out, args.output)
     print(
         f"amplified x{args.times}: rank {cert.hom.target_n} -> {out.hom.target_n}, "
@@ -159,12 +155,11 @@ def cmd_graph(args) -> int:
 
 def cmd_match_fraction(args) -> int:
     from .balls import ball
-    from .config import default_limits
     from .graphs import ColoredGraph, local_match_fraction
 
     graph = load_json(args.graph, ColoredGraph.from_json)
     backend = _backend_for(args)
-    reference = ball(backend, args.radius, default_limits())
+    reference = ball(backend, args.radius)
     report = local_match_fraction(graph, args.radius, reference)
     _emit(
         {

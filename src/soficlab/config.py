@@ -10,7 +10,7 @@ ENV_PRIME_CEILING = "SOFICLAB_PRIME_CEILING"
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_RANK_CAP = 256
 DEFAULT_PRIME_CEILING = 10**4
-DEFAULT_ITERATION_CAP = 200
+ITERATION_CAP = 200  # amplification iterations per request; fixed
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,11 @@ class ResourceLimits:
         the 2 * pairs * rank^2 entries `demo amplify` draws.
     rank_cap: maximum rank of a unitary matrix (amplification grows rank fast).
     prime_ceiling: largest prime scanned when searching for mod-p witnesses.
-    iteration_cap: maximum number of amplification iterations per request.
     """
 
     ball_cap: int = DEFAULT_BALL_CAP
     rank_cap: int = DEFAULT_RANK_CAP
     prime_ceiling: int = DEFAULT_PRIME_CEILING
-    iteration_cap: int = DEFAULT_ITERATION_CAP
 
     @classmethod
     def from_env(cls) -> "ResourceLimits":
@@ -54,4 +52,6 @@ def _env_cap(name: str, default: int) -> int:
 
 
 def default_limits() -> ResourceLimits:
+    """The caps in force: read from the environment at each call, which is
+    the one place the library's caps come from."""
     return ResourceLimits.from_env()

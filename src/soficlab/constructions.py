@@ -11,7 +11,7 @@ import numpy as np
 from .almosthom import AlmostHom, Certificate, _permutation_image, measured_certificate
 from .backends import FiniteBackend, free_backend
 from .balls import BallTable, ball
-from .config import ResourceLimits, default_limits
+from .config import ITERATION_CAP, default_limits
 from .errors import BackendMismatchError, ResourceCapError
 from .metrics import canonical_fill
 from .words import word_to_str
@@ -90,7 +90,7 @@ def lef_to_sofic(domain: BallTable, target: FiniteBackend,
                      images=regular_representation(target)[values])
 
 
-def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) -> Certificate:
+def free_sofic_certificate(radius: int) -> Certificate:
     """Exact sofic certificate for the rank-2 free group: map the ball into
     SL(2, Z_p) for the least injective prime p, then act by right
     translations.
@@ -103,12 +103,12 @@ def free_sofic_certificate(radius: int, limits: ResourceLimits | None = None) ->
     unless they hold, i.e. unless the images form a local monomorphism."""
     from .sl2 import distinct_matrices, lef_witness_free, sl2_ball_images, sl2_right_translations
 
-    limits = limits or default_limits()
-    p = lef_witness_free(radius, limits)
+    ball_cap = default_limits().ball_cap
+    p = lef_witness_free(radius)
     order = p * (p * p - 1)
-    if order > limits.ball_cap:
+    if order > ball_cap:
         raise ResourceCapError(f"|SL(2,Z_{p})| = {order} exceeds the cap")
-    domain = ball(free_backend(2), radius, limits)
+    domain = ball(free_backend(2), radius)
     mats = sl2_ball_images(domain, p)
     i, j, k = domain.products.T
     if not np.array_equal(mats[i] @ mats[j] % p, mats[k]):
@@ -144,8 +144,7 @@ def hyperlinear_certificate(cert: Certificate) -> Certificate:
     )
 
 
-def amplify_certificate(cert: Certificate, times: int,
-                        limits: ResourceLimits | None = None) -> Certificate:
+def amplify_certificate(cert: Certificate, times: int) -> Certificate:
     """Pass every image through the tensor square `times` times.  Pairwise
     separations follow the iterated distance map.  `times` is held to the
     iteration cap and the rank, n^(2^times), to the rank cap, both before
@@ -157,14 +156,14 @@ def amplify_certificate(cert: Certificate, times: int,
     hom = cert.hom
     if hom.target_kind != "unitary":
         raise ValueError("unitary target required")
-    limits = limits or default_limits()
-    if times > limits.iteration_cap:
-        raise ResourceCapError(f"{times} amplification steps exceed cap {limits.iteration_cap}")
+    rank_cap = default_limits().rank_cap
+    if times > ITERATION_CAP:
+        raise ResourceCapError(f"{times} amplification steps exceed cap {ITERATION_CAP}")
     rank = hom.target_n
     for _ in range(times):  # stepwise: no rank past the first one over the cap is formed
         rank *= rank
-        if rank > limits.rank_cap:
-            raise ResourceCapError(f"amplified rank {rank} exceeds cap {limits.rank_cap}")
+        if rank > rank_cap:
+            raise ResourceCapError(f"amplified rank {rank} exceeds cap {rank_cap}")
     images = hom.images
     for _ in range(times):
         images = conj_kron(images)

@@ -22,7 +22,6 @@ import numpy as np
 from .almosthom import AlmostHom
 from .balls import BallTable, ball
 from .backends import free_backend
-from .config import ResourceLimits
 from .errors import (
     BackendMismatchError,
     MalformedCertificateError,
@@ -144,13 +143,12 @@ class LocalMatchReport:
         return Fraction(self.matched_count, self.total_count)
 
 
-def cayley_ball_graph(backend, radius: int,
-                      limits: ResourceLimits | None = None) -> ColoredGraph:
+def cayley_ball_graph(backend, radius: int) -> ColoredGraph:
     """Coloured Cayley ball: vertices are ball elements, a colour-v edge
     g -> gv whenever both endpoints lie in the ball (right multiplication)."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    table = ball(backend, radius, limits)
+    table = ball(backend, radius)
     return ColoredGraph(backend.alphabet.names, table.succ[:-1, :backend.rank].T)
 
 
@@ -171,7 +169,6 @@ _MATCH_CHUNK = 1 << 16
 
 def local_match_fraction(graph: ColoredGraph, radius: int,
                          reference: BallTable,
-                         limits: ResourceLimits | None = None,
                          max_failures: int = 10) -> LocalMatchReport:
     """Fraction of vertices whose N-ball is colour-isomorphic to the
     reference Cayley ball.
@@ -191,7 +188,7 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
         raise BackendMismatchError("graph colours do not match the reference alphabet")
     if reference.radius != radius:
         raise ValueError("reference ball radius must equal the requested radius")
-    free = ball(free_backend(backend.rank), radius, limits)
+    free = ball(free_backend(backend.rank), radius)
     # the reference element of each free word: no prefix of a word of length
     # <= N leaves B_N
     element = free.walk(reference.succ, np.zeros(1, dtype=np.int32))[:, 0]

@@ -25,7 +25,6 @@ import numpy as np
 
 from .backends import GroupBackend, free_backend
 from .balls import ball
-from .config import ResourceLimits
 from .errors import MalformedCertificateError, json_fields, json_int, json_ints
 from .words import word_to_str
 
@@ -205,8 +204,7 @@ class MatchingParadoxReport:
 
 
 def paradox_from_matching(radius: int, spread: int,
-                          backend: GroupBackend | None = None,
-                          limits: ResourceLimits | None = None) -> MatchingParadoxReport:
+                          backend: GroupBackend | None = None) -> MatchingParadoxReport:
     """Build the bipartite graph A = B_N, B = B_{N+k} with an edge (g, xg)
     for every x in B_k, run the (2,1)-matching, and on success derive the
     finite pieces Omega_{s,t} = {g : i(g) = sg, j(g) = tg}.
@@ -219,7 +217,7 @@ def paradox_from_matching(radius: int, spread: int,
     backend = backend or free_backend(2)
     # BFS order makes B_N and B_k prefixes of B_{N+k}: an element lies in
     # B_r exactly when its index is below |B_r|
-    outer, inner = ball(backend, radius + spread, limits), ball(backend, radius, limits)
+    outer, inner = ball(backend, radius + spread), ball(backend, radius)
     inner_size, translators = len(inner), bisect_right(outer.lengths, spread)
     # targets[x, g] is the index of x g, walked from x along g's word; every
     # prefix product x p has |x p| <= N + k, so none is -1

@@ -9,7 +9,7 @@ import numpy as np
 
 from .balls import BallTable, ball
 from .backends import FreeBackend, free_backend
-from .config import ResourceLimits, default_limits
+from .config import default_limits
 from .errors import ResourceCapError
 
 # I, A, B, B^-1, A^-1: the image of signed letter s is entry s
@@ -82,7 +82,7 @@ def sl2_right_translations(p: int, mats: np.ndarray) -> np.ndarray:
     return rows
 
 
-def lef_witness_free(radius: int, limits: ResourceLimits | None = None) -> int:
+def lef_witness_free(radius: int) -> int:
     """Smallest prime p for which evaluation mod p is injective on the
     radius-N ball of the rank-2 free group.
 
@@ -91,13 +91,13 @@ def lef_witness_free(radius: int, limits: ResourceLimits | None = None) -> int:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    limits = limits or default_limits()
-    domain = ball(free_backend(2), radius, limits)
+    ceiling = default_limits().prime_ceiling
+    domain = ball(free_backend(2), radius)
     p = 2
-    while p <= limits.prime_ceiling:
+    while p <= ceiling:
         if is_prime(p) and distinct_matrices(sl2_ball_images(domain, p)):
             return p
         p += 1
     raise ResourceCapError(
-        f"no injective prime below ceiling {limits.prime_ceiling} for radius {radius}"
+        f"no injective prime below ceiling {ceiling} for radius {radius}"
     )

@@ -74,10 +74,6 @@ def word_inverse(word: Word) -> Word:
     return tuple(-s for s in reversed(word))
 
 
-def word_concat(a: Word, b: Word) -> Word:
-    return reduce_word(a + b)
-
-
 def word_to_str(alphabet: GeneratorAlphabet, word: Word) -> str:
     """Space-separated canonical syntax; the empty word renders as ''."""
     return " ".join(alphabet.letter_name(s) for s in word)

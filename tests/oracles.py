@@ -13,7 +13,6 @@ from soficlab.amenability import PARADOX_PIECES, FolnerSet, ParadoxReport
 from soficlab.amplify import amplified_distance
 from soficlab.backends import FiniteBackend, free_backend
 from soficlab.balls import BallTable, ball
-from soficlab.config import ResourceLimits
 from soficlab.errors import BackendMismatchError
 from soficlab.graphs import ColoredGraph, LocalMatchReport
 from soficlab.matching import (
@@ -465,7 +464,6 @@ def _traverse(rows: list, start: int, word):
 
 def local_match_fraction(graph: ColoredGraph, radius: int,
                          reference: BallTable,
-                         limits: ResourceLimits | None = None,
                          max_failures: int = 10) -> LocalMatchReport:
     """Fraction of vertices whose N-ball is colour-isomorphic to the
     reference Cayley ball.
@@ -481,7 +479,7 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
         raise BackendMismatchError("graph colours do not match the reference alphabet")
     if reference.radius != radius:
         raise ValueError("reference ball radius must equal the requested radius")
-    free_words = ball(free_backend(backend.rank), radius, limits).elements
+    free_words = ball(free_backend(backend.rank), radius).elements
     targets = [backend.normal_form(w) for w in free_words]
     rows = _step_rows(graph)
     matched = 0

@@ -14,7 +14,6 @@ from soficlab.amplify import (
     iterations_to_tolerance,
     tensor_square,
 )
-from soficlab.config import ResourceLimits
 from soficlab.errors import ResourceCapError
 from soficlab.metrics import (
     UnitaryMatrix,
@@ -279,8 +278,8 @@ def test_iterations_to_tolerance():
     assert abs(orbit[k] - SQRT2) < 1e-6
     assert abs(orbit[k - 1] - SQRT2) >= 1e-6
     assert iterations_to_tolerance(SQRT2, 1e-6) == 0
-    with pytest.raises(ResourceCapError):
-        iterations_to_tolerance(1e-9, 1e-9, ResourceLimits(iteration_cap=5))
+    with pytest.raises(ResourceCapError, match="within 200 iterations$"):
+        iterations_to_tolerance(1e-9, 0.0)
 
 
 def test_halve_embed_exact_scaling():

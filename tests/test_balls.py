@@ -18,7 +18,6 @@ from soficlab.backends import (
     zpower_backend,
 )
 from soficlab.balls import ball, free_ball_size
-from soficlab.config import ResourceLimits
 from soficlab.errors import ResourceCapError
 
 from oracles import (
@@ -142,12 +141,13 @@ def test_successor_arrays_equal_multiplication(kind, radius):
 def test_free_ball_cap_names_the_first_depth_over_it(rank, radius, cap):
     over = next((d for d in range(1, min(radius, cap) + 1) if free_ball_size(rank, d) > cap),
                 None)
-    if over is None:
-        assert len(ball(free_backend(rank), radius, ResourceLimits(ball_cap=cap))) <= cap
-    else:
-        with pytest.raises(ResourceCapError,
-                           match=f"^ball at radius {over} exceeds cap of {cap} elements$"):
-            ball(free_backend(rank), radius, ResourceLimits(ball_cap=cap))
+    with mock.patch.dict(os.environ, {"SOFICLAB_BALL_CAP": str(cap)}):
+        if over is None:
+            assert len(ball(free_backend(rank), radius)) <= cap
+        else:
+            with pytest.raises(ResourceCapError,
+                               match=f"^ball at radius {over} exceeds cap of {cap} elements$"):
+                ball(free_backend(rank), radius)
 
 
 def test_free_ball_over_the_cap_allocates_nothing():
@@ -155,7 +155,7 @@ def test_free_ball_over_the_cap_allocates_nothing():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match="^ball at radius 12 exceeds cap of 1000000"):
-            ball(free_backend(2), 10**9, ResourceLimits(ball_cap=10**6))
+            ball(free_backend(2), 10**9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,8 +221,9 @@ def test_finite_backend_ball_saturates():
 
 
 def test_ball_cap_enforced():
-    with pytest.raises(ResourceCapError):
-        ball(free_backend(2), 4, ResourceLimits(ball_cap=50))
+    with mock.patch.dict(os.environ, {"SOFICLAB_BALL_CAP": "50"}), \
+            pytest.raises(ResourceCapError):
+        ball(free_backend(2), 4)
 
 
 def test_negative_radius_rejected():
@@ -266,11 +267,12 @@ def test_huge_radius_verify_exits_2_in_memory_linear_in_the_cap(tmp_path):
 
 def test_products_walk_the_double_ball_under_the_ball_limits():
     # B_30 of Z fits a cap of 100, yet its products walk B_60 (121 elements),
-    # which must be built under the same cap, not under the default one
-    limits = ResourceLimits(ball_cap=100)
-    table = ball(zpower_backend(1), 30, limits)
-    assert len(table) == 61 and table.limits == limits
-    with pytest.raises(ResourceCapError, match="exceeds cap of 100 elements"):
-        table.products
-    fits = ball(zpower_backend(1), 20, limits)  # B_40 has 81 elements
-    assert np.array_equal(fits.products, ball(zpower_backend(1), 20).products)
+    # which must be held to the same cap, not to the default one
+    expected = ball(zpower_backend(1), 20).products
+    with mock.patch.dict(os.environ, {"SOFICLAB_BALL_CAP": "100"}):
+        table = ball(zpower_backend(1), 30)
+        assert len(table) == 61
+        with pytest.raises(ResourceCapError, match="exceeds cap of 100 elements"):
+            table.products
+        fits = ball(zpower_backend(1), 20)  # B_40 has 81 elements
+        assert np.array_equal(fits.products, expected)

@@ -38,7 +38,6 @@ from soficlab.constructions import (
     lef_to_sofic,
     sofic_to_hyperlinear,
 )
-from soficlab.config import ResourceLimits
 from soficlab.errors import (
     MalformedCertificateError,
     ResourceCapError,
@@ -282,7 +281,7 @@ def test_certificate_load_pauses_the_collector(tmp_path):
 # the text image by image, and must give what json.loads then
 # `certificate_from_json` give, on any text.
 
-SMALL_LIMITS = ResourceLimits(ball_cap=64, rank_cap=16)
+SMALL_CAPS = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "16"}
 _rng = np.random.default_rng(16)
 _z1 = ball(zpower_backend(1), 1)
 # every entry of its images distinct
@@ -399,13 +398,14 @@ def assert_reader_matches(path, text: str) -> None:
     repeated key, it is the duplicate-key error or, as the reader stops at
     its first defect, that of the document with each key's first value."""
     path.write_text(text)
-    streamed = outcome(lambda: load_certificate(path, SMALL_LIMITS))
-    whole = outcome(lambda: load_json(path, lambda doc: certificate_from_json(doc, SMALL_LIMITS)))
-    if (isinstance(whole, MalformedCertificateError) and str(whole).startswith("duplicate key")
-            and str(streamed) != str(whole)):
-        whole = outcome(lambda: read_json(path, lambda text: certificate_from_json(
-            json.loads(text, object_pairs_hook=first_value_kept), SMALL_LIMITS)))
-        assert isinstance(whole, Exception), streamed
+    with mock.patch.dict(os.environ, SMALL_CAPS):
+        streamed = outcome(lambda: load_certificate(path))
+        whole = outcome(lambda: load_json(path, certificate_from_json))
+        if (isinstance(whole, MalformedCertificateError)
+                and str(whole).startswith("duplicate key") and str(streamed) != str(whole)):
+            whole = outcome(lambda: read_json(path, lambda text: certificate_from_json(
+                json.loads(text, object_pairs_hook=first_value_kept))))
+            assert isinstance(whole, Exception), streamed
     assert_same_outcome(streamed, whole)
 
 
@@ -426,28 +426,30 @@ SPLIT_STRING = UNITARY_EIGHT % ",".join(['["]",0.0]'] + ["[0.0,0.0]"] * 62)
 NESTED = UNITARY_EIGHT % ",".join(["[[1.0,0.0],2]", "5", "[0.0,0.0]", "5"] + ["[0.0,0.0]"] * 61)
 
 
-# a failing image, then a repeated key or a syntax error, which json.loads
-# reports instead: the reader stops at the image's own error
-IMAGE_FIRST = {
+# a failing image or map key, then a repeated key or a syntax error, which
+# json.loads reports instead: the reader stops at the first defect, and it
+# checks each map key before reading the key's image
+FIRST_DEFECT = {
     SYM_ONE + ', "map": {"": [1]}, "map": 2}': "image 0 is not a bijection",
     SYM_ONE + ', "map": {"": [1.5]}, "claimed_defect": nul}': "permutation entries must be JSON",
+    SYM_ONE + ', "map": {"": [1], "a": [0}': "map key 'a' lies outside the ball",
 }
 
 
 @pytest.mark.parametrize("text", [
     '{"map": {"": [0]}, ' + HEAD % ("sym", 1) + "}",  # map first
-    *IMAGE_FIRST,
+    *FIRST_DEFECT,
     SYM_ONE + ', "map": {"": [1], "": [0]}}',  # the repeated key comes before the map closes
-    SYM_ONE + ', "map": {"": [1], "a": [0}',
     SYM_ONE + ', "map": {"": [0]}} []',  # extra data
     SPLIT_STRING, NESTED, SPLIT_STRING.replace('"]"', "1.0"),
     " [1, 2] ", "\ufeff{}", '{"schema": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', "", "{",
 ])
 def test_file_reader_edge_texts(certificate_file, text):
-    if text in IMAGE_FIRST:
+    if text in FIRST_DEFECT:
         certificate_file.write_text(text)
-        with pytest.raises(MalformedCertificateError, match=IMAGE_FIRST[text]):
-            load_certificate(certificate_file, SMALL_LIMITS)
+        with mock.patch.dict(os.environ, SMALL_CAPS), \
+                pytest.raises(MalformedCertificateError, match=FIRST_DEFECT[text]):
+            load_certificate(certificate_file)
     else:
         assert_reader_matches(certificate_file, text)
 
@@ -479,11 +481,12 @@ def test_caps_refuse_before_any_image_is_read(tmp_path):
     sym = folner_certificate(ball(z, 2), folner_box(z, 8))
     amplified = amplify_certificate(hyperlinear_certificate(sym), 1)
     path = tmp_path / "cert.json"
-    for cert, limits, match in [(sym, ResourceLimits(ball_cap=4), "ball at radius"),
-                                (amplified, ResourceLimits(rank_cap=16), "unitary rank 64")]:
+    for cert, caps, match in [(sym, {"SOFICLAB_BALL_CAP": "4"}, "ball at radius"),
+                              (amplified, {"SOFICLAB_RANK_CAP": "16"}, "unitary rank 64")]:
         save_certificate(cert, path)
-        with no_image_read(path.read_text()), pytest.raises(ResourceCapError, match=match):
-            load_certificate(path, limits)
+        with no_image_read(path.read_text()), mock.patch.dict(os.environ, caps), \
+                pytest.raises(ResourceCapError, match=match):
+            load_certificate(path)
 
 
 def test_reader_stops_at_a_malformed_first_image(tmp_path):
@@ -500,6 +503,17 @@ def test_reader_stops_at_a_malformed_first_image(tmp_path):
             pytest.raises(MalformedCertificateError, match="permutation entries must be JSON"):
         load_certificate(path)
     assert decoded.call_count == 1
+
+
+def test_verify_checks_a_map_key_before_its_image(tmp_path, capsys):
+    """A key outside the ball is refused before its image is read, so the
+    syntax error later in that image is not what `verify` reports."""
+    path = tmp_path / "cert.json"
+    path.write_text('{"schema": "sofic-cert/v1", "group": {"kind": "zpower", "dim": 1}, '
+                    '"ball_radius": 0, "target": {"kind": "sym", "n": 1}, '
+                    '"map": {"": [0], "a": [0}}')
+    assert main(["verify", str(path), "--eps", "1", "--delta", "0"]) == 2
+    assert capsys.readouterr().err == "malformed: map key 'a' lies outside the ball\n"
 
 
 COMMANDS = {
@@ -519,8 +533,7 @@ def test_cli_exit_codes_on_certificate_files(certificate_file, text, command):
     certificate_file.write_text(text)
     out = certificate_file.with_name("out.json")
     err = io.StringIO()
-    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "16"}
-    with mock.patch.dict(os.environ, caps), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, SMALL_CAPS), contextlib.redirect_stderr(err):
         code = main([str(a) for a in COMMANDS[command](certificate_file, out)])
     assert code in (0, 1, 2)
     assert code != 1 or command == "verify"

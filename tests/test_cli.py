@@ -71,6 +71,14 @@ def test_env_caps_must_be_positive_integers(name, value, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_malformed_cap_fails_verify_before_the_file_is_read(tmp_path, capsys):
+    # the file does not exist, so reading it first would give an i/o error
+    with mock.patch.dict(os.environ, {"SOFICLAB_BALL_CAP": "abc"}):
+        assert run(["verify", tmp_path / "missing.json", "--eps", "1", "--delta", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: SOFICLAB_BALL_CAP must be an integer >= 1, got 'abc'\n")
+
+
 def test_certify_verify_pipeline(tmp_path, capsys):
     cert = tmp_path / "z.json"
     assert run(["certify", "--family", "z", "--folner", "100", "--radius", "2",
@@ -524,8 +532,9 @@ def test_unitary_rank_over_the_cap_is_rejected_before_the_images(tmp_path, capsy
     doc["target"]["n"] = 257
     with pytest.raises(ResourceCapError, match="rank 257"):
         almosthom.certificate_from_json(doc)
-    with pytest.raises(MalformedCertificateError, match="66049 entries"):  # 257^2
-        almosthom.certificate_from_json(doc, ResourceLimits(rank_cap=257))
+    with mock.patch.dict(os.environ, {"SOFICLAB_RANK_CAP": "257"}), \
+            pytest.raises(MalformedCertificateError, match="66049 entries"):  # 257^2
+        almosthom.certificate_from_json(doc)
     cert.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["verify", cert, "--eps", "1e-9", "--delta", "1"]) == 2

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,6 @@ from soficlab.amenability import folner_box
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import main
-from soficlab.config import ResourceLimits
 from soficlab.constructions import (
     amplify_certificate,
     folner_certificate,
@@ -251,15 +251,17 @@ def test_amplify_certificate_refuses_before_squaring():
     z = zpower_backend(1)
     rank4 = hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 4)))
     rank1 = hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 1)))
-    small = ResourceLimits(rank_cap=16, iteration_cap=5)
+    small = {"SOFICLAB_RANK_CAP": "16"}
     with mock.patch("soficlab.amplify.conj_kron", side_effect=AssertionError("squared")):
-        with pytest.raises(ResourceCapError, match="^amplified rank 256 exceeds cap 16$"):
-            amplify_certificate(rank4, 2, small)
+        with mock.patch.dict(os.environ, small), \
+                pytest.raises(ResourceCapError, match="^amplified rank 256 exceeds cap 16$"):
+            amplify_certificate(rank4, 2)
         with pytest.raises(ResourceCapError, match="^amplified rank 65536 exceeds cap 256$"):
             amplify_certificate(rank4, 40)
-        with pytest.raises(ResourceCapError, match="^6 amplification steps exceed cap 5$"):
-            amplify_certificate(rank1, 6, small)
+        with pytest.raises(ResourceCapError, match="^201 amplification steps exceed cap 200$"):
+            amplify_certificate(rank1, 201)
         with pytest.raises(ResourceCapError, match="^1000000000 amplification steps exceed"):
             amplify_certificate(rank1, 10**9)
-    assert amplify_certificate(rank4, 1, small).hom.target_n == 16
-    assert amplify_certificate(rank1, 5, small).hom.target_n == 1
+    with mock.patch.dict(os.environ, small):
+        assert amplify_certificate(rank4, 1).hom.target_n == 16
+    assert amplify_certificate(rank1, 200).hom.target_n == 1

@@ -2,7 +2,9 @@
 Folner defects, Reiter norms, Folner certificates, canonical fills and local
 match reports must be equal, not merely close."""
 
+import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from soficlab.amenability import (
 )
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
-from soficlab.config import ResourceLimits
 from soficlab.constructions import folner_to_sofic
 from soficlab.errors import ResourceCapError
 from soficlab.graphs import ColoredGraph, local_match_fraction
@@ -115,12 +116,12 @@ def test_folner_set_rejects_what_int64_cannot_hold_exactly():
 
 
 def test_folner_box_over_the_ball_cap_allocates_nothing():
-    limits = ResourceLimits(ball_cap=1000)
-    assert len(folner_box(zpower_backend(1), 1000, limits)) == 1000
-    with pytest.raises(ResourceCapError, match="1001 points"):
-        folner_box(zpower_backend(1), 1001, limits)
-    with pytest.raises(ResourceCapError, match=str(10**20)):
-        folner_box(heisenberg_backend(), 10**5, limits)
+    with mock.patch.dict(os.environ, {"SOFICLAB_BALL_CAP": "1000"}):
+        assert len(folner_box(zpower_backend(1), 1000)) == 1000
+        with pytest.raises(ResourceCapError, match="1001 points"):
+            folner_box(zpower_backend(1), 1001)
+        with pytest.raises(ResourceCapError, match=str(10**20)):
+            folner_box(heisenberg_backend(), 10**5)
 
 
 @st.composite

@@ -29,7 +29,6 @@ from soficlab.amenability import folner_box
 from soficlab.backends import finite_backend_from_json, zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import FAMILIES, main
-from soficlab.config import ResourceLimits
 from soficlab.constructions import folner_certificate, hyperlinear_certificate
 from soficlab.errors import MalformedCertificateError, ResourceCapError, load_json
 from soficlab.graphs import ColoredGraph, cert_to_graph
@@ -44,7 +43,13 @@ _Z_CERT = folner_certificate(ball(zpower_backend(1), 1), folner_box(zpower_backe
 SYM_CERT = certificate_to_json(_Z_CERT)
 UNITARY_CERT = certificate_to_json(hyperlinear_certificate(_Z_CERT))
 # small caps: a mutated radius or rank is refused at once instead of built
-SMALL_LIMITS = ResourceLimits(ball_cap=64, rank_cap=8)
+SMALL_CAPS = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "8"}
+
+
+def certificate_under_small_caps(doc):
+    with mock.patch.dict(os.environ, SMALL_CAPS):
+        return certificate_from_json(doc)
+
 
 scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.just(2**70)
            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
@@ -112,15 +117,15 @@ def test_bipartite_graph_loader_fuzz(doc):
 @example({**UNITARY_CERT, "target": {"kind": "unitary", "n": 9}})
 def test_certificate_loader_fuzz(doc):
     try:
-        certificate_from_json(doc, SMALL_LIMITS)
+        certificate_under_small_caps(doc)
     except (MalformedCertificateError, ResourceCapError):
         pass
 
 
 def test_valid_documents_load():
-    assert certificate_from_json(SYM_CERT, SMALL_LIMITS).hom.images.tolist() == [
+    assert certificate_under_small_caps(SYM_CERT).hom.images.tolist() == [
         [0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    assert certificate_from_json(UNITARY_CERT, SMALL_LIMITS).hom.target_n == 3
+    assert certificate_under_small_caps(UNITARY_CERT).hom.target_n == 3
     assert finite_backend_from_json(C3_TABLE).order == 3
     assert ColoredGraph.from_json(PARTIAL_GRAPH).successors.tolist() == [[1, 2, 0], [-1, 0, -1]]
     assert BipartiteGraph.from_json(HALL_GRAPH).adjacency == ((0, 1), (1, 2, 3))
@@ -128,7 +133,7 @@ def test_valid_documents_load():
 
 VALID_TEXTS = [json.dumps(doc) for doc in
                (SYM_CERT, UNITARY_CERT, C3_TABLE, PARTIAL_GRAPH, HALL_GRAPH)]
-BUILDERS = [lambda doc: certificate_from_json(doc, SMALL_LIMITS), finite_backend_from_json,
+BUILDERS = [certificate_under_small_caps, finite_backend_from_json,
             ColoredGraph.from_json, BipartiteGraph.from_json]
 _MARK = "\x00duplicate\x00"
 
@@ -235,8 +240,7 @@ def test_cli_fuzz(cli_files, command, data):
     base, argv = CLI_COMMANDS[command]
     with open(cli_files["IN"], "w", encoding="utf-8") as fh:
         json.dump(data.draw(mutated(base) | json_values), fh)
-    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "8"}
-    with mock.patch.dict(os.environ, caps):
+    with mock.patch.dict(os.environ, SMALL_CAPS):
         assert main([cli_files.get(arg, arg) for arg in argv]) in (0, 1, 2)
 
 

@@ -1,10 +1,12 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from soficlab.backends import free_backend, zpower_backend
 from soficlab.balls import ball
-from soficlab.config import ResourceLimits
 from soficlab.errors import ResourceCapError
 from soficlab.sl2 import (
     distinct_matrices,
@@ -109,8 +111,9 @@ def test_tree_images_need_the_rank_2_free_group():
 
 
 def test_lef_witness_respects_prime_ceiling():
-    with pytest.raises(ResourceCapError):
-        lef_witness_free(2, ResourceLimits(prime_ceiling=3))
+    with mock.patch.dict(os.environ, {"SOFICLAB_PRIME_CEILING": "3"}), \
+            pytest.raises(ResourceCapError, match="^no injective prime below ceiling 3 "):
+        lef_witness_free(2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
