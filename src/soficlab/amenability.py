@@ -9,7 +9,6 @@ from functools import cached_property
 import numpy as np
 
 from .backends import Canon, GroupBackend, HeisenbergBackend, ZPowerBackend, free_backend
-from .balls import ball
 from .config import default_limits
 from .errors import ResourceCapError
 
@@ -41,10 +40,12 @@ class FolnerSet:
         if points.shape[1:] != (dim,):
             raise ValueError(f"Folner set points must be {dim}-tuples")
         points = _int_coords(points, "Folner set coordinates")
-        points = points[np.lexsort(points.T[::-1])]
-        distinct = np.ones(len(points), dtype=bool)
-        distinct[1:] = (points[1:] != points[:-1]).any(axis=1)
-        points = points[distinct]
+        later = np.zeros(len(points) - 1, dtype=bool)  # rows given strictly increasing stay
+        for column in points.T[::-1]:  # row i + 1 after row i, from the last column on
+            later = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & later)
+        if not later.all():
+            points = points[np.lexsort(points.T[::-1])]
+            points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
         points.setflags(write=False)
         object.__setattr__(self, "coords", points)
 
@@ -63,13 +64,13 @@ class FolnerSet:
         of the previous prefix times the number of values plus the rank of
         the value.  Codes stay below n^2, and since the points are sorted,
         so are their prefix codes."""
-        code = np.zeros(len(self), dtype=np.int64)
+        code, found = np.zeros(len(self), dtype=np.int64), np.ones(len(self), dtype=bool)
         levels = []
         for column in self.coords.T:
             values = _distinct(np.sort(column))
-            code = code * len(values) + np.searchsorted(values, column)
+            code = code * len(values) + _find(values, column, found)
             prefixes = _distinct(code)
-            code = np.searchsorted(prefixes, code)
+            code = _find(prefixes, code, found)
             levels.append((values, prefixes))
         return levels
 
@@ -120,9 +121,13 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
 
 
 def _find(table: np.ndarray, keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Rank of each key in the sorted array `table`, clearing `hit` where the
-    key is absent.  Every rank is below len(table), so codes built from
-    ranks stay small whether or not the row was missed."""
+    """Rank of each key in the sorted distinct `table`, by subtraction when it
+    is a run of consecutive integers, clearing `hit` where the key is absent.
+    Every rank is below len(table), so codes built from ranks stay small."""
+    if table[-1] - table[0] == len(table) - 1:
+        rank = keys - table[0]
+        hit &= rank.view(np.uint64) < len(table)
+        return np.clip(rank, 0, len(table) - 1, out=rank)
     rank = np.searchsorted(table, keys)
     rank[rank == len(table)] = 0
     hit &= table[rank] == keys
@@ -144,9 +149,10 @@ def folner_defect(phi: FolnerSet, test_set: list[Canon]) -> Fraction:
 
 
 def generator_folner_defect(phi: FolnerSet) -> Fraction:
-    """Folner defect against the backend's signed generators."""
+    """Folner defect against the backend's signed generators, from the positive
+    ones: g^-1 phi symdiff phi = g^-1 (phi symdiff g phi), so g^-1 and g agree."""
     b = phi.backend
-    return folner_defect(phi, [b.letter(s) for s in b.alphabet.signed_letters()])
+    return folner_defect(phi, [b.letter(s) for s in range(1, b.rank + 1)])
 
 
 def folner_box(backend: GroupBackend, side: int) -> FolnerSet:
@@ -205,6 +211,8 @@ def paradox_verify(radius: int) -> ParadoxReport:
     letter when that letter is x, else x^-1 followed by w.  So with every
     word's first and second letters carried down the tree (0 where there is
     none), both identities are array comparisons."""
+    from .balls import ball
+
     if radius < 1:
         raise ValueError("radius must be >= 1")
     table = ball(free_backend(2), radius)
@@ -239,6 +247,8 @@ def ball_expansion(backend: GroupBackend, radius: int) -> Fraction:
 
     For free groups this stays bounded away from 0 as N grows; for Z^d it
     decays to 0, the amenable contrast case."""
+    from .balls import ball
+
     table = ball(backend, radius)
     n = len(table)
     inside = np.count_nonzero(table.succ[:-1] >= 0, axis=0).tolist()

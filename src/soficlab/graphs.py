@@ -16,10 +16,10 @@ precisely as the reference group elements do.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .almosthom import AlmostHom
 from .balls import BallTable, ball
 from .backends import free_backend
 from .errors import (
@@ -32,6 +32,9 @@ from .errors import (
     spliced_json,
 )
 from .metrics import canonical_fill
+
+if TYPE_CHECKING:  # almosthom loads only where a certificate is built
+    from .almosthom import AlmostHom
 
 
 @dataclass(eq=False)
@@ -152,7 +155,7 @@ def cayley_ball_graph(backend, radius: int) -> ColoredGraph:
     return ColoredGraph(backend.alphabet.names, table.succ[:-1, :backend.rank].T)
 
 
-def cert_to_graph(hom: AlmostHom) -> ColoredGraph:
+def cert_to_graph(hom: "AlmostHom") -> ColoredGraph:
     """Finite clone of the group from a symmetric-group certificate: vertices
     {0,...,n-1} and successor_v = the image permutation of generator v."""
     if hom.target_kind != "sym":
@@ -229,7 +232,7 @@ def local_match_fraction(graph: ColoredGraph, radius: int,
     )
 
 
-def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> AlmostHom:
+def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> "AlmostHom":
     """Extract a symmetric-group assignment from a coloured graph: each
     reference element acts by composing successor permutations along its
     canonical word.
@@ -238,6 +241,8 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> AlmostHom:
     fill (unmatched vertices paired in increasing order); extraction from a
     certificate-grade (total) graph is exact.
     """
+    from .almosthom import AlmostHom
+
     backend = reference.backend
     if tuple(backend.alphabet.names) != tuple(graph.colors):
         raise BackendMismatchError("graph colours do not match the reference alphabet")

@@ -395,6 +395,13 @@ def folner_defect(phi: FolnerSet, test_set: list) -> Fraction:
     return worst
 
 
+def positions(phi: FolnerSet, points: list) -> list:
+    """Index of each point in the sorted distinct points of phi, or -1 where
+    the point is not in phi."""
+    position = {x: i for i, x in enumerate(sorted(set(phi.elements)))}
+    return [position.get(tuple(x), -1) for x in points]
+
+
 def reiter_norm(phi: FolnerSet, g) -> Fraction:
     """l1 distance ||f - (g)f||_1 for f = indicator(phi)/|phi|, where
     ((g)f)(x) = f(g^-1 x).  Both take the value 1/|phi| on their supports,

@@ -683,6 +683,21 @@ def test_paradox_loads_no_certificate_layer():
     assert not loaded & {"soficlab.almosthom", "soficlab.metrics"}
 
 
+@pytest.mark.parametrize("argv,used,unused", [
+    (["match-fraction", "z_graph.json", "--family", "z", "--radius", "2"],
+     "soficlab.graphs", {"soficlab.almosthom"}),
+    (["folner", "--family", "heisenberg", "-L", "4"],
+     "soficlab.amenability", {"soficlab.almosthom", "soficlab.balls"}),
+])
+def test_checks_load_no_certificate_layer(argv, used, unused, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cert, _ = _z_certificate(tmp_path)
+    assert run(["graph", cert, "-o", "z_graph.json"]) == 0
+    code, loaded = _footprint(*argv)
+    assert code == 0 and used in loaded
+    assert not loaded & unused
+
+
 @pytest.mark.parametrize("argv,draws", [
     (["demo", "amplify", "--rank", "2", "--pairs", "1"], True),
     (["demo", "sinfty", "--k", "3"], False),

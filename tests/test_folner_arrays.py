@@ -84,6 +84,72 @@ def test_positions_index_the_sorted_distinct_points(case):
             assert phi.positions(translate(g)).tolist() == expected
 
 
+# the largest coordinate a point or translation may have
+BOUND = 2**31 - 1
+
+
+@st.composite
+def dense_folner_sets(draw):
+    """A backend, the points of a set whose columns take consecutive values,
+    and translations.  The set is a box at a random offset, that box with
+    random points removed (its values stay consecutive, its prefixes need
+    not), an L (the box less a corner box) or one point.  Translation
+    coordinates reach +-(2^31 - 1)."""
+    backend = BACKENDS[draw(st.sampled_from(sorted(BACKENDS)))]
+    d = _dim(backend)
+    sides = draw(st.tuples(*[st.integers(1, 5)] * d))
+    offset = draw(st.tuples(*[st.one_of(st.integers(-8, 8), st.integers(-BOUND, BOUND - 4))] * d))
+    box = np.indices(sides).reshape(d, -1).T
+    shape = draw(st.sampled_from(["box", "holes", "L", "point"]))
+    if shape == "holes":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(box), max_size=len(box))))
+        box = box[keep] if keep.any() else box[:1]
+    elif shape == "L":
+        corner = np.array(draw(st.tuples(*[st.integers(1, s) for s in sides])))
+        box = box[(box < corner).any(axis=1)]
+    elif shape == "point":
+        box = box[draw(st.integers(0, len(box) - 1))][None]
+    coordinate = st.one_of(st.integers(-6, 6), st.sampled_from([-BOUND, BOUND]))
+    shifts = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=4))
+    return backend, box + np.array(offset), shifts
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_folner_sets())
+def test_dense_levels_equal_the_set_route(case):
+    backend, points, shifts = case
+    phi = FolnerSet(backend, points)
+    for g in shifts:
+        for moved in (phi.left_translate(g), phi.right_translate(g)):
+            assert phi.positions(moved).tolist() == oracles.positions(phi, moved.tolist())
+    assert folner_defect(phi, shifts) == oracles.folner_defect(phi, shifts)
+    assert generator_folner_defect(phi) == oracles.folner_defect(
+        phi, [backend.letter(s) for s in backend.alphabet.signed_letters()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_folner_sets(), st.integers(1, 2))
+def test_dense_folner_to_sofic_equals_the_set_route(case, radius):
+    backend, points, _ = case
+    phi = FolnerSet(backend, points)
+    domain = ball(backend, radius)
+    assert np.array_equal(folner_to_sofic(domain, phi).images,
+                          oracles.folner_to_sofic(domain, phi).images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_folner_sets(), st.randoms(use_true_random=False))
+def test_points_are_kept_in_order_or_sorted_and_deduplicated(case, random):
+    """Strictly increasing rows are stored as given; shuffled or repeated
+    rows are stored as their lexicographically sorted distinct points."""
+    backend, points, _ = case
+    increasing = sorted(set(map(tuple, points.tolist())))
+    assert FolnerSet(backend, increasing).elements == tuple(increasing)
+    mixed = increasing + random.choices(increasing, k=random.randint(0, 3))
+    random.shuffle(mixed)
+    assert FolnerSet(backend, mixed).elements == tuple(increasing)
+
+
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_box_defects_equal_the_set_route(name):
     phi = folner_box(BACKENDS[name], 3)
