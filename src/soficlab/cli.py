@@ -8,6 +8,7 @@ loads only what its command needs.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -280,93 +281,104 @@ def cmd_demo(args) -> int:
     raise SoficlabError(f"unknown demo {args.what!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Arguments(list):
+    """The `add_argument` calls of one subparser, held until the parser is built."""
+
+    def add_argument(self, *args, **kwargs) -> None:
+        self.append((args, kwargs))
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help; only the one named `command` gets its
+    arguments, or all of them when `command` names none.  The subparser
+    named by the first word parses the rest of the command line alone."""
     parser = argparse.ArgumentParser(
         prog="soficlab",
         description="Finite metric approximations of countable groups",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    pending = {}
+
+    def add(name, func, help):
+        sub.add_parser(name, help=help).set_defaults(func=func)
+        return pending.setdefault(name, _Arguments())
 
     def add_family(p, required=True):
         p.add_argument("--family", choices=FAMILIES, required=required)
         p.add_argument("--rank", type=int, default=2, help="rank for the free family")
         p.add_argument("--table", help="finite group table JSON (finite family)")
 
-    p = sub.add_parser("ball", help="enumerate a word-metric ball and print stats")
+    p = add("ball", cmd_ball, "enumerate a word-metric ball and print stats")
     add_family(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("certify", help="construct a sofic certificate")
+    p = add("certify", cmd_certify, "construct a sofic certificate")
     add_family(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--folner", type=int, help="Folner box side for amenable families")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verify", help="verify a certificate against eps/delta")
+    p = add("verify", cmd_verify, "verify a certificate against eps/delta")
     p.add_argument("certificate")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("amplify", help="tensor-square amplify a unitary certificate")
+    p = add("amplify", cmd_amplify, "tensor-square amplify a unitary certificate")
     p.add_argument("certificate")
     p.add_argument("--times", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_amplify)
 
-    p = sub.add_parser("to-unitary", help="convert a sym certificate to a unitary one")
+    p = add("to-unitary", cmd_to_unitary, "convert a sym certificate to a unitary one")
     p.add_argument("certificate")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_to_unitary)
 
-    p = sub.add_parser("graph", help="export a certificate as a coloured graph")
+    p = add("graph", cmd_graph, "export a certificate as a coloured graph")
     p.add_argument("certificate")
     p.add_argument("-o", "--output", required=True, help=".json or .dot")
-    p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("match-fraction", help="locally-correct vertex fraction of a graph")
+    p = add("match-fraction", cmd_match_fraction, "locally-correct vertex fraction of a graph")
     p.add_argument("graph")
     add_family(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_match_fraction)
 
-    p = sub.add_parser("folner", help="Folner box defect and Reiter norm")
+    p = add("folner", cmd_folner, "Folner box defect and Reiter norm")
     add_family(p)
     p.add_argument("-L", "--side", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_folner)
 
-    p = sub.add_parser("hall", help="(2,1)-matching of a bipartite graph JSON")
+    p = add("hall", cmd_hall, "(2,1)-matching of a bipartite graph JSON")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_hall)
 
-    p = sub.add_parser("paradox", help="paradoxical decomposition checks")
+    p = add("paradox", cmd_paradox, "paradoxical decomposition checks")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--spread", type=int, help="run the matching-based construction with B_{N+k}")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_paradox)
 
-    p = sub.add_parser("demo", help="built-in demonstrations")
+    p = add("demo", cmd_demo, "built-in demonstrations")
     p.add_argument("what", choices=("sinfty", "amplify"))
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_demo)
 
+    for name, arguments in pending.items():
+        if command not in pending or name == command:
+            for args, kwargs in arguments:
+                sub.choices[name].add_argument(*args, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:  # run as the program
+        gc.freeze()  # what start-up left: no collection, those at exit too, rescans it
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -5,6 +5,7 @@ large arrays in the json module's indent=1 layout."""
 
 import gc
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,9 +94,15 @@ def int_row_speller(n: int, depth: int):
     """row -> the indent=1 text of a nonempty row of ints in [-1, n) at `depth`,
     in one join of one digit table's strings; -1, a coloured graph's missing
     edge, is null.  The one spelling of every int row the library writes."""
-    digits = np.array([*map(str, range(n)), "null"], dtype=object)
+    digits = _digit_table(n)
     pad = "\n" + " " * depth
     return lambda row: "[" + pad + ("," + pad).join(digits[row].tolist()) + pad[:-1] + "]"
+
+
+@lru_cache(maxsize=1)  # a process reads and writes rows of one n: a certificate, then its graph
+def _digit_table(n: int) -> np.ndarray:
+    """str(v) for every v < n, then "null", as one object array."""
+    return np.array([*map(str, range(n)), "null"], dtype=object)
 
 
 def spliced_json(doc: dict, key: str, text: str) -> str:

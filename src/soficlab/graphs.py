@@ -31,7 +31,6 @@ from .errors import (
     json_ints,
     spliced_json,
 )
-from .metrics import canonical_fill
 
 if TYPE_CHECKING:  # almosthom loads only where a certificate is built
     from .almosthom import AlmostHom
@@ -242,6 +241,7 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> "AlmostHom"
     certificate-grade (total) graph is exact.
     """
     from .almosthom import AlmostHom
+    from .metrics import canonical_fill
 
     backend = reference.backend
     if tuple(backend.alphabet.names) != tuple(graph.colors):

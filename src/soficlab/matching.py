@@ -20,6 +20,7 @@ pieces.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 
 import numpy as np
 
@@ -44,8 +45,8 @@ class BipartiteGraph:
         if len(self.adjacency) != self.left_count:
             raise ValueError("adjacency must list every left vertex")
         cleaned = []
-        for nbrs in self.adjacency:
-            uniq = tuple(sorted(set(nbrs)))
+        for nbrs in self.adjacency:  # rows given strictly increasing stay
+            uniq = tuple(nbrs) if all(map(lt, nbrs, nbrs[1:])) else tuple(sorted(set(nbrs)))
             if uniq and (uniq[0] < 0 or uniq[-1] >= self.right_count):
                 raise ValueError("neighbour index out of range")
             cleaned.append(uniq)

@@ -1,4 +1,7 @@
 import contextlib
+import gc
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -12,7 +15,7 @@ import soficlab
 from soficlab import almosthom
 from soficlab.backends import zpower_backend
 from soficlab.balls import ball
-from soficlab.cli import main
+from soficlab.cli import build_parser, main
 from soficlab.config import ResourceLimits
 from soficlab.errors import MalformedCertificateError, ResourceCapError
 from soficlab.metrics import Permutation, UnitaryMatrix
@@ -202,6 +205,23 @@ def test_hall_sizes_its_flow_by_the_adjacent_right_vertices(tmp_path, capsys):
         assert run(["hall", graph]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+def test_hall_sorts_deduplicates_and_range_checks_json_rows(tmp_path, capsys):
+    """Only rows given strictly increasing are kept as they are: unsorted or
+    repeated neighbours give the report of their sorted distinct rows, and a
+    neighbour out of range is refused wherever it stands in its row."""
+    graph = tmp_path / "graph.json"
+    reports = []
+    for adjacency in ([[0, 1], [1, 2, 3]], [[1, 0, 1], [3, 2, 1]], [[0, 0, 1], [1, 3, 3, 2]]):
+        graph.write_text(json.dumps({"left_count": 2, "right_count": 4, "adjacency": adjacency}))
+        assert run(["hall", graph]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    for row in ([4, 0], [0, 4], [-1, 0], [0, -1], [1, 1, 4], [2, 2, -1]):
+        graph.write_text(json.dumps({"left_count": 1, "right_count": 4, "adjacency": [row]}))
+        assert run(["hall", graph]) == 2
+        assert capsys.readouterr().err == "malformed: neighbour index out of range\n"
 
 
 def test_paradox_commands(capsys):
@@ -685,7 +705,7 @@ def test_paradox_loads_no_certificate_layer():
 
 @pytest.mark.parametrize("argv,used,unused", [
     (["match-fraction", "z_graph.json", "--family", "z", "--radius", "2"],
-     "soficlab.graphs", {"soficlab.almosthom"}),
+     "soficlab.graphs", {"soficlab.almosthom", "soficlab.metrics"}),
     (["folner", "--family", "heisenberg", "-L", "4"],
      "soficlab.amenability", {"soficlab.almosthom", "soficlab.balls"}),
 ])
@@ -728,3 +748,102 @@ def test_verify_reads_utf8_under_the_c_locale(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+SUBCOMMANDS = ("ball", "certify", "verify", "amplify", "to-unitary", "graph",
+               "match-fraction", "folner", "hall", "paradox", "demo")
+
+
+def _parsed(parse, argv):
+    """(namespace or exit code, stdout, stderr) of `parse(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def _bench_commands():
+    """Every argv of the three bench workloads, at full and at tiny size."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cmd.resolved(1) for w in workloads.WORKLOADS for tiny in (False, True)
+            for cmd in workloads.commands(w, tiny)]
+
+
+def test_the_program_freezes_its_start_up_heap():
+    """Run as the program, main() moves what is alive at start-up into the
+    permanent generation, so that no collection rescans it, those at exit
+    included."""
+    src = os.path.dirname(os.path.dirname(soficlab.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import atexit, gc, sys; from soficlab.cli import main; "
+             "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+             "sys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", probe, "ball", "--family", "z", "--radius", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["elements"] == 5
+    assert int(proc.stderr.splitlines()[-1]) > 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["ball", "--family", "z", "--radius", "2"], 0),
+    (["verify", "missing.json", "--eps", "0.1", "--delta", "0.1"], 2),
+    (["verify", "missing.json"], 2),
+    (["frobnicate"], 2),
+    ([], 2),
+])
+def test_main_with_an_argv_freezes_nothing(argv, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert _parsed(main, argv)[0] == code
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_parser_for_one_subcommand_gives_its_full_help(name):
+    result, out, err = _parsed(build_parser(name).parse_args, [name, "--help"])
+    assert (result, out, err) == _parsed(_full_parse, [name, "--help"])
+    assert result == 0 and out.startswith(f"usage: soficlab {name} ") and not err
+
+
+def test_every_subcommand_stays_registered():
+    _, _, err = _parsed(_full_parse, ["frobnicate"])
+    assert f"(choose from {', '.join(map(repr, SUBCOMMANDS))})" in err
+    for name in SUBCOMMANDS:
+        assert _parsed(build_parser(name).parse_args, ["frobnicate"])[2] == err
+
+
+def test_a_parser_for_one_subcommand_parses_every_bench_command():
+    argvs = _bench_commands()
+    assert {argv[0] for argv in argvs} >= {"certify", "verify", "to-unitary", "amplify",
+                                           "graph", "match-fraction", "paradox", "folner", "demo"}
+    for argv in argvs:
+        namespace = build_parser(argv[0]).parse_args(argv)
+        assert namespace == _full_parse(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--version"], ["frobnicate"], ["frobnicate", "--help"],
+    ["verify", "z.json"], ["verify", "z.json", "--eps", "x", "--delta", "1"],
+    ["certify", "--family", "q", "--radius", "1", "-o", "z.json"], ["ball", "--radius", "1"],
+    ["demo", "nothing"], ["hall"], ["hall", "a.json", "b.json"],
+    ["paradox", "--radius", "2", "--spread"], ["--version", "ball"], ["ball", "--version"],
+    ["--", "ball"],
+])
+def test_usage_errors_and_help_match_the_full_parser(argv):
+    """main(argv) prints the bytes and exits with the code that a parser
+    holding every subcommand's arguments gives."""
+    expected = _parsed(_full_parse, argv)
+    assert type(expected[0]) is int
+    assert _parsed(main, argv) == expected

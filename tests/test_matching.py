@@ -34,6 +34,7 @@ def random_graph(rng, max_left=6, max_right=12, density=0.5):
 def test_graph_canonicalizes_adjacency():
     g = BipartiteGraph(2, 3, ((2, 0, 2), (1,)))
     assert g.adjacency == ((0, 2), (1,))
+    assert BipartiteGraph(2, 3, ((0, 0, 2), (1, 2))).adjacency == ((0, 2), (1, 2))
     assert g.neighbourhood([0, 1]) == {0, 1, 2}
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, ((5,),))
