@@ -12,9 +12,8 @@ advisory and always recomputed on verification.
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
-from fractions import Fraction
-from itertools import chain, repeat
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .errors import (
     spliced_json,
     unique_keys,
 )
-from .metrics import check_unitary
 from .words import word_from_str, word_to_str
 
 CERT_SCHEMA = "sofic-cert/v1"
@@ -60,9 +58,10 @@ def _permutation_columns(images: np.ndarray) -> np.ndarray | None:
 @dataclass(eq=False)
 class AlmostHom:
     """A total assignment of target elements to the elements of a ball: row k
-    of the read-only images array is the image of ball element k, int32
-    (|B|, n) permutation rows for "sym" and complex128 (|B|, n, n) matrices
-    for "unitary".  Validated once, here; float entries are never truncated."""
+    of the read-only images array is the image of ball element k: int32 (|B|, n)
+    permutation rows for "sym"; for "unitary", int32 (|B|, n) columns of the 1s
+    of permutation matrices spelled with +0.0 and 1.0 only, else complex128
+    (|B|, n, n) matrices.  Validated once, here; floats are never truncated."""
 
     domain: BallTable
     target_kind: str  # "sym" | "unitary"
@@ -70,38 +69,38 @@ class AlmostHom:
     images: np.ndarray
 
     def __post_init__(self) -> None:
-        n, sym = self.target_n, self.target_kind == "sym"
+        n = self.target_n
         if self.target_kind not in ("sym", "unitary"):
             raise ValueError(f"unknown target kind {self.target_kind!r}")
         images = np.asarray(self.images)
-        if images.dtype.kind not in ("iu" if sym else "iufc"):
+        rows = self.target_kind == "sym" or images.ndim == 2  # permutation rows or columns
+        if images.dtype.kind not in ("iu" if rows else "iufc"):
             raise ValueError(f"{images.dtype} images do not fit a {self.target_kind!r} target")
         if images.shape[:1] != (len(self.domain),):
             raise ValueError("assignment must be total on the ball")
-        if images.shape[1:] != ((n,) if sym else (n, n)):
+        if images.shape[1:] != ((n,) if rows else (n, n)):
             raise ValueError("image degree/rank mismatch")
-        identity = np.arange(n) if sym else np.eye(n)
-        if sym:  # before the int32 cast, which would wrap large entries
+        identity = np.arange(n) if rows else np.eye(n)
+        if rows:  # before the int32 cast, which would wrap large entries
             step = max(1, _KERNEL_CHUNK // n)
             for lo in range(0, len(images), step):
                 bad = np.flatnonzero((np.sort(images[lo:lo + step], axis=1) != identity).any(axis=1))
                 if bad.size:
                     raise ValueError(
                         f"image {lo + bad[0]} is not a bijection of {{0,...,{n - 1}}}")
-        images = np.ascontiguousarray(images, dtype=np.int32 if sym else np.complex128).view()
-        self._columns = images, None if sym else _permutation_columns(images)
-        if not sym and self._columns[1] is None:  # else its Gram matrix is exactly I
+        images = np.ascontiguousarray(images, dtype=np.int32 if rows else np.complex128).view()
+        columns = None if rows else _permutation_columns(images)
+        if not rows and columns is None:  # else its Gram matrix is exactly I
+            from .metrics import check_unitary
+
             for image in images:
                 check_unitary(image)
         if np.max(np.abs(images[0] - identity)) > 1e-9:
             raise ValueError("ball identity must map to the identity")
+        if columns is not None and not np.signbit(images.view(np.float64)).any():
+            images = columns
         images.setflags(write=False)
         self.images = images
-
-
-def _columns(hom: AlmostHom) -> np.ndarray | None:
-    """`_permutation_columns(hom.images)`, as AlmostHom found it if it still holds `images`."""
-    return hom._columns[1] if hom._columns[0] is hom.images else _permutation_columns(hom.images)
 
 
 def _compose_rows(images, i, j):  # (s * t)(x) = t(s(x)), read off the flat rows
@@ -116,22 +115,20 @@ def _kernels(hom: AlmostHom):
     """(images, compose, distance, value) for the defect/separation scans:
     the images as rows of one (|B|, w) array; compose(images, i, j), the
     products of rows i by rows j; distance(a, b), per row the moved-point
-    count (sym and permutation matrices) or sqrt(sum |a - b|^2 / n) (any other unitary);
-    and value, which turns a row distance into an exact Fraction (sym) or a
-    float (unitary).  Permutation matrices (`_columns`) are
-    scanned as int32 permutation rows with value hs = sqrt(2k / n) for k
-    moved points, any other unitary images as complex128 rows.  Products are
-    never stored or returned, so unlike images they are not checked for
-    unitarity."""
+    count (sym and permutation columns) or sqrt(sum |a - b|^2 / n) (dense
+    unitary images); and value, which turns a row distance into an exact
+    Fraction (sym) or a float (unitary): hs = sqrt(2k / n) for permutation
+    matrices that move k points apart.  Products are never stored or
+    returned, so unlike images they are not checked for unitarity."""
     n = hom.target_n
-    if hom.target_kind == "sym":
-        return hom.images, _compose_rows, _moved_points, lambda k: Fraction(int(k), n)
+    if hom.images.ndim == 2:
+        if hom.target_kind == "sym":
+            from fractions import Fraction
 
-    rows = _columns(hom)
-    if rows is not None:
+            return hom.images, _compose_rows, _moved_points, lambda k: Fraction(int(k), n)
         # P_s - P_t has 2k entries +-1 for the k points s and t send apart, so
         # the dense scan's sum of squares is exactly 2k and its floats and pairs are these
-        return rows, _compose_rows, _moved_points, lambda k: math.sqrt(2 * int(k) / n)
+        return hom.images, _compose_rows, _moved_points, lambda k: math.sqrt(2 * int(k) / n)
     images = hom.images.reshape(len(hom.images), -1)
 
     def compose(images, i, j):
@@ -299,6 +296,7 @@ def certificate_to_json(cert: Certificate) -> dict:
     alphabet = hom.domain.backend.alphabet
     images = hom.images
     if hom.target_kind == "unitary":  # one [re, im] pair per entry
+        images = images if images.ndim == 3 else _permutation_image(images)
         images = images.view(np.float64).reshape(len(images), -1, 2)
     mapping = {word_to_str(alphabet, hom.domain.word(k)): image
                for k, image in enumerate(images.tolist())}
@@ -325,25 +323,27 @@ _SEP, _OPEN, _CLOSE = ",\n   ", "[\n   ", "\n  ]"  # between, before and after e
 _STRIDE = len(_ZERO) + len(_SEP)
 
 
-def _permutation_pieces(columns: list) -> list:
-    """The writer's text of `_permutation_image(columns)`, as json.dump spells
-    it, one piece per row: _ZERO and _ONE have one length, so the row with
-    its 1 at column c, and the separator after it, is a slice of one template."""
-    n = len(columns)
+@lru_cache(maxsize=1)  # a process writes or reads permutation images of one rank at a time
+def _row_texts(n: int) -> np.ndarray:
+    """The text of each row of a rank-n permutation matrix and the separator
+    after it, indexed by the column of its 1: _ZERO and _ONE have one length,
+    so each is a slice of one template."""
     template = _SEP.join([_ZERO] * (n - 1) + [_ONE] + [_ZERO] * n)
-    rows = [template[s:s + n * _STRIDE] for s in [(n - 1 - c) * _STRIDE for c in columns]]
+    starts = range((n - 1) * _STRIDE, -1, -_STRIDE)  # of the rows with their 1 at 0, 1, ...
+    return np.array([template[s:s + n * _STRIDE] for s in starts], dtype=object)
+
+
+def _permutation_pieces(columns) -> list:
+    """The writer's text of `_permutation_image(columns)`, as json.dump spells it, by rows."""
+    rows = _row_texts(len(columns))[columns].tolist()
     rows[-1] = rows[-1][:-len(_SEP)]  # no separator after the last entry
     return [_OPEN, *rows, _CLOSE]
 
 
-def _unitary_image_pieces(u: np.ndarray, columns: np.ndarray | None) -> list:
-    flat = np.ascontiguousarray(u).ravel()
-    # the template spells +0.0 and 1.0 only
-    if columns is not None and not np.signbit(flat.view(np.float64)).any():
-        return _permutation_pieces(columns.tolist())
+def _unitary_image_pieces(u: np.ndarray) -> list:
     # one C-encoder call spells every part exactly as json.dump does
     # (repr, NaN, Infinity, -0.0)
-    tokens = json.dumps(flat.view(np.float64).tolist())[1:-1].split(", ")
+    tokens = json.dumps(u.view(np.float64).ravel().tolist())[1:-1].split(", ")
     return [_OPEN, _SEP.join([f"[\n    {re},\n    {im}\n   ]"
                               for re, im in zip(tokens[0::2], tokens[1::2])]), _CLOSE]
 
@@ -357,8 +357,8 @@ def save_certificate(cert: Certificate, path) -> None:
     if hom.target_kind == "sym":  # one piece per image
         pieces = zip(map(int_row_speller(hom.target_n, 3), hom.images))
     else:
-        columns = _columns(hom)
-        pieces = map(_unitary_image_pieces, hom.images, repeat(None) if columns is None else columns)
+        pieces = map(_permutation_pieces if hom.images.ndim == 2 else _unitary_image_pieces,
+                     hom.images)
     head = _head_text(cert)
     tail = json.dumps(_tail_json(cert), indent=1)
     # an image is written in pieces, not as one string: at rank 256 each
@@ -409,6 +409,19 @@ def _permutation_image(columns) -> np.ndarray:
     """The complex128 permutation matrix whose row r holds its 1 at columns[r],
     or the stack of them for an (m, n) array of columns."""
     return np.eye(np.shape(columns)[-1], dtype=np.complex128)[columns]
+
+
+def _tensor_square(images) -> np.ndarray:
+    """conj(u) (x) u of each image of a unitary stack, in the stack's form:
+    columns square as the permutation sigma x sigma (row i*n + k goes to
+    sigma(i)*n + sigma(k)), the bits conj_kron gives on +0.0/1.0 permutation
+    matrices, and a dense stack through conj_kron."""
+    if images.ndim == 3:
+        from .amplify import conj_kron
+
+        return conj_kron(images)
+    n = images.shape[1]
+    return (images[:, :, None] * n + images[:, None, :]).reshape(len(images), n * n)
 
 
 def _claim(doc: dict, key: str) -> float:
@@ -464,9 +477,11 @@ def _almost_hom(doc: dict, entries=None) -> AlmostHom:
         rows[idx] = read()
     if None in keys:
         raise MalformedCertificateError("map does not cover the whole ball")
-    images = np.empty((len(rows), *rows[0].shape), rows[0].dtype)
+    # permutation columns stay columns unless another image is a dense matrix
+    shape = max((row.shape for row in rows), key=len)
+    images = np.empty((len(rows), *shape), np.int32 if len(shape) == 1 else np.complex128)
     for k, row in enumerate(rows):  # free each row once copied, never holding both whole
-        images[k], rows[k] = row, None
+        images[k], rows[k] = row if row.ndim == len(shape) else _permutation_image(row), None
     try:
         return AlmostHom(domain=domain, target_kind=kind, target_n=n, images=images)
     except ValueError as exc:
@@ -581,16 +596,18 @@ class _CertificateText:
         return self._spelled([self.spell(row)], partial(np.asarray, row, np.int32))
 
     def _permutation_rows(self, n: int):
-        """read() of the unitary image at the cursor if it is `_permutation_pieces`
-        of the columns of its rows' first "1"s, else None, found at the first
-        row whose "1" is out of place; such bytes pass `_read_image`."""
+        """read() of the unitary image at the cursor, as columns, if it is
+        `_permutation_pieces` of the columns of its rows' first "1"s, else None,
+        found at the first row whose "1" is out of place; such bytes pass `_read_image`."""
         text, start, columns = self.text, self.pos + len(_OPEN) + _ONE.index("1"), []
         for lo in range(start, start + n * n * _STRIDE, n * _STRIDE):  # a row's first "1" spot
             c, off = divmod(text.find("1", lo, lo + n * _STRIDE) - lo, _STRIDE)
             if off or c < 0:
                 return None
             columns.append(c)
-        return self._spelled(_permutation_pieces(columns), partial(_permutation_image, columns))
+        if len(set(columns)) < n:  # no permutation: decoded whole, for check_unitary's error
+            return None
+        return self._spelled(_permutation_pieces(columns), partial(np.asarray, columns, np.int32))
 
 
 def _certificate_from_text(text: str) -> Certificate:

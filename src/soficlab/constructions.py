@@ -8,12 +8,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .almosthom import AlmostHom, Certificate, _permutation_image, measured_certificate
+from .almosthom import AlmostHom, Certificate, _tensor_square, measured_certificate
 from .backends import FiniteBackend, free_backend
 from .balls import BallTable, ball
 from .config import ITERATION_CAP, default_limits
 from .errors import BackendMismatchError, ResourceCapError
-from .metrics import canonical_fill
 from .words import word_to_str
 
 if TYPE_CHECKING:  # amplify, amenability and sl2 load only where they are used
@@ -38,6 +37,8 @@ def folner_to_sofic(domain: BallTable, phi: "FolnerSet") -> AlmostHom:
     fill is still deterministic but boundary wrapping is inexact, leaving a
     defect on the order of the box's surface-to-volume ratio.
     """
+    from .metrics import canonical_fill
+
     if domain.backend != phi.backend:
         raise BackendMismatchError("ball and Folner set use different backends")
     images = np.empty((len(domain), len(phi)), dtype=np.int32)
@@ -125,16 +126,15 @@ def free_sofic_certificate(radius: int) -> Certificate:
 
 def sofic_to_hyperlinear(hom: AlmostHom) -> AlmostHom:
     """Push a symmetric-group certificate through the permutation-matrix
-    embedding.  Pairwise distances obey hamming = (1/2) hs^2, so a
-    separation s becomes sqrt(2 s) and a defect d becomes at most sqrt(2 d).
-    A degree above the rank cap raises ResourceCapError before allocating."""
+    embedding, a change of kind.  Pairwise distances obey hamming = (1/2) hs^2,
+    so a separation s becomes sqrt(2 s) and a defect d becomes sqrt(2 d).
+    A degree above the rank cap raises ResourceCapError."""
     if hom.target_kind != "sym":
         raise ValueError("sym target required")
     n, rank_cap = hom.target_n, default_limits().rank_cap
     if n > rank_cap:
         raise ResourceCapError(f"unitary rank {n} exceeds cap {rank_cap}")
-    return AlmostHom(domain=hom.domain, target_kind="unitary", target_n=n,
-                     images=_permutation_image(hom.images))
+    return AlmostHom(domain=hom.domain, target_kind="unitary", target_n=n, images=hom.images)
 
 
 def hyperlinear_certificate(cert: Certificate) -> Certificate:
@@ -149,8 +149,6 @@ def amplify_certificate(cert: Certificate, times: int) -> Certificate:
     separations follow the iterated distance map.  `times` is held to the
     iteration cap and the rank, n^(2^times), to the rank cap, both before
     any image is squared."""
-    from .amplify import conj_kron
-
     if times < 1:
         raise ValueError("times must be >= 1")
     hom = cert.hom
@@ -166,7 +164,7 @@ def amplify_certificate(cert: Certificate, times: int) -> Certificate:
             raise ResourceCapError(f"amplified rank {rank} exceeds cap {rank_cap}")
     images = hom.images
     for _ in range(times):
-        images = conj_kron(images)
+        images = _tensor_square(images)
     out = AlmostHom(domain=hom.domain, target_kind="unitary",
                     target_n=rank, images=images)
     return measured_certificate(

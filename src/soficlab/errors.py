@@ -69,8 +69,8 @@ def read_json(path, parse):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
+        with open(path, "rb") as fh:
+            return parse(_text(fh))  # the text is parse's alone, so it can drop it
     except DuplicateKeyError as exc:
         raise MalformedCertificateError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -78,6 +78,13 @@ def read_json(path, parse):
     finally:
         if enabled:
             gc.enable()
+
+
+def _text(fh) -> str:
+    """The text of the binary file `fh` as text mode reads it, universal
+    newlines included, decoded once from its bytes."""
+    text = str(fh.read(), "utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_json(path, build):

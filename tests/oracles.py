@@ -4,16 +4,17 @@ They are exhaustive or closed-form and only meant for small inputs, so they
 live with the tests rather than in the package.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 
-from soficlab.almosthom import AlmostHom, _kernels
+from soficlab.almosthom import AlmostHom, _kernels, _permutation_image
 from soficlab.amenability import PARADOX_PIECES, FolnerSet, ParadoxReport
 from soficlab.amplify import amplified_distance
 from soficlab.backends import FiniteBackend, free_backend
 from soficlab.balls import BallTable, ball
-from soficlab.errors import BackendMismatchError
+from soficlab.errors import BackendMismatchError, DuplicateKeyError, MalformedCertificateError
 from soficlab.graphs import ColoredGraph, LocalMatchReport
 from soficlab.matching import (
     BipartiteGraph,
@@ -24,6 +25,19 @@ from soficlab.matching import (
 from soficlab.metrics import Permutation, UnitaryMatrix
 from soficlab.sl2 import is_prime
 from soficlab.words import Word, word_to_str
+
+
+def text_mode_read_json(path, parse):
+    """`errors.read_json` with the file read by a text-mode
+    ``open(path, encoding="utf-8").read()``: universal newlines, strict
+    UTF-8, and the same errors as MalformedCertificateError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except DuplicateKeyError as exc:
+        raise MalformedCertificateError(str(exc)) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
 
 
 def is_reduced(letters) -> bool:
@@ -82,12 +96,18 @@ def value_error_text(check) -> str | None:
     return None
 
 
+def dense_images(hom: AlmostHom) -> np.ndarray:
+    """The complex128 (|B|, n, n) matrices of a unitary AlmostHom, whether
+    it holds them dense or as the int32 columns of permutation matrices."""
+    return hom.images if hom.images.ndim == 3 else _permutation_image(hom.images)
+
+
 def complex_unitary_kernels(hom: AlmostHom):
     """The unitary `almosthom._kernels` with complex128 arithmetic for every
     certificate, real or not: patched over `_kernels`, it runs the library's
     defect/separation scans (order, chunks, witness rule) on complex rows."""
     n = hom.target_n
-    images = hom.images.reshape(len(hom.images), -1)
+    images = dense_images(hom).reshape(len(hom.images), -1)
 
     def compose(images, i, j):
         return (images[i].reshape(-1, n, n) @ images[j].reshape(-1, n, n)).reshape(len(i), -1)

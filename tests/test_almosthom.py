@@ -47,8 +47,10 @@ def test_almosthom_validation():
         AlmostHom(domain, "sym", 3, np.array([swap, ident, ident]))  # identity image wrong
     with pytest.raises(ValueError):
         AlmostHom(domain, "perm", 3, np.array([ident, swap, swap]))  # unknown kind
-    with pytest.raises(ValueError):
-        AlmostHom(domain, "unitary", 3, np.array([ident, swap, swap]))  # wrong image type
+    with pytest.raises(ValueError, match="float64"):  # columns must be integers
+        AlmostHom(domain, "unitary", 3, np.array([ident, swap, swap], dtype=float))
+    with pytest.raises(ValueError, match="image 2 is not a bijection"):
+        AlmostHom(domain, "unitary", 3, np.array([ident, swap, [0, 0, 2]]))
     with pytest.raises(ValueError, match="float64"):
         AlmostHom(domain, "sym", 3, np.array([ident, swap, [1.7, 0, 2]]))  # not truncated
     with pytest.raises(ValueError, match="degree"):
@@ -59,8 +61,11 @@ def test_almosthom_validation():
         AlmostHom(domain, "sym", 3, (Permutation.identity(3),) * 3)
     hom = AlmostHom(domain, "sym", 3, np.array([ident, swap, swap]))
     assert hom.images.dtype == np.int32 and not hom.images.flags.writeable
-    # complex128 input is kept, not copied, and the caller's array stays writable
-    unitary = np.array([np.eye(2)] * 3, dtype=np.complex128)
+    # permutation matrices are held as the int32 columns of their 1s
+    hom = AlmostHom(domain, "unitary", 3, np.eye(3)[[ident, swap, swap]])
+    assert hom.images.tolist() == [ident, swap, swap] and not hom.images.flags.writeable
+    # any other complex128 input is kept, not copied, and the caller's array stays writable
+    unitary = np.array([np.eye(2), 1j * np.eye(2), np.eye(2)], dtype=np.complex128)
     hom = AlmostHom(domain, "unitary", 2, unitary)
     assert np.shares_memory(hom.images, unitary) and unitary.flags.writeable
     with pytest.raises(ValueError, match="not unitary"):

@@ -11,6 +11,7 @@ import math
 import os
 import random
 import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -47,7 +48,7 @@ from soficlab.errors import (
 )
 from soficlab.metrics import UnitaryMatrix, random_unitary
 
-from oracles import cyclic_backend, random_orthogonal
+from oracles import cyclic_backend, random_orthogonal, text_mode_read_json
 
 BACKENDS = {
     "z": lambda: zpower_backend(1),
@@ -570,7 +571,7 @@ def test_writer_matches_reference_permutation(tmp_path_factory, cert, twist, dat
     """The bytes are the encoder's, whether the images take the row template
     or, with one part -0.0 or one row times 1j, the distinct-entry path."""
     if twist != "none":
-        images = np.array(cert.hom.images)
+        images = almosthom._permutation_image(cert.hom.images)
         k = data.draw(st.integers(0, len(images) - 1))
         r = data.draw(st.integers(0, cert.hom.target_n - 1))
         if twist == "1j":
@@ -636,6 +637,20 @@ def test_reader_on_mutated_permutation_images(certificate_file, cert, mutation, 
     if mutation in ("swap rows", "separator") and n == 1:
         assert mutated == text
     assert_reader_matches(certificate_file, mutated)
+
+
+def test_reader_on_a_repeated_permutation_row(certificate_file):
+    """An image in the writer's row template whose 1s fall twice in one
+    column is no permutation matrix: it is decoded whole, and the outcome
+    is the dense check's error, as for the whole document."""
+    z = zpower_backend(1)
+    cert = hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 3)))
+    text = reference_text(cert)
+    start, end = image_span(text, list(certificate_to_json(cert)["map"])[1])
+    mutated = text[:start] + "".join(almosthom._permutation_pieces([0, 0, 2])) + text[end:]
+    assert_reader_matches(certificate_file, mutated)
+    with pytest.raises(MalformedCertificateError, match="not unitary"):
+        load_certificate(certificate_file)
 
 
 def test_permutation_images_take_the_row_template(tmp_path):
@@ -806,3 +821,55 @@ def test_sym_images_take_the_digit_path(tmp_path):
             mock.patch.object(np, "fromstring", side_effect=AssertionError("np.fromstring")):
         assert load_certificate(compact).hom.images.tobytes() == cert.hom.images.tobytes()
     assert decoded.call_count == len(cert.hom.images)
+
+
+def _unitary_z_bytes(tmp_path) -> bytes:
+    path = tmp_path / "z_unitary.json"
+    save_certificate(hyperlinear_certificate(
+        folner_certificate(ball(zpower_backend(1), 2), folner_box(zpower_backend(1), 6))), path)
+    return path.read_bytes()
+
+
+READER_INPUTS = {
+    "empty": lambda text: b"",
+    "CRLF": lambda text: text.replace(b"\n", b"\r\n"),
+    "lone CR": lambda text: text.replace(b"\n", b"\r"),
+    "CRLF, cut": lambda text: text.replace(b"\n", b"\r\n")[:len(text) // 2],
+    "lone CR, a repeated key": lambda text: text.replace(b"\n", b"\r").replace(
+        b'"provenance"', b'"claimed_defect"'),
+    "invalid UTF-8": lambda text: text.replace(b"folner", b"fol\xffner"),
+    "cut UTF-8": lambda text: text + b"\xe2\x9c",
+    "BOM": lambda text: b"\xef\xbb\xbf" + text,
+    "FIFO": lambda text: text,
+    "FIFO, CRLF": lambda text: text.replace(b"\n", b"\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", READER_INPUTS)
+def test_binary_reads_match_a_text_mode_read(tmp_path, capsys, name):
+    """A certificate file, a FIFO included, is read as bytes and decoded
+    once with text mode's universal newlines: `verify` gives the exit code,
+    report and `malformed:` message of a text-mode read of the same bytes."""
+    data = READER_INPUTS[name](_unitary_z_bytes(tmp_path))
+    path = tmp_path / "input.json"
+
+    def verify_outcome():
+        if name.startswith("FIFO"):
+            os.mkfifo(path)
+            feed = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+            feed.start()
+        else:
+            path.write_bytes(data)
+        capsys.readouterr()
+        code = main(["verify", str(path), "--eps", "1e-6", "--delta", "1"])
+        if name.startswith("FIFO"):
+            feed.join(10)
+            path.unlink()
+        return (code, *capsys.readouterr())
+
+    got = verify_outcome()
+    with mock.patch.object(almosthom, "read_json", text_mode_read_json):
+        want = verify_outcome()
+    assert got == want
+    assert got[0] == (0 if name in ("CRLF", "lone CR") or name.startswith("FIFO") else 2)
+    assert got[2] == "" if got[0] == 0 else got[2].startswith("malformed: ")

@@ -645,8 +645,8 @@ def test_closed_stdout_pipe_exits_2(unbuffered):
 
 
 # Runs one command through main() in a fresh interpreter, then writes its exit
-# code and the soficlab modules (and numpy.random) it loaded as the last line
-# of stderr.
+# code and the soficlab modules (and numpy.random and fractions) it
+# loaded as the last line of stderr.
 FOOTPRINT = """
 import json, sys
 from soficlab.cli import main
@@ -654,7 +654,8 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-loaded = sorted(m for m in sys.modules if m == "numpy.random" or m.split(".")[0] == "soficlab")
+loaded = sorted(m for m in sys.modules
+                if m in ("numpy.random", "fractions") or m.split(".")[0] == "soficlab")
 print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
@@ -671,6 +672,24 @@ def _footprint(*argv):
 
 def test_version_loads_only_the_cli_and_errors():
     assert _footprint("--version") == (0, {"soficlab", "soficlab.cli", "soficlab.errors"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "z_unitary.json", "--eps", "1e-9", "--delta", "1"],
+    ["to-unitary", "z.json", "-o", "out.json"],
+    ["amplify", "z_unitary.json", "--times", "1", "-o", "out.json"],
+    ["verify", "out.json", "--eps", "1e-9", "--delta", "1"],
+])
+def test_unitary_commands_load_neither_fractions_nor_metrics(argv, tmp_path, monkeypatch):
+    """Permutation-matrix certificates are held, squared and scanned as int32
+    columns: no exact Fraction and no dense unitarity check is needed."""
+    monkeypatch.chdir(tmp_path)
+    _z_certificate(tmp_path)
+    assert run(["to-unitary", "z.json", "-o", "z_unitary.json"]) == 0
+    assert run(["amplify", "z_unitary.json", "--times", "1", "-o", "out.json"]) == 0
+    code, loaded = _footprint(*argv)
+    assert code == 0
+    assert not loaded & {"fractions", "soficlab.metrics"}
 
 
 def test_verify_loads_only_the_certificate_layers(tmp_path):

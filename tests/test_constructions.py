@@ -26,6 +26,7 @@ from soficlab.errors import BackendMismatchError, ResourceCapError
 from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance
 from oracles import (
     cyclic_backend,
+    dense_images,
     is_fixed_point_free,
     lef_to_sofic_refusal,
     predicted_amplified,
@@ -210,7 +211,7 @@ def test_sofic_to_hyperlinear_distance_transform():
         for j in range(i + 1, len(uhom.images)):
             dh = float(hamming(Permutation(tuple(cert.hom.images[i])),
                                Permutation(tuple(cert.hom.images[j]))))
-            du = hs_distance(UnitaryMatrix(uhom.images[i]), UnitaryMatrix(uhom.images[j]))
+            du = hs_distance(*(UnitaryMatrix(u) for u in dense_images(uhom)[[i, j]]))
             assert abs(dh - du * du / 2.0) < 1e-9
     with pytest.raises(ValueError):
         sofic_to_hyperlinear(uhom)
@@ -229,12 +230,12 @@ def test_amplify_certificate_matches_prediction():
     ucert = hyperlinear_certificate(base)
     amped = amplify_certificate(ucert, 1)
     assert amped.hom.target_n == 16
-    hom, ahom = ucert.hom, amped.hom
-    for i in range(len(hom.images)):
-        for j in range(i + 1, len(hom.images)):
+    images, amplified = dense_images(ucert.hom), dense_images(amped.hom)
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
             want = predicted_amplified(
-                hs_distance(UnitaryMatrix(hom.images[i]), UnitaryMatrix(hom.images[j])), 1)
-            got = hs_distance(UnitaryMatrix(ahom.images[i]), UnitaryMatrix(ahom.images[j]))
+                hs_distance(UnitaryMatrix(images[i]), UnitaryMatrix(images[j])), 1)
+            got = hs_distance(UnitaryMatrix(amplified[i]), UnitaryMatrix(amplified[j]))
             assert abs(want - got) < 1e-7
     with pytest.raises(ResourceCapError):
         amplify_certificate(ucert, 3)  # 4^8 = 65536 > 256

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab import almosthom
+from soficlab import almosthom, metrics
 from soficlab.almosthom import (
     AlmostHom,
     Certificate,
@@ -40,7 +40,12 @@ from soficlab.metrics import (
 )
 from soficlab.words import word_to_str
 
-from oracles import complex_unitary_kernels, random_orthogonal, take_along_axis_kernels
+from oracles import (
+    complex_unitary_kernels,
+    dense_images,
+    random_orthogonal,
+    take_along_axis_kernels,
+)
 
 
 def as_permutations(hom: AlmostHom) -> list:
@@ -48,7 +53,7 @@ def as_permutations(hom: AlmostHom) -> list:
 
 
 def as_unitaries(hom: AlmostHom) -> list:
-    return [UnitaryMatrix(u) for u in hom.images]
+    return [UnitaryMatrix(u) for u in dense_images(hom)]
 
 
 def product_table(hom: AlmostHom) -> dict:
@@ -266,7 +271,7 @@ def real_unitary_homs(draw):
             times = draw(st.sampled_from([1, 2] if hom.target_n <= 4 else [1]))
             hom = amplify_certificate(measured_certificate(hom), times).hom
     if draw(st.booleans()):
-        hom = AlmostHom(hom.domain, "unitary", hom.target_n, hom.images.conj())
+        hom = AlmostHom(hom.domain, "unitary", hom.target_n, dense_images(hom).conj())
     return hom
 
 
@@ -281,9 +286,11 @@ def oracle_witnesses(hom: AlmostHom) -> tuple:
 
 
 def assert_scan_rows(hom: AlmostHom) -> None:
-    """Entries exactly 0 or 1 (-0.0 included) make permutation matrices,
-    scanned as int32 permutation rows; any other images as complex128 rows."""
-    zero_one = ((hom.images == 0) | (hom.images == 1)).all()
+    """Permutation matrices spelled with +0.0 and 1.0 only are held and
+    scanned as int32 columns; any other images, -0.0 included, as complex128
+    rows."""
+    images = dense_images(hom)
+    zero_one = ((images == 0) | (images == 1)).all() and not np.signbit(images.view(np.float64)).any()
     assert almosthom._kernels(hom)[0].dtype == (np.int32 if zero_one else np.complex128)
 
 
@@ -300,7 +307,7 @@ def test_real_unitary_kernels_match_complex_oracle(hom, chunk):
             # one image times -1, unless it was -1 (a 1 x 1 orthogonal draw),
             # or times 1j is no permutation matrix: the complex path
             for twist in (-1, 1j):
-                images = hom.images.copy()
+                images = dense_images(hom).copy()
                 images[-1] *= twist
                 twisted = AlmostHom(hom.domain, "unitary", hom.target_n, images)
                 assert_scan_rows(twisted)
@@ -315,18 +322,18 @@ def test_verify_checks_unitarity_once_per_image(tmp_path):
                  "-o", str(cert)]) == 0
     assert main(["to-unitary", str(cert), "-o", str(cert)]) == 0
     hom = load_certificate(cert).hom
-    images = hom.images.copy()
+    images = dense_images(hom).copy()
     images[-1] *= -1
     save_certificate(Certificate(AlmostHom(hom.domain, "unitary", 10, images), 0.0, 0.0), twisted)
     for path, want, code in ((cert, 0, 0), (twisted, len(ball(zpower_backend(1), 2)), 1)):
         checks = []
-        check_unitary = almosthom.check_unitary
+        check_unitary = metrics.check_unitary
 
         def counted(m, *args):
             checks.append(m)
             check_unitary(m, *args)
 
-        with mock.patch.object(almosthom, "check_unitary", counted):
+        with mock.patch.object(metrics, "check_unitary", counted):
             assert main(["verify", str(path), "--eps", "1e-6", "--delta", "1"]) == code
         assert len(checks) == want
 
@@ -349,20 +356,24 @@ def test_verify_and_measuring_derive_the_scan_rows_once(to_unitary):
 
 
 def test_permutation_columns_run_once_per_stack(tmp_path):
-    """A permutation-matrix stack is tested once, when the AlmostHom is
-    built; verify and the writer reuse its columns, until `images` is
-    reassigned."""
+    """A permutation-matrix stack is held as int32 columns from file to file:
+    to-unitary, the writer, the reader and verify never test a dense stack,
+    and a dense stack is tested once, when the AlmostHom is built."""
     z = zpower_backend(1)
-    cert = measured_certificate(sofic_to_hyperlinear(folner_to_sofic(ball(z, 2), folner_box(z, 6))))
     path = tmp_path / "z.json"
     with mock.patch.object(almosthom, "_permutation_columns",
                            wraps=almosthom._permutation_columns) as tested:
+        cert = measured_certificate(sofic_to_hyperlinear(folner_to_sofic(ball(z, 2), folner_box(z, 6))))
         save_certificate(cert, path)
         hom = load_certificate(path).hom
         verify(Certificate(hom, 0.0, 0.0), 1e-6, 0.5)
         save_certificate(Certificate(hom, 0.0, 0.0), path)
-        assert tested.call_count == 1
-        assert almosthom._kernels(hom)[0].dtype == np.int32
-        hom.images = -hom.images
-        assert almosthom._kernels(hom)[0].dtype == np.complex128
+        assert tested.call_count == 0
+        assert almosthom._kernels(hom)[0].dtype == np.int32 and hom.images.shape == (5, 6)
+        dense = AlmostHom(hom.domain, "unitary", 6, dense_images(hom))
+        assert np.array_equal(dense.images, hom.images) and tested.call_count == 1
+        images = dense_images(hom).copy()
+        images[-1] *= -1
+        twisted = AlmostHom(hom.domain, "unitary", 6, images)
+        assert almosthom._kernels(twisted)[0].dtype == np.complex128
         assert tested.call_count == 2

@@ -30,6 +30,7 @@ from soficlab.metrics import (
 )
 
 from oracles import (
+    dense_images,
     hs_distance_trace,
     is_fixed_point_free,
     normalized_trace,
@@ -193,7 +194,7 @@ def test_check_unitary_amplified_certificate_images_skip_the_dense_product():
     the stack is not, and each of the 13 images passes the dense check."""
     backend = zpower_backend(1)
     hom = sofic_to_hyperlinear(folner_to_sofic(ball(backend, 6), folner_box(backend, 16)))
-    images = amplify_certificate(Certificate(hom, 0.0, 1.0), 1).hom.images
+    images = dense_images(amplify_certificate(Certificate(hom, 0.0, 1.0), 1).hom)
     assert images.shape == (13, 256, 256)
     columns = almosthom._permutation_columns(images)
     assert np.array_equal(columns, images.real.argmax(axis=-1))
