@@ -11,7 +11,7 @@ advisory and always recomputed on verification.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -223,17 +223,9 @@ class VerificationReport:
         return EXIT_PASS if self.passed else EXIT_FAIL
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "defect": self.defect,
-            "separation": self.separation,
-            "eps": self.eps,
-            "delta": self.delta,
-            "worst_defect_pair": list(self.worst_defect_pair) if self.worst_defect_pair else None,
-            "worst_separation_pair": list(self.worst_separation_pair)
-            if self.worst_separation_pair
-            else None,
-        }
+        """The fields in declaration order, a witness pair as a list."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
 def check_thresholds(eps: float, delta: float) -> None:

@@ -162,12 +162,9 @@ def _free_ball(backend: FreeBackend, radius: int, cap: int) -> BallTable:
     once per signed letter, in signed order, skipping the inverse of its
     last letter, which steps back to its parent."""
     rank = backend.rank
-    size, level = 1, 2 * rank  # free_ball_size depth by depth, up to the first over the cap
-    for depth in range(1, radius + 1):
-        size += level
-        if size > cap:
+    for depth in range(1, radius + 1):  # up to the first depth over the cap
+        if free_ball_size(rank, depth) > cap:
             raise ResourceCapError(f"ball at radius {depth} exceeds cap of {cap} elements")
-        level *= 2 * rank - 1
     signed = np.array(backend.alphabet.signed_letters(), dtype=np.int32)
     parents, letters, start = [np.array([-1])], [np.array([0], dtype=np.int32)], 0
     for _ in range(radius):

@@ -281,96 +281,66 @@ def cmd_demo(args) -> int:
     raise SoficlabError(f"unknown demo {args.what!r}")
 
 
-class _Arguments(list):
-    """The `add_argument` calls of one subparser, held until the parser is built."""
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
-    def add_argument(self, *args, **kwargs) -> None:
-        self.append((args, kwargs))
+
+_FAMILY = (
+    _arg("--family", choices=FAMILIES, required=True),
+    _arg("--rank", type=int, default=2, help="rank for the free family"),
+    _arg("--table", help="finite group table JSON (finite family)"),
+)
+_RADIUS = _arg("--radius", type=int, required=True)
+_CERTIFICATE, _OUTPUT = _arg("certificate"), _arg("-o", "--output")
+_WRITES = _arg("-o", "--output", required=True)
+
+# Each subcommand once, in the order of the help text: its help and its
+# arguments.  The subcommand `name` runs cmd_<name>, with "-" read as "_".
+COMMANDS = {
+    "ball": ("enumerate a word-metric ball and print stats", (*_FAMILY, _RADIUS, _OUTPUT)),
+    "certify": ("construct a sofic certificate", (
+        *_FAMILY, _RADIUS, _arg("--folner", type=int, help="Folner box side for amenable families"),
+        _WRITES)),
+    "verify": ("verify a certificate against eps/delta", (
+        _CERTIFICATE, _arg("--eps", type=float, required=True),
+        _arg("--delta", type=float, required=True), _OUTPUT)),
+    "amplify": ("tensor-square amplify a unitary certificate", (
+        _CERTIFICATE, _arg("--times", type=int, required=True), _WRITES)),
+    "to-unitary": ("convert a sym certificate to a unitary one", (_CERTIFICATE, _WRITES)),
+    "graph": ("export a certificate as a coloured graph", (
+        _CERTIFICATE, _arg("-o", "--output", required=True, help=".json or .dot"))),
+    "match-fraction": ("locally-correct vertex fraction of a graph", (
+        _arg("graph"), *_FAMILY, _RADIUS, _OUTPUT)),
+    "folner": ("Folner box defect and Reiter norm", (
+        *_FAMILY, _arg("-L", "--side", type=int, required=True), _OUTPUT)),
+    "hall": ("(2,1)-matching of a bipartite graph JSON", (_arg("graph"), _OUTPUT)),
+    "paradox": ("paradoxical decomposition checks", (
+        _RADIUS, _arg("--spread", type=int,
+                      help="run the matching-based construction with B_{N+k}"), _OUTPUT)),
+    "demo": ("built-in demonstrations", (
+        _arg("what", choices=("sinfty", "amplify")), _arg("--k", type=int, default=3),
+        _arg("--rank", type=int, default=2), _arg("--pairs", type=int, default=10),
+        _arg("--seed", type=int, default=0), _OUTPUT)),
+}
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """Every subcommand with its help; only the one named `command` gets its
-    arguments, or all of them when `command` names none.  The subparser
-    named by the first word parses the rest of the command line alone."""
+    """The parser of the subcommand named `command` alone, or of all of them
+    when `command` names none (help, version, a typo, no word)."""
     parser = argparse.ArgumentParser(
-        prog="soficlab",
-        description="Finite metric approximations of countable groups",
-    )
+        prog="soficlab", description="Finite metric approximations of countable groups")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    pending = {}
-
-    def add(name, func, help):
-        sub.add_parser(name, help=help).set_defaults(func=func)
-        return pending.setdefault(name, _Arguments())
-
-    def add_family(p, required=True):
-        p.add_argument("--family", choices=FAMILIES, required=required)
-        p.add_argument("--rank", type=int, default=2, help="rank for the free family")
-        p.add_argument("--table", help="finite group table JSON (finite family)")
-
-    p = add("ball", cmd_ball, "enumerate a word-metric ball and print stats")
-    add_family(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("certify", cmd_certify, "construct a sofic certificate")
-    add_family(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--folner", type=int, help="Folner box side for amenable families")
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("verify", cmd_verify, "verify a certificate against eps/delta")
-    p.add_argument("certificate")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("amplify", cmd_amplify, "tensor-square amplify a unitary certificate")
-    p.add_argument("certificate")
-    p.add_argument("--times", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("to-unitary", cmd_to_unitary, "convert a sym certificate to a unitary one")
-    p.add_argument("certificate")
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("graph", cmd_graph, "export a certificate as a coloured graph")
-    p.add_argument("certificate")
-    p.add_argument("-o", "--output", required=True, help=".json or .dot")
-
-    p = add("match-fraction", cmd_match_fraction, "locally-correct vertex fraction of a graph")
-    p.add_argument("graph")
-    add_family(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("folner", cmd_folner, "Folner box defect and Reiter norm")
-    add_family(p)
-    p.add_argument("-L", "--side", type=int, required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("hall", cmd_hall, "(2,1)-matching of a bipartite graph JSON")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output")
-
-    p = add("paradox", cmd_paradox, "paradoxical decomposition checks")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--spread", type=int, help="run the matching-based construction with B_{N+k}")
-    p.add_argument("-o", "--output")
-
-    p = add("demo", cmd_demo, "built-in demonstrations")
-    p.add_argument("what", choices=("sinfty", "amplify"))
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-
-    for name, arguments in pending.items():
-        if command not in pending or name == command:
-            for args, kwargs in arguments:
-                sub.choices[name].add_argument(*args, **kwargs)
+    names = (command,) if command in COMMANDS else COMMANDS
+    # one subparser: the usage line of a top-level error still lists every name
+    metavar = None if names is COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        # looked up now, not at import, so that a rebound cmd_* is the one run
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import gc
+import hashlib
 import importlib.util
 import io
 import json
@@ -10,9 +12,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soficlab
-from soficlab import almosthom
+from soficlab import almosthom, cli
 from soficlab.backends import zpower_backend
 from soficlab.balls import ball
 from soficlab.cli import build_parser, main
@@ -836,11 +839,81 @@ def test_a_parser_for_one_subcommand_gives_its_full_help(name):
     assert result == 0 and out.startswith(f"usage: soficlab {name} ") and not err
 
 
-def test_every_subcommand_stays_registered():
-    _, _, err = _parsed(_full_parse, ["frobnicate"])
-    assert f"(choose from {', '.join(map(repr, SUBCOMMANDS))})" in err
-    for name in SUBCOMMANDS:
-        assert _parsed(build_parser(name).parse_args, ["frobnicate"])[2] == err
+# sha256 of the program's and each subcommand's --help text at COLUMNS=80, as
+# printed when every process built the parsers of all 11 subcommands
+HELP_SHA256 = {
+    "--help": "fc2878d3e388a644227d0ecb8c66d24107cbd1305e2e52b819a3967d45c60b43",
+    "ball": "40bf7434f51accb867fa04dbe4a5bcb27a17887188de7121431155d72d5ddbf0",
+    "certify": "94e77cb3137703b0332f55b1f257e526deae60929d388f1414b79cf25ed19aba",
+    "verify": "8373f6f65e75de039bb047ea11de16cf2f26835ac3a7270cc50ca0c0050704ee",
+    "amplify": "a5cccd7945f9be6df09a1705ec0612f3447f6cc0120c91084e6274e6b3d3d297",
+    "to-unitary": "9bd73eba70afddd16fe4105e80dcb3bea1bec699b500d74898c62f6c10965981",
+    "graph": "6a68d1810e0630fa1849db6de9f761e9928f269fd4bc2fa821f54e4b6d481849",
+    "match-fraction": "4446d3bec71e5334768fefb44cdc42b06ffe60d8ce58c13a065ded7a0a001345",
+    "folner": "4911d2fe93ac56abfc347ffa18d777ebbf9db99abe7c4c455ebc97ad5ea0d03a",
+    "hall": "5944574430d6aca6901a2cc8763036c99635a10513f12adb6d964686fda3a412",
+    "paradox": "374b77ef7f040d694909cb83b0c303bc16ea81692383a6fb7263e6ba86cf52bb",
+    "demo": "a83654fdf47a07a0a8175a31a92fe5cf3bcd174a955dba6b2be3b2eb9d13a1ab",
+}
+
+
+@pytest.mark.parametrize("word", sorted(HELP_SHA256))
+def test_help_texts_are_unchanged(word, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    result, out, err = _parsed(main, [word] if word == "--help" else [word, "--help"])
+    assert result == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[word]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                     f"(choose from {', '.join(map(repr, SUBCOMMANDS))})"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown", "missing"])
+def test_a_missing_or_unknown_subcommand_is_named_command(argv, error):
+    result, out, err = _parsed(main, argv)
+    assert result == 2 and not out and err.endswith(f"soficlab: error: {error}\n")
+
+
+def test_a_rebound_handler_is_the_one_run(monkeypatch):
+    """Handlers are looked up when the parser is built, so the wrappers that
+    bench/spans.py binds over cmd_* see every traced command."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_to_unitary", lambda args: calls.append(args.certificate) or 0)
+    assert main(["to-unitary", "z.json", "-o", "out.json"]) == 0 and calls == ["z.json"]
+
+
+@pytest.mark.parametrize("command", [*SUBCOMMANDS, None, "--help", "--version", "frobnicate", "--"])
+def test_a_named_subcommand_builds_only_its_own_parser(command, monkeypatch):
+    """The program's parser and the subcommand's: 2 ArgumentParsers; any
+    other first word gets all 12."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser(command)
+    assert len(built) == (2 if command in SUBCOMMANDS else 12)
+
+
+TOKENS = (*SUBCOMMANDS, "--family", "--rank", "--table", "--radius", "-o", "--output",
+          "--folner", "--eps", "--delta", "--times", "-L", "--side", "--spread", "--k",
+          "--pairs", "--seed", "--version", "-h", "--help", "--", "--rad", "--ver", "-x",
+          "--radius=3", "-L4", "1", "-1", "x", "0.5", "nan", "z", "free", "q", "sinfty",
+          "amplify", "z.json", "frobnicate", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*SUBCOMMANDS, None]), st.lists(st.sampled_from(TOKENS), max_size=8))
+def test_the_parser_of_the_first_word_parses_as_the_whole_tree(first, rest):
+    """Namespace or exit code, stdout and stderr of build_parser(argv[0])
+    equal those of the parser that holds every subcommand."""
+    argv = [first, *rest] if first else rest
+    named = build_parser(argv[0] if argv else None).parse_args
+    assert _parsed(named, argv) == _parsed(_full_parse, argv)
 
 
 def test_a_parser_for_one_subcommand_parses_every_bench_command():
