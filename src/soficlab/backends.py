@@ -181,8 +181,7 @@ class FiniteBackend(GroupBackend):
 
     kind = "finite"
 
-    def __init__(self, table, identity_index: int, generators: list[int] | None = None,
-                 names: tuple[str, ...] | None = None):
+    def __init__(self, table, identity_index: int, generators: list[int] | None = None):
         tbl = np.asarray(table, dtype=np.int64)
         if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -221,9 +220,8 @@ class FiniteBackend(GroupBackend):
                 raise ValueError(f"invalid generator index {g}")
         self.generators = tuple(generators)
         self._inverses = tuple(np.nonzero(tbl == e)[1].tolist())  # row i holds e at inv(i)
-        if names is None:
-            names = tuple(f"g{i}" for i in self.generators)
-        self.alphabet = GeneratorAlphabet(len(self.generators), tuple(names))
+        names = tuple(f"g{i}" for i in self.generators)
+        self.alphabet = GeneratorAlphabet(len(names), names)
 
     def identity(self) -> int:
         return self.identity_index
@@ -267,12 +265,12 @@ def _right_generators(table: np.ndarray, e: int) -> list[int]:
     return gens
 
 
-def free_backend(rank: int = 2, names: tuple[str, ...] = ()) -> FreeBackend:
-    return FreeBackend(GeneratorAlphabet(rank, tuple(names)))
+def free_backend(rank: int = 2) -> FreeBackend:
+    return FreeBackend(GeneratorAlphabet(rank))
 
 
-def zpower_backend(dim: int = 1, names: tuple[str, ...] = ()) -> ZPowerBackend:
-    return ZPowerBackend(GeneratorAlphabet(dim, tuple(names)))
+def zpower_backend(dim: int = 1) -> ZPowerBackend:
+    return ZPowerBackend(GeneratorAlphabet(dim))
 
 
 def heisenberg_backend() -> HeisenbergBackend:

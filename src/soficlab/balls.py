@@ -23,7 +23,7 @@ from .config import default_limits
 from .errors import ResourceCapError
 from .words import Word
 
-_PRODUCT_CHUNK = 1 << 18  # entries of the block of products filled at once
+_PRODUCT_CHUNK = 1 << 18  # entries gathered at once by `walk`, and rows i x j per product block
 
 
 @dataclass(eq=False)
@@ -61,13 +61,17 @@ class BallTable:
     def walk(self, table: np.ndarray, start: np.ndarray) -> np.ndarray:
         """Follow every element's word through a successor table laid out
         like `succ`, one gather per depth: row 0 is `start`, a 1-D array of
-        table rows, and row i is row parent(i) stepped along i's last letter."""
+        table rows, and row i is row parent(i) stepped along i's last letter.
+        A level is gathered in blocks of about `_PRODUCT_CHUNK` entries."""
         parents = np.asarray(self.parents)
         columns = _columns(np.asarray(self.letters), self.backend.rank)[:, None]
         out = np.empty((len(self), len(start)), dtype=table.dtype)
         out[0] = start
+        step = max(1, _PRODUCT_CHUNK // len(start))
         for lo, hi in self.levels():
-            out[lo:hi] = table[out[parents[lo:hi]], columns[lo:hi]]
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                out[a:b] = table[out[parents[a:b]], columns[a:b]]
         return out
 
     @cached_property

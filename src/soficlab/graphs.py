@@ -254,6 +254,6 @@ def graph_to_almosthom(graph: ColoredGraph, reference: BallTable) -> "AlmostHom"
             raise ValueError(f"colour {color!r} successor map is not injective") from exc
     steps += [np.argsort(step) for step in steps]
     # perm * step applies perm, then step: the row step[perm]
-    images = reference.walk(np.column_stack(steps), np.arange(graph.vertex_count))
+    images = reference.walk(np.column_stack(steps).astype(np.int32), np.arange(graph.vertex_count))
     return AlmostHom(domain=reference, target_kind="sym", target_n=graph.vertex_count,
                      images=images)

@@ -362,7 +362,7 @@ def sl2_finite_backend(p: int) -> FiniteBackend:
     gen_a = index[sl2_word_image((1,), p)]
     gen_b = index[sl2_word_image((2,), p)]
     return FiniteBackend(table, index[((1 % p, 0), (0, 1 % p))],
-                         generators=[gen_a, gen_b], names=("A", "B"))
+                         generators=[gen_a, gen_b])
 
 
 # The library's earlier ball: one spelled word per element, each built by

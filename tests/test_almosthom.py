@@ -23,11 +23,19 @@ from soficlab.almosthom import (
     separation_witness,
     verify,
 )
-from soficlab.backends import zpower_backend
+from soficlab.amenability import folner_box
+from soficlab.backends import heisenberg_backend, zpower_backend
 from soficlab.balls import ball
-from soficlab.constructions import free_sofic_certificate, sofic_to_hyperlinear
+from soficlab.constructions import (
+    folner_certificate,
+    free_sofic_certificate,
+    lef_to_sofic,
+    sofic_to_hyperlinear,
+)
 from soficlab.errors import MalformedCertificateError
 from soficlab.metrics import Permutation
+
+from oracles import sl2_finite_backend
 
 
 def cyclic_shift_hom(m: int, radius: int) -> AlmostHom:
@@ -154,6 +162,26 @@ def test_save_load_round_trip(tmp_path):
     back = load_certificate(path)
     assert np.array_equal(back.hom.images, cert.hom.images)
     assert back.claimed_separation == 1.0
+
+
+@pytest.mark.parametrize("kind", ["free", "zpower", "heisenberg", "finite"])
+def test_save_load_round_trip_every_backend_kind(tmp_path, kind):
+    """A certificate over any backend reads back over the same backend, its
+    generator names included, so every map key it wrote parses."""
+    if kind == "free":
+        cert = free_sofic_certificate(2)
+    elif kind == "finite":
+        backend = sl2_finite_backend(3)
+        domain = ball(backend, 2)
+        cert = measured_certificate(lef_to_sofic(domain, backend, dict(enumerate(domain.elements))))
+    else:
+        backend = zpower_backend(2) if kind == "zpower" else heisenberg_backend()
+        cert = folner_certificate(ball(backend, 1), folner_box(backend, 3))
+    save_certificate(cert, tmp_path / "cert.json")
+    back = load_certificate(tmp_path / "cert.json")
+    assert back.hom.domain.backend == cert.hom.domain.backend
+    assert back.hom.domain.backend.alphabet == cert.hom.domain.backend.alphabet
+    assert np.array_equal(back.hom.images, cert.hom.images)
 
 
 def test_malformed_certificates(tmp_path):

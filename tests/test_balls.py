@@ -51,6 +51,18 @@ def test_smaller_ball_is_a_prefix(kind, radius, k):
     assert all(length > radius for length in big.lengths[size:])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["free", "zpower", "heisenberg"]), st.integers(2, 4),
+       st.integers(1, 6), st.data())
+def test_walk_in_blocks_gives_the_same_rows(kind, radius, chunk, data):
+    table = ball(PREFIX_BACKENDS[kind](), radius)
+    start = np.array(data.draw(st.lists(st.integers(0, len(table)), min_size=1, max_size=4)))
+    whole = table.walk(table.succ, start)  # each level in one block
+    with mock.patch.object(balls, "_PRODUCT_CHUNK", chunk):
+        assert max(hi - lo for lo, hi in table.levels()) > chunk
+        assert np.array_equal(table.walk(table.succ, start), whole)
+
+
 def test_free_ball_sizes_match_closed_form():
     for rank in (1, 2, 3):
         b = free_backend(rank)

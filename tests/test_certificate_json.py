@@ -135,15 +135,15 @@ def test_writer_spells_signed_zeros_and_non_finite_parts(tmp_path):
     assert "-0.0" in text and "NaN" in text and "-Infinity" in text
 
 
-def test_writer_matches_reference_for_finite_names_needing_escapes(tmp_path):
+def test_writer_matches_reference_for_finite_provenance_needing_escapes(tmp_path):
     table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
-    backend = FiniteBackend(table, 0, generators=[1], names=('"\\é☃',))
+    backend = FiniteBackend(table, 0, generators=[1])
     domain = ball(backend, 2)
     hom = lef_to_sofic(domain, backend, {i: g for i, g in enumerate(domain.elements)})
     cert = measured_certificate(hom, provenance="Z_3 → S_3, \"quoted\"\té")
     text = saved_text(cert, tmp_path)
     assert text == reference_text(cert)
-    assert "\\u2603" in text  # ensure_ascii escaping, as json.dump does
+    assert "\\u2192" in text  # ensure_ascii escaping, as json.dump does
     unitary = measured_certificate(sofic_to_hyperlinear(hom), provenance="é")
     assert saved_text(unitary, tmp_path) == reference_text(unitary)
 

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.almosthom import defect, save_certificate, separation, verify
+from soficlab.almosthom import (
+    AlmostHom,
+    defect,
+    defect_witness,
+    save_certificate,
+    separation,
+    verify,
+)
 from soficlab.amenability import folner_box
 from soficlab.backends import free_backend, heisenberg_backend, zpower_backend
 from soficlab.balls import ball
@@ -24,6 +31,7 @@ from soficlab.constructions import (
 )
 from soficlab.errors import BackendMismatchError, ResourceCapError
 from soficlab.metrics import Permutation, UnitaryMatrix, hamming, hs_distance
+from soficlab.sl2 import sl2_ball_images, sl2_right_translations
 from oracles import (
     cyclic_backend,
     dense_images,
@@ -195,6 +203,25 @@ def test_free_sofic_certificate_refuses_a_non_injective_prime():
     with mock.patch("soficlab.sl2.lef_witness_free", return_value=3):
         with pytest.raises(ValueError, match="not a local monomorphism"):
             free_sofic_certificate(2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_walked_letter_rows_equal_the_translations_at_any_prime(radius, p):
+    """The route of `free_sofic_certificate` at any prime, injective or not:
+    the four letter rows walked over the free ball are each element's own
+    right translation, and they restrict a homomorphism, so defect 0."""
+    domain = ball(free_backend(2), radius)
+    mats = sl2_ball_images(domain, p)
+    letters = sl2_right_translations(p, mats[domain.succ[0]])  # A, B, A^-1, B^-1
+    rows = domain.walk(letters.T, np.arange(letters.shape[1]))
+    assert np.array_equal(rows, sl2_right_translations(p, mats))
+    hom = AlmostHom(domain, "sym", rows.shape[1], rows)
+    assert defect_witness(hom) == (Fraction(0), (0, 0))
+
+
+def test_free_sofic_certificate_leaves_the_products_unbuilt():
+    assert "products" not in vars(free_sofic_certificate(3).hom.domain)
 
 
 def test_certify_free_radius_3_verifies(tmp_path):

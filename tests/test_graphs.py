@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficlab.almosthom import defect, separation
 from soficlab.amenability import folner_box
@@ -158,3 +159,14 @@ def test_graph_text_matches_the_encoder(tmp_path):
     assert main(["graph", str(cert), "-o", str(out)]) == 0
     graph = load_json(out, ColoredGraph.from_json)
     assert out.read_text() == json.dumps(graph.to_json(), indent=1, default=str) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12), st.data())
+def test_graph_to_almosthom_over_a_free_ball_is_exact(rank, radius, n, data):
+    """Any permutations of the vertices define a homomorphism of the free
+    group, so the rows walked over a free ball have defect exactly 0."""
+    reference = ball(free_backend(rank), radius)
+    perms = [data.draw(st.permutations(range(n))) for _ in range(rank)]
+    graph = ColoredGraph(reference.backend.alphabet.names, np.array(perms))
+    assert defect(graph_to_almosthom(graph, reference)) == 0

@@ -26,7 +26,7 @@ from soficlab.almosthom import (
     separation_witness,
 )
 from soficlab.amenability import folner_box
-from soficlab.backends import finite_backend_from_json, heisenberg_backend, zpower_backend
+from soficlab.backends import heisenberg_backend, zpower_backend
 from soficlab.balls import ball
 from soficlab.constructions import folner_to_sofic, free_sofic_certificate, lef_to_sofic
 
@@ -41,8 +41,7 @@ FOLNER = {  # backend and the largest box side drawn
 
 @lru_cache(maxsize=None)
 def sl2_5():
-    """SL(2, Z_5) as `certify --table` reads it: generators g<index>."""
-    return finite_backend_from_json(sl2_finite_backend(5).descriptor())
+    return sl2_finite_backend(5)
 
 
 def finite_hom(backend, radius: int) -> AlmostHom:
