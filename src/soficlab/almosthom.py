@@ -27,6 +27,8 @@ from .errors import (
     DuplicateKeyError,
     MalformedCertificateError,
     ResourceCapError,
+    SoficlabError,
+    digit_table,
     int_row_speller,
     json_int,
     json_ints,
@@ -41,6 +43,9 @@ CERT_SCHEMA = "sofic-cert/v1"
 # Elements per temporary array in the defect/separation kernels (4 MiB at
 # complex128), so their working memory stays a few MB whatever the degree n.
 _KERNEL_CHUNK = 1 << 18
+# Values per parse in the sym reader, so that each of its temporaries stays
+# under glibc's initial 128 KiB mmap threshold, whatever was freed before.
+_ROW_CHUNK = 1 << 13
 
 
 def _permutation_columns(images: np.ndarray) -> np.ndarray | None:
@@ -306,18 +311,18 @@ def _head_text(cert: Certificate) -> str:
         return json.dumps(head, indent=1)
     # a finite group's table is most of the head; only "group" has a "table" key
     head["group"]["table"] = 0
-    rows = ",\n   ".join(map(int_row_speller(len(table), 4), table))
+    rows = b",\n   ".join(map(int_row_speller(len(table), 4), table)).decode()
     return spliced_json(head, "table", "[\n   " + rows + "\n  ]")
 
 
-_ZERO, _ONE = "[\n    0.0,\n    0.0\n   ]", "[\n    1.0,\n    0.0\n   ]"  # the entries 0 and 1
-_SEP, _OPEN, _CLOSE = ",\n   ", "[\n   ", "\n  ]"  # between, before and after entries
+_ZERO, _ONE = b"[\n    0.0,\n    0.0\n   ]", b"[\n    1.0,\n    0.0\n   ]"  # the entries 0 and 1
+_SEP, _OPEN, _CLOSE = b",\n   ", b"[\n   ", b"\n  ]"  # between, before and after entries
 _STRIDE = len(_ZERO) + len(_SEP)
 
 
 @lru_cache(maxsize=1)  # a process writes or reads permutation images of one rank at a time
 def _row_texts(n: int) -> np.ndarray:
-    """The text of each row of a rank-n permutation matrix and the separator
+    """The bytes of each row of a rank-n permutation matrix and the separator
     after it, indexed by the column of its 1: _ZERO and _ONE have one length,
     so each is a slice of one template."""
     template = _SEP.join([_ZERO] * (n - 1) + [_ONE] + [_ZERO] * n)
@@ -326,7 +331,7 @@ def _row_texts(n: int) -> np.ndarray:
 
 
 def _permutation_pieces(columns) -> list:
-    """The writer's text of `_permutation_image(columns)`, as json.dump spells it, by rows."""
+    """The writer's bytes of `_permutation_image(columns)`, as json.dump spells it, by rows."""
     rows = _row_texts(len(columns))[columns].tolist()
     rows[-1] = rows[-1][:-len(_SEP)]  # no separator after the last entry
     return [_OPEN, *rows, _CLOSE]
@@ -336,8 +341,8 @@ def _unitary_image_pieces(u: np.ndarray) -> list:
     # one C-encoder call spells every part exactly as json.dump does
     # (repr, NaN, Infinity, -0.0)
     tokens = json.dumps(u.view(np.float64).ravel().tolist())[1:-1].split(", ")
-    return [_OPEN, _SEP.join([f"[\n    {re},\n    {im}\n   ]"
-                              for re, im in zip(tokens[0::2], tokens[1::2])]), _CLOSE]
+    return [_OPEN, ",\n   ".join([f"[\n    {re},\n    {im}\n   ]"
+                                 for re, im in zip(tokens[0::2], tokens[1::2])]).encode(), _CLOSE]
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -356,14 +361,14 @@ def save_certificate(cert: Certificate, path) -> None:
     # an image is written in pieces, not as one string: at rank 256 each
     # image-sized temporary (1.8 MB) can be a fresh mmap that faults in 450
     # pages, and the 1 MiB buffer gathers the pieces into few writes
-    with open(path, "w", buffering=1 << 20) as fh:
-        fh.write(head[:-2] + ',\n "map": {')
+    with open(path, "wb", buffering=1 << 20) as fh:
+        fh.write(head[:-2].encode() + b',\n "map": {')
         sep = "\n  "
         for word, image in zip(map(hom.domain.word, range(len(hom.images))), pieces):
-            fh.write(sep + json.dumps(word_to_str(alphabet, word)) + ": ")
+            fh.write((sep + json.dumps(word_to_str(alphabet, word)) + ": ").encode())
             fh.writelines(image)
             sep = ",\n  "
-        fh.write("\n }," + tail[1:] + "\n")
+        fh.write(("\n }," + tail[1:] + "\n").encode())
 
 
 def _read_image(kind: str, n: int, raw) -> np.ndarray:
@@ -426,11 +431,11 @@ def _claim(doc: dict, key: str) -> float:
         raise MalformedCertificateError(f"{key} out of range: {exc}") from exc
 
 
-def _almost_hom(doc: dict, entries=None) -> AlmostHom:
+def _almost_hom(doc: dict, entries=None, size: int = 0) -> AlmostHom:
     """The checked AlmostHom of a certificate document whose map is a dict,
-    or is read as `entries(kind, n)`: (key, read) per entry, read() giving
-    its checked row.  The rows are stacked once every key is read, so nothing
-    is allocated for images that the input lacks."""
+    or is read as `entries(kind, n)` from `size` bytes or characters: (key,
+    read) per entry, read() giving its checked row.  The stack of rows is
+    allocated at the first row, and only if the input can cover the ball."""
     rank_cap = default_limits().rank_cap
     try:
         if doc.get("schema") != CERT_SCHEMA:
@@ -450,9 +455,11 @@ def _almost_hom(doc: dict, entries=None) -> AlmostHom:
         raise MalformedCertificateError("map must be a JSON object keyed by words")
     pairs = entries(kind, n) if entries else (
         (key, partial(_read_image, kind, n, raw)) for key, raw in mapping.items())
+    # an image takes at least n bytes (sym) or n^2 (unitary) of any input
+    most = size // (n if kind == "sym" else n * n) if entries else len(mapping)
     domain = ball(backend, radius)
-    rows: list = [None] * len(domain)
     keys: list = [None] * len(domain)
+    images = None
     alphabet = backend.alphabet
     for key, read in pairs:
         try:
@@ -466,14 +473,13 @@ def _almost_hom(doc: dict, entries=None) -> AlmostHom:
             raise MalformedCertificateError(
                 f"map keys {keys[idx]!r} and {key!r} name the same element")
         keys[idx] = key
-        rows[idx] = read()
+        row = read()  # every row of one reader has one shape and dtype
+        if images is None and most >= len(domain):
+            images = np.empty((len(domain), *row.shape), row.dtype)
+        if images is not None:  # else the map cannot cover the ball, and rows are only checked
+            images[idx] = row
     if None in keys:
         raise MalformedCertificateError("map does not cover the whole ball")
-    # permutation columns stay columns unless another image is a dense matrix
-    shape = max((row.shape for row in rows), key=len)
-    images = np.empty((len(rows), *shape), np.int32 if len(shape) == 1 else np.complex128)
-    for k, row in enumerate(rows):  # free each row once copied, never holding both whole
-        images[k], rows[k] = row if row.ndim == len(shape) else _permutation_image(row), None
     try:
         return AlmostHom(domain=domain, target_kind=kind, target_n=n, images=images)
     except ValueError as exc:
@@ -509,7 +515,7 @@ class _CertificateText:
     the json module's scanners: a malformed text fails as in json.loads."""
 
     def __init__(self, text: str):
-        self.text, self.pos, self.spell = text, _skip(text, 0).end(), None
+        self.text, self.pos = text, _skip(text, 0).end()
         decoder = json.JSONDecoder(object_pairs_hook=unique_keys)
         self.decode, self.decode_at = decoder.decode, decoder.raw_decode
 
@@ -545,61 +551,88 @@ class _CertificateText:
     def images(self, kind: str, n: int):
         """(key, read) per key of the map at the cursor, read() moving the
         cursor past the key's value and giving its checked row, so a key is
-        checked before its image is read: `_digit_row` or `_permutation_rows`
-        reads an image in the writer's spelling, and any other is decoded
-        whole."""
-        spelled = self._digit_row if kind == "sym" else self._permutation_rows
-
-        def read():
-            fast = spelled(n)
-            return fast() if fast else _read_image(kind, n, self.value())
-
+        checked before its image is read."""
         for key in self.members():
+            yield key, lambda: _read_image(kind, n, self.value())
+
+
+class _WriterBytes:
+    """A cursor over the bytes of a file's map, moved only over the writer's
+    spelling of each key and image; any other byte raises ValueError."""
+
+    def __init__(self, data, pos: int, end: int):
+        self.data, self.pos, self.end = data, pos, end
+
+    def skip(self, piece: bytes) -> None:
+        """Move the cursor past `piece`, which must come next."""
+        if self.data.find(piece, self.pos, self.pos + len(piece)) != self.pos:
+            raise ValueError("not the writer's bytes")
+        self.pos += len(piece)
+
+    def images(self, kind: str, n: int):
+        """(key, read) per key of the map, as `_CertificateText.images` gives them."""
+        read = partial(self._digit_row if kind == "sym" else self._permutation_rows, n)
+        sep = b'\n  "'
+        while self.pos < self.end:  # no piece holds the "\n }," at the end
+            self.skip(sep)
+            close = self.data.find(b'": ', self.pos, self.end)
+            key = self.data[self.pos:max(close, self.pos)].decode("ascii")
+            if close < 0 or json.dumps(key) != f'"{key}"':
+                raise ValueError("not the writer's map key")
+            self.pos, sep = close + 3, b',\n  "'
             yield key, read
 
-    def _spelled(self, pieces, read):
-        """`read` if the text at the cursor is `pieces`, joined, moving the
-        cursor past it; else None, leaving the cursor in place."""
-        pos = self.pos
-        for piece in pieces:
-            if not self.text.startswith(piece, pos):
-                return None
-            pos += len(piece)
-        self.pos = pos
-        return read
+    def _digit_row(self, n: int) -> np.ndarray:
+        """The sym image at the cursor if its bytes are the writer's spelling
+        of the values np.fromstring reads from them, _ROW_CHUNK at a time.
+        The digit table is built only if the map has room for n values."""
+        self.skip(b"[\n   ")
+        if self.end - self.pos < 6 * n - 5:  # n digits and n - 1 separators
+            raise ValueError("no room for a sym image")
+        digits, row = digit_table(n), np.empty(n, np.int32)
+        width = len(digits[n - 1]) + len(b",\n   ")  # the most a value and a separator take
+        for lo in range(0, n, _ROW_CHUNK):
+            part = row[lo:lo + _ROW_CHUNK]
+            part[:] = np.fromstring(self.data[self.pos:self.pos + len(part) * width], np.int32,
+                                    count=len(part), sep=",")
+            if not ((part >= 0).all() and (part < n).all()):
+                raise ValueError("not the writer's sym image")
+            self.skip(b",\n   ".join(digits[part].tolist()))
+            self.skip(b",\n   " if lo + len(part) < n else b"\n  ]")
+        return row
 
-    def _digit_row(self, n: int):
-        """read() of the sym image at the cursor if its text is the writer's
-        spelling of the row np.fromstring reads from it up to the first "]",
-        n values in [0, n), else None: numpy also reads `01`, `+1` or a
-        trailing comma.  The speller is built at the first such row, never
-        for a claimed n alone."""
-        text, pos = self.text, self.pos
-        end = text.find("]", pos) if text.startswith(_OPEN, pos) else -1
-        if end < 0:
-            return None
-        try:  # the image alone, never the rest of the text
-            row = np.fromstring(text[pos + 1:end].encode("ascii"), dtype=np.int64, sep=",")
-        except ValueError:  # UnicodeEncodeError, or text numpy cannot read
-            return None
-        if len(row) != n or not ((row >= 0).all() and (row < n).all()):
-            return None
-        self.spell = self.spell or int_row_speller(n, 3)
-        return self._spelled([self.spell(row)], partial(np.asarray, row, np.int32))
+    def _permutation_rows(self, n: int) -> np.ndarray:
+        """The columns of the 1s of the unitary image at the cursor, found at
+        each row's first "1", if its bytes are `_permutation_pieces` of them."""
+        width = n * _STRIDE
+        start = self.pos + len(_OPEN) + _ONE.index(b"1")
+        found = np.array([self.data.find(b"1", lo, lo + width) - lo
+                          for lo in range(start, start + n * width, width)])
+        if (found < 0).any():  # a row without a "1"
+            raise ValueError("not the writer's permutation image")
+        columns = (found // _STRIDE).astype(np.int32)
+        for piece in _permutation_pieces(columns):
+            self.skip(piece)
+        return columns
 
-    def _permutation_rows(self, n: int):
-        """read() of the unitary image at the cursor, as columns, if it is
-        `_permutation_pieces` of the columns of its rows' first "1"s, else None,
-        found at the first row whose "1" is out of place; such bytes pass `_read_image`."""
-        text, start, columns = self.text, self.pos + len(_OPEN) + _ONE.index("1"), []
-        for lo in range(start, start + n * n * _STRIDE, n * _STRIDE):  # a row's first "1" spot
-            c, off = divmod(text.find("1", lo, lo + n * _STRIDE) - lo, _STRIDE)
-            if off or c < 0:
-                return None
-            columns.append(c)
-        if len(set(columns)) < n:  # no permutation: decoded whole, for check_unitary's error
-            return None
-        return self._spelled(_permutation_pieces(columns), partial(np.asarray, columns, np.int32))
+
+def _certificate_in_place(data) -> Certificate | None:
+    """The certificate in a file's bytes if the writer spelled its map, with
+    the members around it decoded as ASCII JSON; None at any other byte, so
+    every outcome but a certificate is `_certificate_from_text`'s."""
+    start, end = data.find(b',\n "map": {'), data.rfind(b"\n },")
+    if not 0 <= start < end:
+        return None
+    try:
+        head = json.loads(data[:start].decode("ascii") + "}", object_pairs_hook=unique_keys)
+        tail = json.loads("{" + data[end + 4:].decode("ascii"), object_pairs_hook=unique_keys)
+        doc = {**head, **tail}
+        if not (head and tail) or len(doc) < len(head) + len(tail) or "map" in doc:
+            return None  # a comma without a member, or a repeated key
+        cursor = _WriterBytes(data, data.find(b"{", start) + 1, end)
+        return _certificate(_almost_hom({**doc, "map": None}, cursor.images, len(data)), doc)
+    except (ValueError, SoficlabError, RecursionError):
+        return None
 
 
 def _certificate_from_text(text: str) -> Certificate:
@@ -614,7 +647,7 @@ def _certificate_from_text(text: str) -> Certificate:
     for key in reader.members():
         if (key == "map" and text.startswith("{", reader.pos)
                 and {"schema", "group", "ball_radius", "target"} <= head.keys()):
-            hom = _almost_hom({**head, "map": None}, reader.images)
+            hom = _almost_hom({**head, "map": None}, reader.images, len(text))
         else:
             head[key] = reader.value()
     end = _skip(text, reader.pos).end()
@@ -626,6 +659,7 @@ def _certificate_from_text(text: str) -> Certificate:
 def load_certificate(path) -> Certificate:
     """The certificate in the JSON file at `path`: as `certificate_from_json`
     on a document that json.loads accepts, else refused at the text's first
-    defect, so a cap refuses right after the head."""
+    defect, so a cap refuses right after the head.  A file in the writer's
+    spelling is read in place (`_certificate_in_place`), any other decoded."""
     default_limits()  # a malformed cap in the environment fails before the file is opened
-    return read_json(path, _certificate_from_text)
+    return read_json(path, _certificate_from_text, _certificate_in_place)

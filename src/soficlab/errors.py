@@ -3,8 +3,11 @@ of JSON input documents, the checks that reject untrusted JSON with
 MalformedCertificateError, and the pieces from which the writers spell
 large arrays in the json module's indent=1 layout."""
 
+import contextlib
 import gc
 import json
+import os
+import stat
 from functools import lru_cache
 
 import numpy as np
@@ -56,21 +59,30 @@ def unique_keys(pairs) -> dict:
     return doc
 
 
-def read_json(path, parse):
-    """`parse(text)` of the file at `path`; every JSON input is read here.
+def read_json(path, parse, in_place=None):
+    """`parse(text)` of the file at `path`, unless `in_place(data)` of its
+    bytes gives a value; every JSON input is read here.
 
-    A repeated key in any object (`unique_keys`), invalid or too deeply
-    nested JSON and text that is not UTF-8 raise MalformedCertificateError.
-    The cyclic collector is paused meanwhile: JSON values hold no reference
-    cycle, yet parsing allocates enough lists (a graph's rows, the entries
-    of a certificate image) to trigger full collections that rescan all of
-    them.  It is left as the caller had it, never enabled if it was off.
+    A nonempty regular file is mapped, anything else read once, and `parse`
+    gets the text of a text-mode read.  A repeated key in any object
+    (`unique_keys`), invalid or too deeply nested JSON and text that is not
+    UTF-8 raise MalformedCertificateError.  The cyclic collector is paused
+    meanwhile: JSON values hold no reference cycle, yet parsing allocates
+    enough lists (a graph's rows, the entries of a certificate image) to
+    trigger full collections that rescan all of them.  It is left as the
+    caller had it, never enabled if it was off.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "rb") as fh:
-            return parse(_text(fh))  # the text is parse's alone, so it can drop it
+        with open(path, "rb") as fh, _mapped(fh) as data:
+            found = in_place and in_place(data)
+            if found is not None:
+                return found
+            text = str(data, "utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return parse(text)  # the text is parse's alone, so it can drop it
     except DuplicateKeyError as exc:
         raise MalformedCertificateError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -80,11 +92,14 @@ def read_json(path, parse):
             gc.enable()
 
 
-def _text(fh) -> str:
-    """The text of the binary file `fh` as text mode reads it, universal
-    newlines included, decoded once from its bytes."""
-    text = str(fh.read(), "utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+def _mapped(fh):
+    """A read-only map of the binary file `fh`, or the bytes of a pipe or an empty file."""
+    info = os.fstat(fh.fileno())
+    if not (stat.S_ISREG(info.st_mode) and info.st_size):
+        return contextlib.nullcontext(fh.read())
+    import mmap  # a shared library, loaded only by the commands that read a file
+
+    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def load_json(path, build):
@@ -98,18 +113,18 @@ def load_json(path, build):
 
 
 def int_row_speller(n: int, depth: int):
-    """row -> the indent=1 text of a nonempty row of ints in [-1, n) at `depth`,
-    in one join of one digit table's strings; -1, a coloured graph's missing
-    edge, is null.  The one spelling of every int row the library writes."""
-    digits = _digit_table(n)
-    pad = "\n" + " " * depth
-    return lambda row: "[" + pad + ("," + pad).join(digits[row].tolist()) + pad[:-1] + "]"
+    """row -> the indent=1 bytes of a nonempty row of ints in [-1, n) at `depth`,
+    in one join of `digit_table(n)`; -1, a coloured graph's missing edge, is
+    null.  The one spelling of every int row the library writes."""
+    digits = digit_table(n)
+    pad = b"\n" + b" " * depth
+    return lambda row: b"[" + pad + (b"," + pad).join(digits[row].tolist()) + pad[:-1] + b"]"
 
 
 @lru_cache(maxsize=1)  # a process reads and writes rows of one n: a certificate, then its graph
-def _digit_table(n: int) -> np.ndarray:
-    """str(v) for every v < n, then "null", as one object array."""
-    return np.array([*map(str, range(n)), "null"], dtype=object)
+def digit_table(n: int) -> np.ndarray:
+    """The ASCII bytes of every v < n, then b"null", as one object array."""
+    return np.array([*(b"%d" % v for v in range(n)), b"null"], dtype=object)
 
 
 def spliced_json(doc: dict, key: str, text: str) -> str:

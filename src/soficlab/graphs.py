@@ -91,7 +91,7 @@ class ColoredGraph:
     def json_text(self) -> str:
         """``json.dumps(self.to_json(), indent=1)``, from `int_row_speller`."""
         texts = map(int_row_speller(self.vertex_count, 3), self.successors)
-        rows = ",\n  ".join(json.dumps(c) + ": " + t for c, t in zip(self.colors, texts))
+        rows = ",\n  ".join(json.dumps(c) + ": " + t.decode() for c, t in zip(self.colors, texts))
         doc = {"vertexCount": self.vertex_count, "colors": list(self.colors), "successors": 0}
         return spliced_json(doc, "successors", "{\n  " + rows + "\n }" if rows else "{}")
 

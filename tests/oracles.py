@@ -27,10 +27,11 @@ from soficlab.sl2 import is_prime
 from soficlab.words import Word, word_to_str
 
 
-def text_mode_read_json(path, parse):
+def text_mode_read_json(path, parse, in_place=None):
     """`errors.read_json` with the file read by a text-mode
     ``open(path, encoding="utf-8").read()``: universal newlines, strict
-    UTF-8, and the same errors as MalformedCertificateError."""
+    UTF-8, and the same errors as MalformedCertificateError.  The in-place
+    reader is never tried: every file is decoded whole."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())

@@ -12,6 +12,8 @@ import os
 import random
 import re
 import threading
+import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -427,6 +429,17 @@ SPLIT_STRING = UNITARY_EIGHT % ",".join(['["]",0.0]'] + ["[0.0,0.0]"] * 62)
 NESTED = UNITARY_EIGHT % ",".join(["[[1.0,0.0],2]", "5", "[0.0,0.0]", "5"] + ["[0.0,0.0]"] * 61)
 
 
+def writer_layout(kind: str, n: int, image: str, group=None, radius: int = 0) -> str:
+    """A certificate over a ball (of radius 0 in Z unless told) in the
+    writer's layout, with one image, spelled `image`, for the identity."""
+    head = json.dumps({"schema": "sofic-cert/v1", "group": group or {"kind": "zpower", "dim": 1},
+                       "ball_radius": radius, "target": {"kind": kind, "n": n}}, indent=1)
+    return head[:-2] + ',\n "map": {\n  "": ' + image + '\n },\n "provenance": ""\n}\n'
+
+
+WRITER_ONE = writer_layout("sym", 1, "[\n   0\n  ]")
+
+
 # a failing image or map key, then a repeated key or a syntax error, which
 # json.loads reports instead: the reader stops at the first defect, and it
 # checks each map key before reading the key's image
@@ -444,6 +457,14 @@ FIRST_DEFECT = {
     SYM_ONE + ', "map": {"": [0]}} []',  # extra data
     SPLIT_STRING, NESTED, SPLIT_STRING.replace('"]"', "1.0"),
     " [1, 2] ", "\ufeff{}", '{"schema": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', "", "{",
+    # the writer's map with a raw tab in its key, a comma with no member
+    # before or after it, or a head key or the map repeated after it:
+    # json.loads refuses each
+    WRITER_ONE.replace('"": [', '"\t": ['),
+    WRITER_ONE.replace('"provenance": ""', '"ball_radius": 0'),
+    WRITER_ONE.replace('"provenance": ""', '"map": {}'),
+    WRITER_ONE.replace('\n "provenance": ""\n}', "\n}"),
+    "{" + WRITER_ONE[WRITER_ONE.index(',\n "map"'):].replace('"provenance": ""', HEAD % ("sym", 1)),
 ])
 def test_file_reader_edge_texts(certificate_file, text):
     if text in FIRST_DEFECT:
@@ -647,7 +668,7 @@ def test_reader_on_a_repeated_permutation_row(certificate_file):
     cert = hyperlinear_certificate(folner_certificate(ball(z, 1), folner_box(z, 3)))
     text = reference_text(cert)
     start, end = image_span(text, list(certificate_to_json(cert)["map"])[1])
-    mutated = text[:start] + "".join(almosthom._permutation_pieces([0, 0, 2])) + text[end:]
+    mutated = text[:start] + b"".join(almosthom._permutation_pieces([0, 0, 2])).decode() + text[end:]
     assert_reader_matches(certificate_file, mutated)
     with pytest.raises(MalformedCertificateError, match="not unitary"):
         load_certificate(certificate_file)
@@ -733,29 +754,29 @@ def test_reader_on_mutated_sym_images(certificate_file, cert, mutation, data):
         mutated = '{\n "é☃": 0,' + mutated[1:]
     with exact_digit_rows() as parsed:
         assert_reader_matches(certificate_file, mutated)
-    assert parsed.call_count >= (mutation in ("none", "non-ASCII key"))
+    assert parsed.call_count >= (mutation == "none")  # a non-ASCII byte sends the file to the decoder
 
 
 def spelled(row, n: int) -> str:
-    return int_row_speller(n, 3)(row)
+    return int_row_speller(n, 3)(row).decode()
 
 
 @contextlib.contextmanager
 def exact_digit_rows():
-    """Assert that every sym image the reader parses with numpy is spelled
-    exactly as the writer spells its row; yields the wrapped parser."""
-    parse = almosthom._CertificateText._digit_row
+    """Assert that every sym image the in-place reader parses with numpy is
+    spelled exactly as the writer spells its row; yields a mock called once
+    per such row."""
+    parse = almosthom._WriterBytes._digit_row
 
     def exact(reader, n):
         start = reader.pos
-        read = parse(reader, n)
-        if read is not None:
-            assert reader.text[start:reader.pos] == spelled(read(), n)
-            parsed(n)
-        return read
+        row = parse(reader, n)
+        assert reader.data[start:reader.pos] == spelled(row, n).encode()
+        parsed(n)
+        return row
 
     parsed = mock.Mock()
-    with mock.patch.object(almosthom._CertificateText, "_digit_row", exact):
+    with mock.patch.object(almosthom._WriterBytes, "_digit_row", exact):
         yield parsed
 
 
@@ -782,7 +803,7 @@ DIGIT_EDGES = [
 @pytest.mark.parametrize("image", DIGIT_EDGES)
 def test_reader_on_sym_image_edges(certificate_file, image):
     n = 1 if image.count(",") == 0 else 3
-    text = "{" + HEAD % ("sym", n) + ', "map": {"": ' + image + "}}"
+    text = writer_layout("sym", n, image)
     with exact_digit_rows() as parsed:
         assert_reader_matches(certificate_file, text)
     assert parsed.call_count == (image == spelled(range(n), n))
@@ -791,18 +812,41 @@ def test_reader_on_sym_image_edges(certificate_file, image):
 def test_reader_allocates_nothing_for_a_claimed_sym_degree(certificate_file):
     """A header may claim any degree n; the reader sizes nothing by it
     before an image of n entries has been read."""
-    text = "{" + HEAD % ("sym", 10**15) + ', "map": {"": [\n   0\n  ]}}'
-    with exact_digit_rows():
+    text = writer_layout("sym", 10**15, "[\n   0\n  ]")
+    with exact_digit_rows(), mock.patch.object(almosthom, "digit_table",
+                                               side_effect=AssertionError("digit_table")):
         assert_reader_matches(certificate_file, text)
+
+
+@pytest.mark.parametrize("kind, n", [("sym", 10000), ("unitary", 64)])
+def test_readers_size_the_stack_by_the_input(certificate_file, kind, n):
+    """One image under a head claiming the 4373 elements of a free ball is
+    refused as not covering the ball by every reader, none of which
+    allocates a stack for the images the input cannot hold (175 and 286 MB)."""
+    image = (int_row_speller(n, 3)(np.arange(n)) if kind == "sym"
+             else b"".join(almosthom._permutation_pieces(np.arange(n)))).decode()
+    certificate_file.write_text(writer_layout(kind, n, image, {"kind": "free", "rank": 2}, 7))
+    for read in (load_certificate, partial(text_mode_read_json, parse=almosthom._certificate_from_text),
+                 partial(load_json, build=certificate_from_json)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedCertificateError, match="map does not cover the whole ball"):
+                read(certificate_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, read
 
 
 def test_reader_hands_numpy_no_image_without_its_bracket(certificate_file):
     """A sym image with no "]" after it is decoded whole, as json.loads fails
-    on it, and np.fromstring is never given the rest of the text."""
-    text = "{" + HEAD % ("sym", 3) + ', "map": {"": [\n   0,\n   1,\n   2\n  }}'
+    on it, and np.fromstring is never given the rest of the text: only the
+    bytes that n values and their separators can take."""
+    text = writer_layout("sym", 3, "[\n   0,\n   1,\n   2\n  }")
     with mock.patch.object(np, "fromstring", wraps=np.fromstring) as parsed:
         assert_reader_matches(certificate_file, text)
-    assert parsed.call_count == 0
+    assert parsed.call_count == 1
+    assert len(parsed.call_args.args[0]) == 3 * len("2,\n   ")
 
 
 def test_sym_images_take_the_digit_path(tmp_path):
@@ -823,34 +867,55 @@ def test_sym_images_take_the_digit_path(tmp_path):
     assert decoded.call_count == len(cert.hom.images)
 
 
-def _unitary_z_bytes(tmp_path) -> bytes:
-    path = tmp_path / "z_unitary.json"
-    save_certificate(hyperlinear_certificate(
-        folner_certificate(ball(zpower_backend(1), 2), folner_box(zpower_backend(1), 6))), path)
-    return path.read_bytes()
+def _certificate_bytes(tmp_path) -> dict:
+    """The writer's bytes of a unitary (permutation-matrix) certificate over
+    Z and of a sym certificate over the Heisenberg group."""
+    z, h = zpower_backend(1), heisenberg_backend()
+    certs = {"unitary": hyperlinear_certificate(folner_certificate(ball(z, 2), folner_box(z, 6))),
+             "sym": folner_certificate(ball(h, 1), folner_box(h, 3))}
+    for name, cert in certs.items():
+        save_certificate(cert, tmp_path / f"{name}.json")
+    return {name: (tmp_path / f"{name}.json").read_bytes() for name in certs}
 
 
+def _flip_in_image(text: bytes, key: bytes, old: bytes, new: bytes) -> bytes:
+    """`text` with the first `old` in the image of map key `key` spelled `new`."""
+    at = text.index(old, text.index(b'"%s": [' % key))
+    return text[:at] + new + text[at + len(old):]
+
+
+# name -> (verify's exit code, the input made from the writer's bytes)
 READER_INPUTS = {
-    "empty": lambda text: b"",
-    "CRLF": lambda text: text.replace(b"\n", b"\r\n"),
-    "lone CR": lambda text: text.replace(b"\n", b"\r"),
-    "CRLF, cut": lambda text: text.replace(b"\n", b"\r\n")[:len(text) // 2],
-    "lone CR, a repeated key": lambda text: text.replace(b"\n", b"\r").replace(
-        b'"provenance"', b'"claimed_defect"'),
-    "invalid UTF-8": lambda text: text.replace(b"folner", b"fol\xffner"),
-    "cut UTF-8": lambda text: text + b"\xe2\x9c",
-    "BOM": lambda text: b"\xef\xbb\xbf" + text,
-    "FIFO": lambda text: text,
-    "FIFO, CRLF": lambda text: text.replace(b"\n", b"\r\n"),
+    "empty": (2, lambda c: b""),  # an empty file cannot be mapped
+    "CRLF": (0, lambda c: c["unitary"].replace(b"\n", b"\r\n")),
+    "lone CR": (0, lambda c: c["unitary"].replace(b"\n", b"\r")),
+    "CRLF, cut": (2, lambda c: c["unitary"].replace(b"\n", b"\r\n")[:len(c["unitary"]) // 2]),
+    "lone CR, a repeated key": (2, lambda c: c["unitary"].replace(b"\n", b"\r").replace(
+        b'"provenance"', b'"claimed_defect"')),
+    "invalid UTF-8": (2, lambda c: c["unitary"].replace(b"folner", b"fol\xffner")),
+    "cut UTF-8": (2, lambda c: c["unitary"] + b"\xe2\x9c"),
+    "BOM": (2, lambda c: b"\xef\xbb\xbf" + c["unitary"]),
+    "FIFO": (0, lambda c: c["unitary"]),
+    "FIFO, CRLF": (0, lambda c: c["unitary"].replace(b"\n", b"\r\n")),
+    "Heisenberg": (0, lambda c: c["sym"]),
+    "cut in an image": (2, lambda c: c["unitary"][:c["unitary"].index(b'"a": [') + 99]),
+    "sym row, a flipped digit": (2, lambda c: _flip_in_image(c["sym"], b"x", b"1,", b"2,")),
+    "permutation row, a flipped digit": (
+        2, lambda c: _flip_in_image(c["unitary"], b"a", b"1.0", b"0.0")),
+    "non-ASCII provenance": (0, lambda c: c["unitary"].replace(b'"provenance": "',
+                                                                 '"provenance": "é '.encode())),
+    "non-ASCII map key": (2, lambda c: c["unitary"].replace(b'"a": [', '"é": ['.encode())),
 }
 
 
 @pytest.mark.parametrize("name", READER_INPUTS)
 def test_binary_reads_match_a_text_mode_read(tmp_path, capsys, name):
-    """A certificate file, a FIFO included, is read as bytes and decoded
-    once with text mode's universal newlines: `verify` gives the exit code,
-    report and `malformed:` message of a text-mode read of the same bytes."""
-    data = READER_INPUTS[name](_unitary_z_bytes(tmp_path))
+    """A certificate file, a FIFO included, is mapped or read as bytes, read
+    in place when the writer spelled it and otherwise decoded once with text
+    mode's universal newlines: `verify` gives the exit code, report and
+    `malformed:` message of a text-mode read of the same bytes."""
+    code, make = READER_INPUTS[name]
+    data = make(_certificate_bytes(tmp_path))
     path = tmp_path / "input.json"
 
     def verify_outcome():
@@ -871,5 +936,27 @@ def test_binary_reads_match_a_text_mode_read(tmp_path, capsys, name):
     with mock.patch.object(almosthom, "read_json", text_mode_read_json):
         want = verify_outcome()
     assert got == want
-    assert got[0] == (0 if name in ("CRLF", "lone CR") or name.startswith("FIFO") else 2)
-    assert got[2] == "" if got[0] == 0 else got[2].startswith("malformed: ")
+    assert got[0] == code
+    assert got[2] == "" if code < 2 else got[2].startswith("malformed: ")
+
+
+def test_writer_files_are_read_in_place(tmp_path):
+    """A writer's sym or unitary (permutation-matrix) certificate, a finite
+    group's table in its head among them, is read without decoding the file:
+    the decoded-text reader is never reached."""
+    z, h = zpower_backend(1), heisenberg_backend()
+    sym = folner_certificate(ball(h, 1), folner_box(h, 3))
+    c5 = cyclic_backend(5)
+    domain = ball(c5, 2)
+    table = lef_to_sofic(domain, c5, dict(enumerate(domain.elements)))
+    certs = [sym, hyperlinear_certificate(sym), measured_certificate(table),
+             amplify_certificate(hyperlinear_certificate(
+                 folner_certificate(ball(z, 1), folner_box(z, 4))), 2)]
+    path = tmp_path / "cert.json"
+    for cert in certs:
+        save_certificate(cert, path)
+        with mock.patch.object(almosthom, "_certificate_from_text",
+                               side_effect=AssertionError("the file was decoded whole")):
+            loaded = load_certificate(path)
+        assert loaded.hom.images.tobytes() == cert.hom.images.tobytes()
+        assert certificate_to_json(loaded) == certificate_to_json(cert)
