@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .errors import MalformedCertificateError, json_fields, json_int, json_ints
-from .words import GeneratorAlphabet, Word, reduce_word, word_inverse
+from .words import GeneratorAlphabet, Word, reduce_word
 
 Canon = Any  # backend-specific canonical form; always hashable
 
@@ -42,9 +42,6 @@ class GroupBackend:
         raise NotImplementedError
 
     def multiply(self, g: Canon, h: Canon) -> Canon:
-        raise NotImplementedError
-
-    def inverse(self, g: Canon) -> Canon:
         raise NotImplementedError
 
     def normal_form(self, word: Word) -> Canon:
@@ -92,9 +89,6 @@ class FreeBackend(GroupBackend):
             k += 1
         return g[:len(g) - k] + h[k:]
 
-    def inverse(self, g: Word) -> Word:
-        return word_inverse(g)
-
     def normal_form(self, word: Word) -> Word:
         return reduce_word(word, rank=self.rank)
 
@@ -124,9 +118,6 @@ class ZPowerBackend(GroupBackend):
 
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
-
-    def inverse(self, g):
-        return tuple(-a for a in g)
 
     def descriptor(self) -> dict:
         return {"kind": "zpower", "dim": self.dim}
@@ -161,10 +152,6 @@ class HeisenbergBackend(GroupBackend):
         a, b, c = g
         a2, b2, c2 = h
         return (a + a2, b + b2, c + c2 + b * a2)
-
-    def inverse(self, g):
-        a, b, c = g
-        return (-a, -b, a * b - c)
 
     def descriptor(self) -> dict:
         return {"kind": "heisenberg"}
@@ -233,9 +220,6 @@ class FiniteBackend(GroupBackend):
 
     def multiply(self, g: int, h: int) -> int:
         return int(self.table[g, h])
-
-    def inverse(self, g: int) -> int:
-        return self._inverses[g]
 
     def descriptor(self) -> dict:
         return {

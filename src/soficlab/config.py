@@ -5,11 +5,9 @@ from dataclasses import dataclass
 
 ENV_BALL_CAP = "SOFICLAB_BALL_CAP"
 ENV_RANK_CAP = "SOFICLAB_RANK_CAP"
-ENV_PRIME_CEILING = "SOFICLAB_PRIME_CEILING"
 
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_RANK_CAP = 256
-DEFAULT_PRIME_CEILING = 10**4
 ITERATION_CAP = 200  # amplification iterations per request; fixed
 
 
@@ -20,14 +18,13 @@ class ResourceLimits:
     ball_cap: maximum number of elements in an enumerated word-metric ball,
         of points in a Folner box (checked before the box is built), of
         the point k of `demo sinfty` (checked before 2^k is built), and of
-        the 2 * pairs * rank^2 entries `demo amplify` draws.
+        the 2 * pairs * rank^2 entries `demo amplify` draws, and of the
+        order p(p^2 - 1) of each SL(2, Z_p) the free-group prime search tries.
     rank_cap: maximum rank of a unitary matrix (amplification grows rank fast).
-    prime_ceiling: largest prime scanned when searching for mod-p witnesses.
     """
 
     ball_cap: int = DEFAULT_BALL_CAP
     rank_cap: int = DEFAULT_RANK_CAP
-    prime_ceiling: int = DEFAULT_PRIME_CEILING
 
     @classmethod
     def from_env(cls) -> "ResourceLimits":
@@ -36,7 +33,6 @@ class ResourceLimits:
         return cls(
             ball_cap=_env_cap(ENV_BALL_CAP, DEFAULT_BALL_CAP),
             rank_cap=_env_cap(ENV_RANK_CAP, DEFAULT_RANK_CAP),
-            prime_ceiling=_env_cap(ENV_PRIME_CEILING, DEFAULT_PRIME_CEILING),
         )
 
 

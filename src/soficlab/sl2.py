@@ -84,20 +84,22 @@ def sl2_right_translations(p: int, mats: np.ndarray) -> np.ndarray:
 
 def lef_witness_free(radius: int) -> int:
     """Smallest prime p for which evaluation mod p is injective on the
-    radius-N ball of the rank-2 free group.
+    radius-N ball of the rank-2 free group, among the p whose SL(2, Z_p),
+    of order p(p^2 - 1), fits the ball cap: ResourceCapError if none does.
 
     The restriction of a homomorphism is automatically multiplicative on
     defined products, so injectivity makes it a partial monomorphism.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    ceiling = default_limits().prime_ceiling
+    ball_cap = default_limits().ball_cap
     domain = ball(free_backend(2), radius)
     p = 2
-    while p <= ceiling:
+    while p * (p * p - 1) < len(domain):  # too few matrices to tell the ball apart
+        p += 1
+    while p * (p * p - 1) <= ball_cap:
         if is_prime(p) and distinct_matrices(sl2_ball_images(domain, p)):
             return p
         p += 1
-    raise ResourceCapError(
-        f"no injective prime below ceiling {ceiling} for radius {radius}"
-    )
+    raise ResourceCapError(f"no prime p with |SL(2,Z_p)| = p(p^2 - 1) within the ball cap "
+                           f"{ball_cap} is injective on the radius-{radius} ball")

@@ -70,10 +70,6 @@ def reduce_word(letters: Iterable[int], rank: int | None = None) -> Word:
     return tuple(stack)
 
 
-def word_inverse(word: Word) -> Word:
-    return tuple(-s for s in reversed(word))
-
-
 def word_to_str(alphabet: GeneratorAlphabet, word: Word) -> str:
     """Space-separated canonical syntax; the empty word renders as ''."""
     return " ".join(alphabet.letter_name(s) for s in word)

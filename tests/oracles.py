@@ -41,6 +41,11 @@ def text_mode_read_json(path, parse, in_place=None):
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
 
 
+def word_inverse(word: Word) -> Word:
+    """The formal inverse: letters negated, in reverse order."""
+    return tuple(-s for s in reversed(word))
+
+
 def is_reduced(letters) -> bool:
     return all(letters[i] != -letters[i + 1] for i in range(len(letters) - 1))
 
@@ -395,7 +400,8 @@ def spelled_ball(backend, radius: int) -> tuple[list, list, list]:
 def ball_inverses(table: BallTable) -> tuple[int, ...]:
     """Index of each element's inverse; balls are closed under inversion
     since a word and its formal inverse have equal length."""
-    return tuple(table.index[table.backend.inverse(g)] for g in table.elements)
+    return tuple(table.index[table.backend.normal_form(word_inverse(table.word(i)))]
+                 for i in range(len(table)))
 
 
 def ball_contains(table: BallTable, g) -> bool:
@@ -611,8 +617,9 @@ def paradox_from_matching(radius: int, spread: int, backend) -> MatchingParadoxR
     leakage = 0
     for a, g in enumerate(outer.elements[:inner_size]):
         ig, jg = outer.elements[outcome.i[a]], outer.elements[outcome.j[a]]
-        s = backend.multiply(ig, backend.inverse(g))
-        t = backend.multiply(jg, backend.inverse(g))
+        g_inverse = backend.normal_form(word_inverse(outer.word(a)))
+        s = backend.multiply(ig, g_inverse)
+        t = backend.multiply(jg, g_inverse)
         key = (word_to_str(backend.alphabet, outer.word(outer.index[s])),
                word_to_str(backend.alphabet, outer.word(outer.index[t])))
         pieces.setdefault(key, []).append(a)

@@ -12,9 +12,9 @@ from soficlab.backends import (
     heisenberg_backend,
     zpower_backend,
 )
-from soficlab.words import reduce_word, word_inverse
+from soficlab.words import reduce_word
 
-from oracles import cyclic_backend, table_is_associative
+from oracles import cyclic_backend, table_is_associative, word_inverse
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=12).map(tuple)
@@ -31,7 +31,6 @@ def test_free_normal_form_is_reduction():
     b = free_backend(2)
     assert b.normal_form((1, -1, 2)) == (2,)
     assert b.multiply((1, 2), (-2, -1)) == ()
-    assert b.inverse((1, -2)) == (2, -1)
     assert b.identity() == ()
 
 
@@ -41,7 +40,6 @@ def test_zpower_normal_form():
     assert b.letter(1) == (1, 0)
     assert b.letter(-2) == (0, -1)
     assert b.normal_form((1, 2, 1, -2)) == (2, 0)
-    assert b.inverse((3, -1)) == (-3, 1)
 
 
 @given(words, words)
@@ -55,17 +53,15 @@ def test_heisenberg_product_matches_matrix_oracle(w1, w2):
 @given(words)
 def test_heisenberg_inverse(w):
     b = heisenberg_backend()
-    g = b.normal_form(w)
-    assert b.multiply(g, b.inverse(g)) == b.identity()
-    assert b.multiply(b.inverse(g), g) == b.identity()
+    g, g_inverse = b.normal_form(w), b.normal_form(word_inverse(w))
+    assert b.multiply(g, g_inverse) == b.identity()
+    assert b.multiply(g_inverse, g) == b.identity()
 
 
 def test_heisenberg_commutator_is_central_z():
     b = heisenberg_backend()
     x, y = b.letter(1), b.letter(2)
-    comm = b.multiply(
-        b.multiply(x, y), b.inverse(b.multiply(y, x))
-    )
+    comm = b.normal_form((1, 2, -1, -2))
     # with the product rule (a,b,c)(a',b',c') = (a+a', b+b', c+c'+b*a'),
     # the commutator x y (y x)^-1 is z^-1 = (0, 0, -1)
     assert comm == (0, 0, -1)
@@ -86,7 +82,6 @@ def test_cyclic_backend():
     b = cyclic_backend(5)
     assert b.order == 5
     assert b.normal_form((1, 1, 1, 1, 1, 1)) == 1
-    assert b.inverse(2) == 3
     assert b.letter(-1) == 4
 
 

@@ -65,8 +65,7 @@ def test_ball_counts_non_free_products_within_the_double_ball(capsys, monkeypatc
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
-@pytest.mark.parametrize("name", ["SOFICLAB_BALL_CAP", "SOFICLAB_RANK_CAP",
-                                  "SOFICLAB_PRIME_CEILING"])
+@pytest.mark.parametrize("name", ["SOFICLAB_BALL_CAP", "SOFICLAB_RANK_CAP"])
 def test_env_caps_must_be_positive_integers(name, value, capsys, monkeypatch):
     monkeypatch.setenv(name, value)
     message = f"{name} must be an integer >= 1, got {value!r}"

@@ -315,7 +315,7 @@ def test_cli_argv_fuzz(argv_folder, argv):
     counted by its code) and prints no traceback."""
     for name, text in ARGV_INPUTS.items():
         (argv_folder / name).write_text(text)
-    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "16", "SOFICLAB_PRIME_CEILING": "50"}
+    caps = {"SOFICLAB_BALL_CAP": "64", "SOFICLAB_RANK_CAP": "16"}
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(argv_folder)  # contextlib.chdir needs Python 3.11

@@ -10,25 +10,40 @@ survive either change, in memory and read back from the file that
 (z, z2, heisenberg), the free route (SL(2, Z_p) at radius 1-2) and the
 finite route (cyclic tables and SL(2, Z_5)), each optionally tampered so
 that its defect is not 0.
+
+A certificate's reading is invariant too: any re-dump of its document, with
+its keys in another order and another indent, must load to the same images,
+claims and `verify` report, through whichever reader takes the text.
 """
 
+import json
+from collections import Counter
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from soficlab import almosthom
 from soficlab.almosthom import (
     AlmostHom,
     Certificate,
     defect_witness,
     load_certificate,
+    measured_certificate,
     save_certificate,
     separation_witness,
+    verify,
 )
 from soficlab.amenability import folner_box
 from soficlab.backends import heisenberg_backend, zpower_backend
 from soficlab.balls import ball
-from soficlab.constructions import folner_to_sofic, free_sofic_certificate, lef_to_sofic
+from soficlab.constructions import (
+    folner_to_sofic,
+    free_sofic_certificate,
+    hyperlinear_certificate,
+    lef_to_sofic,
+)
 
 from oracles import cyclic_backend, sl2_finite_backend
 
@@ -103,3 +118,70 @@ def test_relabelling_the_points_keeps_defect_separation_and_witnesses(
 def test_the_direct_sum_keeps_defect_separation_and_witnesses(tmp_path_factory, hom):
     doubled = np.concatenate([hom.images, hom.images + hom.target_n], axis=1)
     assert_scans_kept(hom, doubled, tmp_path_factory.mktemp("c"))
+
+
+def permuted(value, data):
+    """`value` with the keys of each of its objects in a drawn order."""
+    if not isinstance(value, dict):
+        return value
+    keys = data.draw(st.permutations(list(value)))
+    return {key: permuted(value[key], data) for key in keys}
+
+
+def reader_taken(path) -> tuple:
+    """The certificate at `path` and the reader that gave it: the in-place
+    one, the streamed one, or the whole document's."""
+    taken = []
+    in_place, streamed = almosthom._certificate_in_place, almosthom._CertificateText.images
+    whole = almosthom.certificate_from_json
+
+    def spy(name, read):
+        def call(*args):
+            value = read(*args)
+            if value is not None:
+                taken.append(name)
+            return value
+        return call
+
+    with mock.patch.object(almosthom, "_certificate_in_place", spy("in place", in_place)), \
+            mock.patch.object(almosthom._CertificateText, "images", spy("streamed", streamed)), \
+            mock.patch.object(almosthom, "certificate_from_json", spy("whole", whole)):
+        cert = load_certificate(path)
+    assert len(taken) == 1, taken
+    return cert, taken[0]
+
+
+def test_redumps_load_as_written(tmp_path_factory):
+    """Drawn certificates, sym or through `to-unitary`, re-dumped with their
+    keys permuted, indent None, 1 or 2 and with or without sort_keys: each
+    loads to the written images bit for bit, claims, provenance and report,
+    and every reader takes some of them."""
+    folder = tmp_path_factory.mktemp("redumps")
+    readers = Counter()
+
+    @settings(max_examples=120, deadline=None)
+    @given(homs(), st.booleans(), st.text(max_size=6), st.sampled_from([None, 1, 2]),
+           st.booleans(), st.data())
+    def check(hom, unitary, provenance, indent, sort_keys, data):
+        cert = measured_certificate(hom, provenance)
+        if unitary:
+            cert = hyperlinear_certificate(cert)
+        path = folder / "cert.json"
+        save_certificate(cert, path)
+        doc = json.loads(path.read_text())
+        if not sort_keys and data.draw(st.booleans()):
+            doc = permuted(doc, data)
+        path.write_text(json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n")
+        loaded, reader = reader_taken(path)
+        readers[reader] += 1
+        images = loaded.hom.images
+        assert (loaded.hom.target_kind, loaded.hom.target_n) == (cert.hom.target_kind,
+                                                                  cert.hom.target_n)
+        assert images.dtype == cert.hom.images.dtype and images.shape == cert.hom.images.shape
+        assert images.tobytes() == cert.hom.images.tobytes()
+        assert (loaded.claimed_defect, loaded.claimed_separation, loaded.provenance) == \
+            (cert.claimed_defect, cert.claimed_separation, cert.provenance)
+        assert verify(loaded, 0.1, 0.5) == verify(cert, 0.1, 0.5)
+
+    check()
+    assert readers.keys() == {"in place", "streamed", "whole"}, readers

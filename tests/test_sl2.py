@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soficlab.backends import free_backend, zpower_backend
+from soficlab.constructions import free_sofic_certificate
 from soficlab.balls import ball
 from soficlab.errors import ResourceCapError
 from soficlab.sl2 import (
@@ -110,10 +111,17 @@ def test_tree_images_need_the_rank_2_free_group():
             sl2_ball_images(ball(backend, 1), 5)
 
 
-def test_lef_witness_respects_prime_ceiling():
-    with mock.patch.dict(os.environ, {"SOFICLAB_PRIME_CEILING": "3"}), \
-            pytest.raises(ResourceCapError, match="^no injective prime below ceiling 3 "):
-        lef_witness_free(2)
+def test_lef_witness_respects_ball_cap():
+    # |B_2| = 17 fits a cap of 24, but only p = 2, 3 have p(p^2 - 1) <= 24,
+    # and neither is injective on B_2 (the least prime there is 5)
+    message = r"within the ball cap 24 is injective on the radius-2 ball$"
+    with mock.patch.dict(os.environ, {"SOFICLAB_BALL_CAP": "24"}), \
+            mock.patch("soficlab.sl2.sl2_right_translations") as rows:
+        with pytest.raises(ResourceCapError, match=message):
+            lef_witness_free(2)
+        with pytest.raises(ResourceCapError, match=message):
+            free_sofic_certificate(2)  # refused before any row is allocated
+    rows.assert_not_called()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])

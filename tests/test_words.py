@@ -1,12 +1,11 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from oracles import is_reduced
+from oracles import is_reduced, word_inverse
 from soficlab.words import (
     GeneratorAlphabet,
     reduce_word,
     word_from_str,
-    word_inverse,
     word_to_str,
 )
 
