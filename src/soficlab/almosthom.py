@@ -24,7 +24,6 @@ from .errors import (
     EXIT_FAIL,
     EXIT_MALFORMED,
     EXIT_PASS,
-    DuplicateKeyError,
     MalformedCertificateError,
     ResourceCapError,
     SoficlabError,
@@ -508,6 +507,7 @@ def certificate_from_json(doc: dict) -> Certificate:
 
 
 _skip = json.decoder.WHITESPACE.match
+_HEAD_KEYS = {"schema", "group", "ball_radius", "target"}  # the members a map is read against
 
 
 class _CertificateText:
@@ -533,7 +533,7 @@ class _CertificateText:
                 raise json.JSONDecodeError("Expecting property name", text, pos)
             key, pos = json.decoder.scanstring(text, pos + 1)
             if key in keys:
-                raise DuplicateKeyError(key)
+                raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
             pos = _skip(text, pos).end()
             if not text.startswith(":", pos):
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
@@ -556,9 +556,14 @@ class _CertificateText:
             yield key, lambda: _read_image(kind, n, self.value())
 
 
+class _Unwritten(Exception):
+    """A byte the writer would not write: the file is for `_certificate_from_text`."""
+
+
 class _WriterBytes:
     """A cursor over the bytes of a file's map, moved only over the writer's
-    spelling of each key and image; any other byte raises ValueError."""
+    spelling of each key and image; any other byte raises _Unwritten, and a
+    repeated key fails as in `_CertificateText.members`."""
 
     def __init__(self, data, pos: int, end: int):
         self.data, self.pos, self.end = data, pos, end
@@ -566,19 +571,22 @@ class _WriterBytes:
     def skip(self, piece: bytes) -> None:
         """Move the cursor past `piece`, which must come next."""
         if self.data.find(piece, self.pos, self.pos + len(piece)) != self.pos:
-            raise ValueError("not the writer's bytes")
+            raise _Unwritten
         self.pos += len(piece)
 
     def images(self, kind: str, n: int):
         """(key, read) per key of the map, as `_CertificateText.images` gives them."""
         read = partial(self._digit_row if kind == "sym" else self._permutation_rows, n)
-        sep = b'\n  "'
+        sep, keys = b'\n  "', set()
         while self.pos < self.end:  # no piece holds the "\n }," at the end
             self.skip(sep)
             close = self.data.find(b'": ', self.pos, self.end)
-            key = self.data[self.pos:max(close, self.pos)].decode("ascii")
-            if close < 0 or json.dumps(key) != f'"{key}"':
-                raise ValueError("not the writer's map key")
+            key = self.data[self.pos:max(close, self.pos)].decode("latin-1")
+            if close < 0 or json.dumps(key) != f'"{key}"':  # dumps escapes any byte over 127
+                raise _Unwritten
+            if key in keys:
+                raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
+            keys.add(key)
             self.pos, sep = close + 3, b',\n  "'
             yield key, read
 
@@ -588,29 +596,33 @@ class _WriterBytes:
         The digit table is built only if the map has room for n values."""
         self.skip(b"[\n   ")
         if self.end - self.pos < 6 * n - 5:  # n digits and n - 1 separators
-            raise ValueError("no room for a sym image")
+            raise _Unwritten
         digits, row = digit_table(n), np.empty(n, np.int32)
         width = len(digits[n - 1]) + len(b",\n   ")  # the most a value and a separator take
         for lo in range(0, n, _ROW_CHUNK):
             part = row[lo:lo + _ROW_CHUNK]
-            part[:] = np.fromstring(self.data[self.pos:self.pos + len(part) * width], np.int32,
-                                    count=len(part), sep=",")
+            try:
+                part[:] = np.fromstring(self.data[self.pos:self.pos + len(part) * width],
+                                        np.int32, count=len(part), sep=",")
+            except ValueError:  # text numpy cannot read, which the writer never spells
+                raise _Unwritten from None
             if not ((part >= 0).all() and (part < n).all()):
-                raise ValueError("not the writer's sym image")
+                raise _Unwritten
             self.skip(b",\n   ".join(digits[part].tolist()))
             self.skip(b",\n   " if lo + len(part) < n else b"\n  ]")
         return row
 
     def _permutation_rows(self, n: int) -> np.ndarray:
         """The columns of the 1s of the unitary image at the cursor, found at
-        each row's first "1", if its bytes are `_permutation_pieces` of them."""
+        each row's first "1", if they are a permutation, the one matrix the
+        writer spells so, and its bytes are `_permutation_pieces` of them."""
         width = n * _STRIDE
         start = self.pos + len(_OPEN) + _ONE.index(b"1")
         found = np.array([self.data.find(b"1", lo, lo + width) - lo
                           for lo in range(start, start + n * width, width)])
-        if (found < 0).any():  # a row without a "1"
-            raise ValueError("not the writer's permutation image")
-        columns = (found // _STRIDE).astype(np.int32)
+        columns = (found // _STRIDE).astype(np.int32)  # negative for a row without a "1"
+        if not np.array_equal(np.sort(columns), np.arange(n)):
+            raise _Unwritten
         for piece in _permutation_pieces(columns):
             self.skip(piece)
         return columns
@@ -618,20 +630,27 @@ class _WriterBytes:
 
 def _certificate_in_place(data) -> Certificate | None:
     """The certificate in a file's bytes if the writer spelled its map, with
-    the members around it decoded as ASCII JSON; None at any other byte, so
-    every outcome but a certificate is `_certificate_from_text`'s."""
+    the members around it decoded as ASCII JSON; None at any other byte, for
+    `_certificate_from_text`.  A failing check raises here as it does there
+    when the head holds what the map is read against, as the writer's does;
+    that reader parses any other text whole first, so it gives the outcome."""
     start, end = data.find(b',\n "map": {'), data.rfind(b"\n },")
     if not 0 <= start < end:
         return None
     try:
         head = json.loads(data[:start].decode("ascii") + "}", object_pairs_hook=unique_keys)
         tail = json.loads("{" + data[end + 4:].decode("ascii"), object_pairs_hook=unique_keys)
-        doc = {**head, **tail}
-        if not (head and tail) or len(doc) < len(head) + len(tail) or "map" in doc:
-            return None  # a comma without a member, or a repeated key
-        cursor = _WriterBytes(data, data.find(b"{", start) + 1, end)
+    except (ValueError, RecursionError):
+        return None
+    doc = {**head, **tail}
+    if not (head and tail) or len(doc) < len(head) + len(tail) or "map" in doc:
+        return None  # a comma without a member, or a repeated key
+    cursor = _WriterBytes(data, data.find(b"{", start) + 1, end)
+    try:
         return _certificate(_almost_hom({**doc, "map": None}, cursor.images, len(data)), doc)
-    except (ValueError, SoficlabError, RecursionError):
+    except (_Unwritten, SoficlabError) as exc:
+        if isinstance(exc, SoficlabError) and _HEAD_KEYS <= head.keys():
+            raise
         return None
 
 
@@ -645,8 +664,7 @@ def _certificate_from_text(text: str) -> Certificate:
         return certificate_from_json(reader.decode(text))
     head, hom = {}, None
     for key in reader.members():
-        if (key == "map" and text.startswith("{", reader.pos)
-                and {"schema", "group", "ball_radius", "target"} <= head.keys()):
+        if key == "map" and text.startswith("{", reader.pos) and _HEAD_KEYS <= head.keys():
             hom = _almost_hom({**head, "map": None}, reader.images, len(text))
         else:
             head[key] = reader.value()

@@ -78,16 +78,7 @@ class FreeBackend(GroupBackend):
         return (s,)
 
     def multiply(self, g: Word, h: Word) -> Word:
-        """Product of two canonical (freely reduced) words: only letters at
-        the junction can cancel.  Unreduced or untrusted spellings go through
-        normal_form first."""
-        if not (g and h) or g[-1] != -h[0]:
-            return g + h
-        k = 1
-        n = min(len(g), len(h))
-        while k < n and g[-1 - k] == -h[k]:
-            k += 1
-        return g[:len(g) - k] + h[k:]
+        return reduce_word(g + h, rank=self.rank)
 
     def normal_form(self, word: Word) -> Word:
         return reduce_word(word, rank=self.rank)

@@ -77,13 +77,11 @@ class BallTable:
     @cached_property
     def elements(self) -> tuple:
         """Canonical forms, identity first.  The generic enumeration keeps the
-        ones it built; a free ball multiplies them out along the tree on
-        first use, which only certificate ingest asks for."""
-        backend = self.backend
-        step = {s: backend.letter(s) for s in backend.alphabet.signed_letters()}
-        out = [backend.identity()]
+        ones it built; a free ball, on first use (only certificate ingest asks),
+        spells each reduced word as its parent's word and its last letter."""
+        out = [()]
         for parent, s in zip(self.parents[1:], self.letters[1:]):
-            out.append(backend.multiply(out[parent], step[s]))
+            out.append(out[parent] + (s,))
         return tuple(out)
 
     @cached_property

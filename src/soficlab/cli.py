@@ -49,7 +49,7 @@ def _backend_for(args):
 
 
 def _emit(doc, path=None) -> None:
-    text = json.dumps(doc, indent=1, default=str)
+    text = json.dumps(doc, indent=1)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

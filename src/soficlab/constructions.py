@@ -101,20 +101,21 @@ def free_sofic_certificate(radius: int) -> Certificate:
     mutually inverse and the ball is free, so the rows restrict a
     homomorphism: defect exactly 0 for every p.  Right translations by
     distinct matrices move every point apart, so the separation is exactly 1
-    iff the 2 x 2 images are pairwise distinct, which is checked before any
-    row is built; ValueError unless it holds."""
-    from .sl2 import distinct_matrices, lef_witness_free, sl2_ball_images, sl2_right_translations
+    iff the rows' column 0, the index of x_0 M_k for the group's first
+    element x_0 and each ball element's image M_k, has no repeat; ValueError
+    unless it holds."""
+    from .sl2 import _LETTER_MATRICES, lef_witness_free, sl2_right_translations
 
     p = lef_witness_free(radius)  # |SL(2,Z_p)| = p(p^2 - 1) fits the ball cap
     order = p * (p * p - 1)
     domain = ball(free_backend(2), radius)
-    mats = sl2_ball_images(domain, p)
-    if not distinct_matrices(mats):
+    letters = sl2_right_translations(p, _LETTER_MATRICES[[1, 2, -1, -2]] % p)  # succ order
+    images = domain.walk(letters.T, np.arange(order))
+    points = np.sort(images[:, 0])  # np.unique would import numpy.ma, 17 ms
+    if (points[1:] == points[:-1]).any():
         raise ValueError(f"mod-{p} images are not a local monomorphism: "
                          "two ball elements share an image")
-    letters = sl2_right_translations(p, mats[domain.succ[0]])  # A, B, A^-1, B^-1
-    hom = AlmostHom(domain=domain, target_kind="sym", target_n=order,
-                    images=domain.walk(letters.T, np.arange(order)))
+    hom = AlmostHom(domain=domain, target_kind="sym", target_n=order, images=images)
     return Certificate(hom=hom, claimed_defect=0.0, claimed_separation=1.0,
                        provenance=f"free_sofic: p={p} order={order} radius={radius}")
 

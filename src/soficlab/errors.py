@@ -42,19 +42,12 @@ class BackendMismatchError(SoficlabError):
     """Two objects built over incompatible group backends were combined."""
 
 
-class DuplicateKeyError(ValueError):
-    """A repeated key in a JSON object: a parse failure until `read_json` reports it."""
-
-    def __init__(self, key: str):
-        super().__init__(f"duplicate key {key!r} in a JSON object")
-
-
 def unique_keys(pairs) -> dict:
     """The JSON object of `pairs`; the object_pairs_hook of every input."""
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise DuplicateKeyError(key)
+            raise MalformedCertificateError(f"duplicate key {key!r} in a JSON object")
         doc[key] = value
     return doc
 
@@ -83,8 +76,6 @@ def read_json(path, parse, in_place=None):
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return parse(text)  # the text is parse's alone, so it can drop it
-    except DuplicateKeyError as exc:
-        raise MalformedCertificateError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
     finally:

@@ -14,7 +14,7 @@ from soficlab.amenability import PARADOX_PIECES, FolnerSet, ParadoxReport
 from soficlab.amplify import amplified_distance
 from soficlab.backends import FiniteBackend, free_backend
 from soficlab.balls import BallTable, ball
-from soficlab.errors import BackendMismatchError, DuplicateKeyError, MalformedCertificateError
+from soficlab.errors import BackendMismatchError, MalformedCertificateError
 from soficlab.graphs import ColoredGraph, LocalMatchReport
 from soficlab.matching import (
     BipartiteGraph,
@@ -35,8 +35,6 @@ def text_mode_read_json(path, parse, in_place=None):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except DuplicateKeyError as exc:
-        raise MalformedCertificateError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
 
@@ -44,6 +42,18 @@ def text_mode_read_json(path, parse, in_place=None):
 def word_inverse(word: Word) -> Word:
     """The formal inverse: letters negated, in reverse order."""
     return tuple(-s for s in reversed(word))
+
+
+def free_junction_product(g: Word, h: Word) -> Word:
+    """The product of two freely reduced words, cancelling only the letters
+    at the junction: the library's earlier `FreeBackend.multiply`."""
+    if not (g and h) or g[-1] != -h[0]:
+        return g + h
+    k = 1
+    n = min(len(g), len(h))
+    while k < n and g[-1 - k] == -h[k]:
+        k += 1
+    return g[:len(g) - k] + h[k:]
 
 
 def is_reduced(letters) -> bool:
@@ -298,9 +308,9 @@ def sl2_images_injective(words: list[Word], p: int) -> bool:
 # same (i, j) -> k in the same order.
 def ball_products(table: BallTable) -> dict[tuple[int, int], int]:
     """(i, j) -> k exactly when the product of elements i and j is element k
-    of the ball."""
+    of the ball; free words are multiplied by `free_junction_product`."""
     products = {}
-    mul = table.backend.multiply
+    mul = free_junction_product if table.backend.kind == "free" else table.backend.multiply
     idx = table.index
     for i, g in enumerate(table.elements):
         for j, h in enumerate(table.elements):

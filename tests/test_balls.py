@@ -19,14 +19,17 @@ from soficlab.backends import (
 )
 from soficlab.balls import ball, free_ball_size
 from soficlab.errors import ResourceCapError
+from soficlab.words import reduce_word
 
 from oracles import (
     ball_contains,
     ball_inverses,
     ball_products,
     cyclic_backend,
+    free_junction_product,
     sl2_finite_backend,
     spelled_ball,
+    word_inverse,
 )
 
 PREFIX_BACKENDS = {
@@ -288,3 +291,20 @@ def test_products_walk_the_double_ball_under_the_ball_limits():
             table.products
         fits = ball(zpower_backend(1), 20)  # B_40 has 81 elements
         assert np.array_equal(fits.products, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.data())
+def test_free_ball_reads_canonical_forms_off_its_tree(rank, radius, data):
+    """Each element of a free ball is the reduced spelling of its tree word,
+    and `multiply` of two of them is the junction-cancelling product, down
+    to the identity when one is the other's inverse."""
+    backend = free_backend(rank)
+    t = ball(backend, radius)
+    assert all(g == backend.normal_form(t.word(i)) for i, g in enumerate(t.elements))
+    pick = st.integers(0, len(t) - 1)
+    for _ in range(10):
+        g, h = t.elements[data.draw(pick)], t.elements[data.draw(pick)]
+        partial = reduce_word(word_inverse(g)[:data.draw(st.integers(0, len(g)))] + h)
+        for a, b in ((g, h), (g, word_inverse(g)), (word_inverse(g), g), (g, partial)):
+            assert backend.multiply(a, b) == free_junction_product(a, b)

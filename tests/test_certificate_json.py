@@ -884,6 +884,10 @@ def _flip_in_image(text: bytes, key: bytes, old: bytes, new: bytes) -> bytes:
     return text[:at] + new + text[at + len(old):]
 
 
+def _rename_key(text: bytes, key: bytes, new: bytes) -> bytes:
+    return text.replace(b'\n  "%s": [' % key, b'\n  "%s": [' % new, 1)
+
+
 # name -> (verify's exit code, the input made from the writer's bytes)
 READER_INPUTS = {
     "empty": (2, lambda c: b""),  # an empty file cannot be mapped
@@ -905,6 +909,29 @@ READER_INPUTS = {
     "non-ASCII provenance": (0, lambda c: c["unitary"].replace(b'"provenance": "',
                                                                  '"provenance": "é '.encode())),
     "non-ASCII map key": (2, lambda c: c["unitary"].replace(b'"a": [', '"é": ['.encode())),
+    # the writer's bytes throughout, failing a check only after them
+    "non-bijective sym row": (2, lambda c: _flip_in_image(c["sym"], b"y", b"\n   80", b"\n   79")),
+    "map key outside the ball": (2, lambda c: _rename_key(c["sym"], b"y", b"y y")),
+    "two map keys for one element": (2, lambda c: _rename_key(c["sym"], b"y", b"x x'")),
+    "repeated map key": (2, lambda c: _rename_key(c["sym"], b"y", b"x")),
+    "claim not a number": (2, lambda c: c["sym"].replace(b'"claimed_defect": 0.0',
+                                                          b'"claimed_defect": "0.0"')),
+    "map too short for the ball": (2, lambda c: c["sym"][:c["sym"].index(b',\n  "y\'": [')]
+                                   + c["sym"][c["sym"].rindex(b"\n },"):]),
+    # "map" sorts before "schema": json.loads meets the repeated key first
+    "sorted, a bad schema after a repeated map key": (2, lambda c: _rename_key(json.dumps(
+        {**json.loads(c["sym"]), "schema": "sofic-cert/v0"}, indent=1, sort_keys=True).encode(),
+        b"y", b"x")),
+}
+# the late failures above, with the message each ends in
+CHECK_FAILURES = {
+    "sym row, a flipped digit": "image 1 is not a bijection of {0,...,80}",
+    "non-bijective sym row": "image 2 is not a bijection of {0,...,80}",
+    "map key outside the ball": "map key 'y y' lies outside the ball",
+    "two map keys for one element": "map keys '' and \"x x'\" name the same element",
+    "repeated map key": "duplicate key 'x' in a JSON object",
+    "claim not a number": "claimed_defect must be a JSON number, got '0.0'",
+    "map too short for the ball": "map does not cover the whole ball",
 }
 
 
@@ -960,3 +987,17 @@ def test_writer_files_are_read_in_place(tmp_path):
             loaded = load_certificate(path)
         assert loaded.hom.images.tobytes() == cert.hom.images.tobytes()
         assert certificate_to_json(loaded) == certificate_to_json(cert)
+
+
+@pytest.mark.parametrize("name", CHECK_FAILURES)
+def test_writer_bytes_failing_a_check_are_read_once(tmp_path, name):
+    """A file spelled by the writer that fails a check on its map or its
+    claims is refused by the in-place reader itself, with the decoded-text
+    reader's message: the file is not decoded and read a second time."""
+    path = tmp_path / "input.json"
+    path.write_bytes(READER_INPUTS[name][1](_certificate_bytes(tmp_path)))
+    with mock.patch.object(almosthom, "_certificate_from_text",
+                           side_effect=AssertionError("the file was decoded whole")), \
+            pytest.raises(MalformedCertificateError) as refused:
+        load_certificate(path)
+    assert str(refused.value) == CHECK_FAILURES[name]

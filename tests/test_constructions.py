@@ -220,6 +220,36 @@ def test_walked_letter_rows_equal_the_translations_at_any_prime(radius, p):
     assert defect_witness(hom) == (Fraction(0), (0, 0))
 
 
+def test_only_the_prime_search_multiplies_out_the_ball_images():
+    """`free_sofic_certificate` reaches `sl2_ball_images` and
+    `distinct_matrices` only inside `lef_witness_free`: the certificate
+    translates the four letter matrices and checks its own rows."""
+    from soficlab import sl2
+
+    searching, calls = [False], []
+
+    def search(radius):
+        searching[0] = True
+        try:
+            return real_search(radius)
+        finally:
+            searching[0] = False
+
+    def spy(real):
+        def call(*args):
+            calls.append((real.__name__, searching[0]))
+            return real(*args)
+        return call
+
+    real_search = sl2.lef_witness_free
+    with mock.patch.object(sl2, "lef_witness_free", search), \
+            mock.patch.object(sl2, "sl2_ball_images", spy(sl2.sl2_ball_images)), \
+            mock.patch.object(sl2, "distinct_matrices", spy(sl2.distinct_matrices)):
+        free_sofic_certificate(3)
+    assert {name for name, _ in calls} == {"sl2_ball_images", "distinct_matrices"}
+    assert all(inside for _, inside in calls), calls
+
+
 def test_free_sofic_certificate_leaves_the_products_unbuilt():
     assert "products" not in vars(free_sofic_certificate(3).hom.domain)
 
